@@ -26,9 +26,12 @@
 //
 // Invariants asserted here and by CI: every rate-0 record has
 // completion_rate 1.0 (the fault layer is invisible on the reliable
-// network), and — unless --no-seed-batch — the async-random families
-// report lockstep_shared > 0 (the counter-keyed scheduler batches; a
-// zero would mean every async lane silently fell back to scalar).
+// network), and — unless --no-seed-batch or --shards — the async-random
+// families report lockstep_shared > 0 (the counter-keyed scheduler
+// batches; a zero would mean every async lane silently fell back to
+// scalar). With --shards the ShardPolicy claims trials before seed
+// batching (core/batch_runner.h), so no family forms and the check is
+// skipped.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -335,9 +338,14 @@ int main(int argc, char** argv) {
     // The counter-keyed async-random schedule must actually batch: its
     // fault-seed families are lockstep-eligible, and across the sweep at
     // least some lanes stay on the shared pass. Zero means the executor
-    // silently routed every async lane scalar — fail loudly.
-    if (seed_batch.enabled &&
-        scheds[sc].kind != SchedulerKind::kSynchronous) {
+    // silently routed every async lane scalar — fail loudly. Sharded
+    // sweeps form no families: the ShardPolicy takes their trials first.
+    if (scheds[sc].kind == SchedulerKind::kSynchronous) continue;
+    if (shard.enabled()) {
+      std::cout << "lockstep check [" << scheds[sc].name
+                << "]: skipped (--shards claims trials before seed "
+                   "batching)\n";
+    } else if (seed_batch.enabled) {
       const bool shared = s.lockstep_shared > 0;
       std::cout << "lockstep check [" << scheds[sc].name
                 << "]: lockstep_shared = " << s.lockstep_shared << " ("

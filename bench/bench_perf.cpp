@@ -3,16 +3,11 @@
 // These are throughput sanity checks, not paper results — the paper's
 // quantities are message counts and bit counts (bench_e1..e9).
 //
-// Three modes:
+// Modes:
 //   bench_perf [google-benchmark flags]        microbenchmark suite
 //   bench_perf --sweep [--jobs N] [--json F] [--repeat N]
 //              [--no-advice-cache]             batched E1-style sweep via
 //                                              BatchRunner, wall-clock timed
-//   bench_perf --csr-compare [--repeat N]
-//              [--json F | --no-json]          frozen-CSR layout vs the
-//                                              nested builder layout: advise
-//                                              time, build time, bytes/edge
-//                                              per row -> BENCH_perf_csr.json
 //   bench_perf --shard-scale [--scale-n N] [--repeat N]
 //              [--json F | --no-json]          sharded engine vs the
 //                                              single-threaded engine on
@@ -76,7 +71,6 @@
 #include <unistd.h>
 
 #include "bench_common.h"
-#include "legacy_ref.h"
 #include "service/advice_service.h"
 #include "service/client.h"
 #include "graph/io.h"
@@ -367,187 +361,6 @@ int run_sweep(int argc, char** argv) {
   out << "\n  ]\n}\n";
   std::cerr << "[bench] wrote cache comparison (" << num_rows
             << " rows) to BENCH_perf_cache.json\n";
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --csr-compare: before vs after the frozen-CSR rework.
-//
-// For every row the "nested" side runs the PRE-rework advise pipeline —
-// the nested-vector layout with checked per-port access, unordered_map
-// light-tree phases, and port_towards scans, preserved verbatim in
-// bench/legacy_ref.h — while the "csr" side runs the production oracles
-// (TreeWakeupOracle with its bfs tree, LightBroadcastOracle with its light
-// tree) on the frozen graph. Build time compares constructing the
-// builder-state graph from scratch against builder + freeze(); memory is
-// PortGraph::memory_bytes() in each state (capacity slack included — what
-// the process actually holds). tools/perf_gate.py checks the committed
-// BENCH_perf_csr.json against a fresh run.
-// ---------------------------------------------------------------------------
-
-/// Builder-state copy of a frozen graph: same nodes, labels, edges, ports —
-/// the pre-CSR nested-vector layout.
-PortGraph rebuild_nested(const PortGraph& g) {
-  PortGraph out(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) out.set_label(v, g.label(v));
-  for (const Edge& e : g.edges()) out.add_edge(e.u, e.port_u, e.v, e.port_v);
-  return out;
-}
-
-/// Minimum wall time of `fn()` over `repeat` runs; the result of each call
-/// is folded into `sink` so the work cannot be elided.
-template <typename Fn>
-std::uint64_t time_min_ns(std::size_t repeat, std::uint64_t& sink, Fn&& fn) {
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t r = 0; r < repeat; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sink += fn();
-    best = std::min(best, since_ns(t0));
-  }
-  return best;
-}
-
-int run_csr_compare(int argc, char** argv) {
-  std::size_t repeat = 3;
-  std::string json_path = "BENCH_perf_csr.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (csr-compare supports: --repeat N, --json FILE, "
-                   "--no-json)\n";
-      return 2;
-    }
-  }
-
-  struct Row {
-    std::string family;
-    std::size_t n = 0;
-    std::size_t m = 0;
-    std::uint64_t build_nested_ns = 0;
-    std::uint64_t build_csr_ns = 0;
-    double bpe_nested = 0;
-    double bpe_csr = 0;
-    std::uint64_t wake_nested_ns = 0;
-    std::uint64_t wake_csr_ns = 0;
-    std::uint64_t bcast_nested_ns = 0;
-    std::uint64_t bcast_csr_ns = 0;
-  };
-
-  // Large-n emphasis: the acceptance rows are complete n >= 2048; the
-  // sparse families document that the layout does not regress them.
-  Rng rng(0xbeefcafeULL);
-  std::vector<bench::Workload> loads;
-  for (std::size_t n : {1024u, 2048u, 3072u, 4096u}) {
-    loads.push_back(bench::timed_workload(
-        "complete", n, [&] { return make_complete_star(n); }));
-  }
-  for (int d : {10, 12}) {
-    loads.push_back(bench::timed_workload("hypercube", std::size_t{1} << d,
-                                          [&] { return make_hypercube(d); }));
-  }
-  loads.push_back(bench::timed_workload("random(p=8/n)", 4096, [&] {
-    return make_random_connected(4096, 8.0 / 4096.0, rng);
-  }));
-  loads.push_back(bench::timed_workload(
-      "grid", 64 * 64, [] { return make_grid(64, 64); }));
-
-  const TreeWakeupOracle wakeup;
-  const LightBroadcastOracle broadcast;
-  std::uint64_t sink = 0;  // defeats elision; printed at the end
-  std::vector<Row> rows;
-  for (const bench::Workload& w : loads) {
-    Row row;
-    row.family = w.family;
-    row.n = w.n;
-    row.m = w.graph.num_edges();
-    row.build_csr_ns = w.build_ns;
-    row.bpe_csr = bench::bytes_per_edge(w.graph);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const PortGraph nested = rebuild_nested(w.graph);
-    row.build_nested_ns = since_ns(t0);
-    row.bpe_nested = bench::bytes_per_edge(nested);
-
-    // The "nested" advise numbers run the pre-rework pipeline (legacy
-    // layout AND legacy kernels — see bench/legacy_ref.h); the "csr"
-    // numbers run the production oracles on the frozen graph.
-    const bench::legacy::NestedGraph lg(w.graph);
-    row.wake_nested_ns = time_min_ns(repeat, sink, [&] {
-      return oracle_size_bits(bench::legacy::wakeup_advise(lg, 0));
-    });
-    row.wake_csr_ns = time_min_ns(repeat, sink, [&] {
-      return oracle_size_bits(wakeup.advise(w.graph, 0));
-    });
-    row.bcast_nested_ns = time_min_ns(repeat, sink, [&] {
-      return oracle_size_bits(bench::legacy::broadcast_advise(lg, 0));
-    });
-    row.bcast_csr_ns = time_min_ns(repeat, sink, [&] {
-      return oracle_size_bits(broadcast.advise(w.graph, 0));
-    });
-    rows.push_back(row);
-  }
-
-  auto ratio = [](double num, double den) { return den > 0 ? num / den : 0.0; };
-  Table t({"family", "n", "m", "wake_speedup", "bcast_speedup", "build_x",
-           "B/edge nested", "B/edge csr", "mem_saved"});
-  for (const Row& r : rows) {
-    t.row()
-        .cell(r.family)
-        .cell(r.n)
-        .cell(r.m)
-        .cell(ratio(static_cast<double>(r.wake_nested_ns),
-                    static_cast<double>(r.wake_csr_ns)), 2)
-        .cell(ratio(static_cast<double>(r.bcast_nested_ns),
-                    static_cast<double>(r.bcast_csr_ns)), 2)
-        .cell(ratio(static_cast<double>(r.build_nested_ns),
-                    static_cast<double>(r.build_csr_ns)), 2)
-        .cell(r.bpe_nested, 1)
-        .cell(r.bpe_csr, 1)
-        .cell(1.0 - ratio(r.bpe_csr, r.bpe_nested), 3);
-  }
-  t.print(std::cout,
-          "CSR vs nested-vector layout: advise wall time (min of " +
-              std::to_string(repeat) + "), build time, resident bytes/edge");
-  std::cout << "checksum=" << sink << "\n";
-
-  if (json_path.empty()) return 0;
-  std::ofstream out(json_path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << json_path << "\n";
-    return 0;
-  }
-  out << "{\n  \"bench\": \"perf_csr\",\n  \"repeat\": " << repeat
-      << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"family\": \"" << r.family
-        << "\", \"n\": " << r.n << ", \"m\": " << r.m
-        << ", \"advise_wakeup_nested_ns\": " << r.wake_nested_ns
-        << ", \"advise_wakeup_csr_ns\": " << r.wake_csr_ns
-        << ", \"advise_wakeup_speedup\": "
-        << ratio(static_cast<double>(r.wake_nested_ns),
-                 static_cast<double>(r.wake_csr_ns))
-        << ", \"advise_broadcast_nested_ns\": " << r.bcast_nested_ns
-        << ", \"advise_broadcast_csr_ns\": " << r.bcast_csr_ns
-        << ", \"advise_broadcast_speedup\": "
-        << ratio(static_cast<double>(r.bcast_nested_ns),
-                 static_cast<double>(r.bcast_csr_ns))
-        << ", \"build_nested_ns\": " << r.build_nested_ns
-        << ", \"build_csr_ns\": " << r.build_csr_ns
-        << ", \"bytes_per_edge_nested\": " << r.bpe_nested
-        << ", \"bytes_per_edge_csr\": " << r.bpe_csr
-        << ", \"bytes_reduction\": " << 1.0 - ratio(r.bpe_csr, r.bpe_nested)
-        << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::cerr << "[bench] wrote " << rows.size() << " CSR comparison rows to "
-            << json_path << "\n";
   return 0;
 }
 
@@ -1596,11 +1409,10 @@ int run_service(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --sweep / --csr-compare; everything else goes to the matching
-  // mode's parser or to google-benchmark (default mode).
+  // Peel off the mode flag; everything else goes to the matching mode's
+  // parser or to google-benchmark (default mode).
   std::vector<char*> rest;
   bool sweep = false;
-  bool csr_compare = false;
   bool shard_scale = false;
   bool seed_batch = false;
   bool sched_batch = false;
@@ -1608,8 +1420,6 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (i > 0 && std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--csr-compare") == 0) {
-      csr_compare = true;
     } else if (i > 0 && std::strcmp(argv[i], "--shard-scale") == 0) {
       shard_scale = true;
     } else if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
@@ -1627,7 +1437,6 @@ int main(int argc, char** argv) {
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
   if (shard_scale) return run_shard_scale(rest_argc, rest.data());
-  if (csr_compare) return run_csr_compare(rest_argc, rest.data());
   if (sweep) return run_sweep(rest_argc, rest.data());
   benchmark::Initialize(&rest_argc, rest.data());
   if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {

@@ -26,12 +26,10 @@ SeedFamilyKey seed_family_key(const TrialSpec& spec) {
   key.advice = spec.advice.get();
   const RunOptions& o = spec.options;
   key.scheduler = o.scheduler;
-  key.keying = o.keying;
   key.max_delay = o.max_delay;
   key.max_messages = o.max_messages;
   key.enforce_wakeup = o.enforce_wakeup;
   key.anonymous = o.anonymous;
-  key.trace = o.trace;
   key.deadline_ns = o.deadline_ns;
   key.max_events = o.max_events;
   key.trace_sink = o.trace_sink;

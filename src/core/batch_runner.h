@@ -90,12 +90,10 @@ struct SeedFamilyKey {
   const Algorithm* algorithm = nullptr;
   const void* advice = nullptr;  ///< TrialSpec::advice identity (may be null)
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  SchedulerKeying keying = SchedulerKeying::kCounter;
   std::uint32_t max_delay = 0;
   std::uint64_t max_messages = 0;
   bool enforce_wakeup = false;
   bool anonymous = false;
-  bool trace = false;
   std::uint64_t deadline_ns = 0;
   std::uint64_t max_events = 0;
   const void* trace_sink = nullptr;
@@ -129,8 +127,7 @@ struct SeedFamilyKey {
  private:
   auto tie() const {
     return std::tie(graph, source, oracle, algorithm, advice, scheduler,
-                    keying, max_delay, max_messages, enforce_wakeup,
-                    anonymous, trace,
+                    max_delay, max_messages, enforce_wakeup, anonymous,
                     deadline_ns, max_events, trace_sink, fault_drop,
                     fault_duplicate, fault_delay, fault_max_extra_delay,
                     fault_crash, fault_max_crash_key, fault_crash_source,

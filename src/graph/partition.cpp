@@ -1,26 +1,10 @@
 #include "graph/partition.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 namespace oraclesize {
-
-namespace {
-
-// The prefix-degree curve: entry v is the first directed-link id of node v.
-// On a frozen graph this aliases the CSR offsets; a builder graph pays for a
-// temporary copy (partitioning unfrozen graphs is a test-only path).
-std::vector<std::uint64_t> prefix_degrees(const PortGraph& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<std::uint64_t> prefix(n + 1);
-  prefix[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    prefix[v + 1] = prefix[v] + g.degree(v);
-  }
-  return prefix;
-}
-
-}  // namespace
 
 Partition make_partition(const PortGraph& g, const PartitionOptions& options) {
   const std::size_t n = g.num_nodes();
@@ -45,10 +29,8 @@ Partition make_partition(const PortGraph& g, const PartitionOptions& options) {
   }
 
   const std::uint64_t* offsets = g.csr_offsets();
-  std::vector<std::uint64_t> computed;
   if (offsets == nullptr) {
-    computed = prefix_degrees(g);
-    offsets = computed.data();
+    throw std::invalid_argument("make_partition: graph not frozen");
   }
   const std::uint64_t total_links = offsets[n];
 
@@ -79,28 +61,6 @@ Partition make_partition(const PortGraph& g, const PartitionOptions& options) {
   }
   p.bounds.push_back(static_cast<NodeId>(n));
   return p;
-}
-
-ShardView make_shard_view(const PortGraph& g, const Partition& p,
-                          std::uint32_t shard) {
-  ShardView view;
-  view.node_begin = p.begin(shard);
-  view.node_end = p.end(shard);
-  view.endpoints = g.csr_endpoints();
-  view.offsets = g.csr_offsets();
-  if (view.offsets != nullptr) {
-    view.link_begin = view.offsets[view.node_begin];
-    view.link_end = view.offsets[view.node_end];
-  } else {
-    std::uint64_t link = 0;
-    for (NodeId v = 0; v < view.node_begin; ++v) link += g.degree(v);
-    view.link_begin = link;
-    for (NodeId v = view.node_begin; v < view.node_end; ++v) {
-      link += g.degree(v);
-    }
-    view.link_end = link;
-  }
-  return view;
 }
 
 }  // namespace oraclesize

@@ -8,7 +8,7 @@
 //  * every per-node array (inputs, behaviors, informed bits, outputs) is
 //    carved into disjoint slices with no indirection table;
 //  * the CSR rows of a shard's nodes are one contiguous span of the frozen
-//    endpoint array — a ShardView is three pointers, not a subgraph copy.
+//    endpoint array — a shard's window needs no subgraph copy.
 //
 // Boundaries are chosen by balancing *directed links* (edge endpoints), not
 // node counts: the engine's per-event work is proportional to degree, so a
@@ -78,35 +78,11 @@ struct Partition {
   }
 };
 
-/// A shard's window into a frozen graph's CSR: its node range plus the
-/// contiguous slice of the endpoint array covering exactly those nodes'
-/// adjacency rows. `link_begin + p` relative to `endpoints` recovers
-/// endpoint(v, p) as endpoints[offsets[v] - link_begin + p]. For unfrozen
-/// graphs (hand-built test graphs) `endpoints`/`offsets` are null and the
-/// engine falls back to checked accessors.
-struct ShardView {
-  NodeId node_begin = 0;
-  NodeId node_end = 0;
-  std::uint64_t link_begin = 0;  ///< first directed-link id owned
-  std::uint64_t link_end = 0;    ///< one past the last owned link id
-  const Endpoint* endpoints = nullptr;    ///< full CSR array (global index)
-  const std::uint64_t* offsets = nullptr; ///< full offset array (n + 1)
-
-  std::size_t num_nodes() const noexcept { return node_end - node_begin; }
-  std::size_t num_links() const noexcept {
-    return static_cast<std::size_t>(link_end - link_begin);
-  }
-};
-
-/// Builds an edge-mass-balanced contiguous partition of g. Works on both
-/// frozen graphs (reads csr_offsets directly) and builder graphs (computes
-/// the prefix-degree curve). The result always satisfies the Partition
-/// invariants; requesting more shards than the graph supports yields fewer.
+/// Builds an edge-mass-balanced contiguous partition of g by walking its
+/// CSR offsets. The result always satisfies the Partition invariants;
+/// requesting more shards than the graph supports yields fewer. Throws
+/// std::invalid_argument when g is not frozen and would be split (the
+/// engines, which are its only callers, accept frozen graphs only).
 Partition make_partition(const PortGraph& g, const PartitionOptions& options);
-
-/// The CSR window of one shard. Precondition: shard < p.num_shards() and p
-/// was built for g.
-ShardView make_shard_view(const PortGraph& g, const Partition& p,
-                          std::uint32_t shard);
 
 }  // namespace oraclesize

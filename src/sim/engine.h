@@ -58,16 +58,11 @@ const char* to_string(RunStatus status);
 
 struct RunOptions {
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  /// How the seeded schedulers derive delays. kCounter (the canonical
-  /// schedule) keys each delay on (seed, seq, link); kStream replays the
-  /// legacy draw-order Rng stream for old trace artifacts.
-  SchedulerKeying keying = SchedulerKeying::kCounter;
-  std::uint64_t seed = 1;          ///< randomness for kAsyncRandom
+  std::uint64_t seed = 1;  ///< delay key of kAsyncRandom / kAsyncLinkFifo
   std::uint32_t max_delay = 16;    ///< max per-message delay, kAsyncRandom
   std::uint64_t max_messages = 50'000'000;  ///< runaway-scheme safety valve
   bool enforce_wakeup = false;  ///< flag transmissions by uninformed nodes
   bool anonymous = false;       ///< hide id(v) from the algorithm (pass 0)
-  bool trace = false;           ///< record every transmission (tests only)
   /// Deterministic fault injection (sim/fault_plan.h). The default plan is
   /// disabled: the run takes the legacy reliable-network path bit for bit.
   FaultPlanParams fault;
@@ -82,11 +77,11 @@ struct RunOptions {
   /// Cap on delivered events; 0 = none. Exceeding it stops the run with
   /// RunStatus::kBudgetExhausted (deterministic, unlike deadline_ns).
   std::uint64_t max_events = 0;
-  /// Structured event tracing (sim/trace_recorder.h). Null = disabled —
-  /// the hot path pays one branch per event group and allocates nothing.
-  /// Non-owning; the sink must outlive the run. Unlike `trace` (the legacy
-  /// SentRecord vector), a sink sees deliveries, fault decisions, and
-  /// node-state transitions, stamped with the fault plan's counter keys.
+  /// Event tracing (sim/trace_recorder.h), the engines' one tracing path:
+  /// sends, deliveries, fault decisions and node-state transitions,
+  /// stamped with the fault plan's counter keys. Null = disabled — the hot
+  /// path pays one branch per event group and allocates nothing.
+  /// Non-owning; the sink must outlive the run.
   TraceSink* trace_sink = nullptr;
 };
 
@@ -100,7 +95,6 @@ struct RunResult {
   /// Empty when the run is clean; otherwise the first violation detected
   /// (wakeup constraint, invalid port, message budget).
   std::string violation;
-  std::vector<SentRecord> trace;  ///< only when RunOptions::trace
   std::vector<bool> terminated;   ///< per-node NodeBehavior::terminated()
   std::vector<std::uint64_t> outputs;  ///< per-node NodeBehavior::output()
   std::vector<std::uint64_t> sends_by_node;  ///< per-node message load
@@ -121,9 +115,10 @@ struct RunResult {
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
-/// Executes `algorithm` on `g` from `source` with the given advice strings
-/// (advice.size() must equal g.num_nodes()). Deterministic for fixed inputs
-/// and options.
+/// Executes `algorithm` on `g` from `source` with the given advice strings.
+/// Throws std::invalid_argument unless g is frozen (PortGraph::freeze),
+/// advice.size() equals g.num_nodes() and source is a node. Deterministic
+/// for fixed inputs and options.
 RunResult run_execution(const PortGraph& g, NodeId source,
                         const std::vector<BitString>& advice,
                         const Algorithm& algorithm, const RunOptions& options);

@@ -1,8 +1,7 @@
 // The engine's pending-event store: a slot pool plus an index min-heap.
 //
-// Extracted from ExecutionContext so the single-threaded engine and the
-// sharded engine (sim/sharded_engine.h) share one implementation of the
-// ordering that defines delivery semantics: events are consumed in
+// One implementation, shared by all three engines, of the ordering that
+// defines delivery semantics: events are consumed in
 // (delivery key, send sequence) order, which makes delivery a total order
 // for any scheduler. Message payloads live in a flat slot pool with a free
 // list; the heap sifts 24-byte index entries, never the Message-carrying
@@ -92,28 +91,38 @@ class EventHeap {
   void release_slot(std::size_t s) { free_slots_.push_back(s); }
 
   void push(Entry e) {
-    // Hole insertion: bubble the hole up, write the entry once at the end.
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
+    heap_push(heap_, e);
     if (heap_.size() > peak_) peak_ = heap_.size();
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!entry_before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
   }
 
   /// Removes and returns the smallest entry. Precondition: !empty(). The
   /// slot is NOT released — callers move the event out first, then call
   /// release_slot (filling a slot can grow the pool and invalidate
   /// references into it).
-  Entry pop() {
-    const Entry top = heap_.front();
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t size = heap_.size();
+  Entry pop() { return heap_pop(heap_); }
+
+  /// The sifts behind push/pop, over a bare entry vector: the seed-batch
+  /// engine's per-class heaps share one slot pool and are nothing more than
+  /// their entries. Hole insertion — the hole moves, the entry is written
+  /// once at the end.
+  static void heap_push(std::vector<Entry>& h, Entry e) {
+    std::size_t i = h.size();
+    h.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!entry_before(e, h[parent])) break;
+      h[i] = h[parent];
+      i = parent;
+    }
+    h[i] = e;
+  }
+
+  /// Removes and returns h's smallest entry. Precondition: !h.empty().
+  static Entry heap_pop(std::vector<Entry>& h) {
+    const Entry top = h.front();
+    const Entry last = h.back();
+    h.pop_back();
+    const std::size_t size = h.size();
     if (size > 0) {
       // Sift the hole down from the root, then drop `last` into it.
       std::size_t i = 0;
@@ -122,14 +131,12 @@ class EventHeap {
         if (left >= size) break;
         const std::size_t right = left + 1;
         std::size_t best = left;
-        if (right < size && entry_before(heap_[right], heap_[left])) {
-          best = right;
-        }
-        if (!entry_before(heap_[best], last)) break;
-        heap_[i] = heap_[best];
+        if (right < size && entry_before(h[right], h[left])) best = right;
+        if (!entry_before(h[best], last)) break;
+        h[i] = h[best];
         i = best;
       }
-      heap_[i] = last;
+      h[i] = last;
     }
     return top;
   }

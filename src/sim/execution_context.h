@@ -8,14 +8,13 @@
 // every push/pop. ExecutionContext keeps all of that storage alive across
 // runs:
 //
-//  * per-node tables (`NodeInput`, behavior slots) are resized, not
-//    reallocated;
+//  * per-node tables (`NodeInput`, behavior slots — the RunPlane of
+//    sim/run_plane.h) are resized, not reallocated;
 //  * pending events live in a flat pool with a free list; the priority
 //    queue is an index heap over the pool, so heap sifts move 8-byte
 //    indices instead of events;
 //  * the scheduler's per-link FIFO clock is a flat vector indexed by the
-//    graph's prefix-summed (node, port) offsets, reset (not rebuilt) per
-//    run;
+//    frozen graph's CSR offsets, reset (not rebuilt) per run;
 //  * behavior objects are pooled: when consecutive runs use algorithms
 //    reporting `Algorithm::reusable()` with the same name(), existing
 //    behaviors are re-armed via `NodeBehavior::reset` instead of being
@@ -32,13 +31,11 @@
 // does exactly that).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/event_heap.h"
+#include "sim/run_plane.h"
 
 namespace oraclesize {
 
@@ -47,35 +44,19 @@ class ExecutionContext {
   ExecutionContext() : scheduler_(SchedulerKind::kSynchronous, 0, 1) {}
 
   /// Plays one execution. Identical semantics to run_execution; see
-  /// sim/engine.h for the meaning of each argument and of the result.
+  /// sim/engine.h for the meaning of each argument, of the result, and of
+  /// the frozen-graph precondition.
   RunResult run(const PortGraph& g, NodeId source,
                 const std::vector<BitString>& advice,
                 const Algorithm& algorithm, const RunOptions& options);
 
  private:
-  /// (Re)populates behaviors_[0..n) for this run: pooled behaviors are
-  /// re-armed with reset() when the algorithm allows it, otherwise fresh
-  /// ones are constructed. Updates the pool identity bookkeeping.
-  void arm_behaviors(std::size_t n, const Algorithm& algorithm);
-
   Scheduler scheduler_;
-  FaultPlan fault_plan_;
   AdversaryPlan adversary_plan_;
-  /// Scratch for FaultPlan::corrupt_advice — trials share immutable advice
-  /// vectors, so corruption writes a private copy here instead.
-  std::vector<BitString> corrupted_advice_;
-  std::vector<NodeInput> inputs_;
-  std::vector<std::unique_ptr<NodeBehavior>> behaviors_;
+  RunPlane plane_;
   std::vector<Send> sends_;  ///< scratch sink, recycled per event
-  /// Pending events: slot pool + (key, seq) index heap (sim/event_heap.h —
-  /// shared with the sharded engine, which runs one EventHeap per shard).
+  /// Pending events: slot pool + (key, seq) index heap (sim/event_heap.h).
   EventHeap events_;
-  std::vector<std::uint64_t> link_offset_;  ///< prefix sums of degrees
-  /// Behavior-pool identity: behaviors_[v] (v < pool_count_) were produced
-  /// by a reusable algorithm named pool_algorithm_ and may be re-armed via
-  /// reset() by any same-named reusable algorithm.
-  std::string pool_algorithm_;
-  std::size_t pool_count_ = 0;
 };
 
 }  // namespace oraclesize

@@ -24,53 +24,17 @@ const char* to_string(SchedulerKind kind) {
   return "unknown";
 }
 
-const char* to_string(SchedulerKeying keying) {
-  switch (keying) {
-    case SchedulerKeying::kCounter:
-      return "counter";
-    case SchedulerKeying::kStream:
-      return "stream";
-  }
-  return "unknown";
-}
-
-namespace {
-
-// Domain-separation tag for delivery prekeys — the scheduler's sibling of
-// FaultPlan's kMessageTag, so enabling faults never perturbs delays and
-// vice versa.
-constexpr std::uint64_t kDelayTag = 0x64656c6179ULL;  // "delay"
-
-}  // namespace
-
 Scheduler::Scheduler(SchedulerKind kind, std::uint64_t seed,
-                     std::uint32_t max_delay, SchedulerKeying keying)
+                     std::uint32_t max_delay)
     : kind_(kind),
-      keying_(keying),
-      rng_(seed),
       seed_(seed),
       max_delay_(max_delay == 0 ? 1 : max_delay) {}
 
 Scheduler::~Scheduler() = default;
 
-std::uint64_t Scheduler::delivery_prekey(std::uint64_t seq,
-                                         std::uint64_t link) noexcept {
-  return mix64(kDelayTag ^ mix64(seq ^ mix64(link)));
-}
-
-std::uint32_t Scheduler::counter_delay(std::uint64_t seed,
-                                       std::uint64_t prekey,
-                                       std::uint32_t max_delay) noexcept {
-  if (max_delay == 0) max_delay = 1;
-  return static_cast<std::uint32_t>(mix64(seed ^ prekey) % max_delay);
-}
-
 void Scheduler::reset(SchedulerKind kind, std::uint64_t seed,
-                      std::uint32_t max_delay, std::size_t num_links,
-                      SchedulerKeying keying) {
+                      std::uint32_t max_delay, std::size_t num_links) {
   kind_ = kind;
-  keying_ = keying;
-  rng_ = Rng(seed);
   seed_ = seed;
   max_delay_ = max_delay == 0 ? 1 : max_delay;
   link_clock_.assign(kind == SchedulerKind::kAsyncLinkFifo ? num_links : 0,
@@ -98,36 +62,14 @@ void Scheduler::reset(SchedulerKind kind, std::uint64_t seed,
 std::int64_t Scheduler::delivery_key(std::int64_t now, std::uint64_t seq,
                                      std::uint64_t link) {
   switch (kind_) {
-    case SchedulerKind::kSynchronous:
-      return now + 1;
-    case SchedulerKind::kAsyncRandom: {
-      const std::int64_t delay =
-          keying_ == SchedulerKeying::kCounter
-              ? static_cast<std::int64_t>(
-                    counter_delay(seed_, delivery_prekey(seq, link),
-                                  max_delay_))
-              : static_cast<std::int64_t>(rng_.below(max_delay_));
-      return now + 1 + delay;
-    }
-    case SchedulerKind::kAsyncFifo:
-      return static_cast<std::int64_t>(seq);
-    case SchedulerKind::kAsyncLifo:
-      return -static_cast<std::int64_t>(seq);
     case SchedulerKind::kAsyncLinkFifo: {
       // Random per-message delay, clamped so this link's deliveries stay in
       // send order (FIFO channel), while distinct links race freely.
-      const std::int64_t delay =
-          keying_ == SchedulerKeying::kCounter
-              ? static_cast<std::int64_t>(
-                    counter_delay(seed_, delivery_prekey(seq, link),
-                                  max_delay_))
-              : static_cast<std::int64_t>(rng_.below(max_delay_));
-      const std::int64_t candidate = now + 1 + delay;
       assert(link < link_clock_.size() &&
              "reset() must size the link-clock table to cover every link");
-      std::int64_t& clock = link_clock_[link];
-      clock = (candidate > clock) ? candidate : clock + 1;
-      return clock;
+      return link_fifo_clamp(
+          link_clock_[link],
+          counter_key(now, seed_, delivery_prekey(seq, link), max_delay_));
     }
     case SchedulerKind::kAsyncAdversarial: {
       // Online Lemma 2.1: a link's first use probes the edge-discovery
@@ -153,8 +95,9 @@ std::int64_t Scheduler::delivery_key(std::int64_t now, std::uint64_t seq,
       return st == 2 ? now + 1 + static_cast<std::int64_t>(max_delay_)
                      : now + 1;
     }
+    default:
+      return pure_key(kind_, now, seq, link, seed_, max_delay_);
   }
-  return now + 1;
 }
 
 }  // namespace oraclesize

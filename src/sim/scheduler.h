@@ -6,8 +6,11 @@
 //
 //  * kSynchronous — classic rounds: everything sent in round t arrives in
 //    round t+1, deliveries within a round in send order.
-//  * kAsyncRandom — each message independently delayed by 1..max_delay
-//    (seeded), modelling a benign asynchronous network.
+//  * kAsyncRandom — each message independently delayed by 1..max_delay,
+//    modelling a benign asynchronous network. The delay is counter-keyed:
+//    a pure function of (seed, seq, link) through the same SplitMix64 mix
+//    FaultPlan keys its decisions on, so no draw-order stream exists and
+//    the seed-batch executor can serve many scheduler seeds in one pass.
 //  * kAsyncFifo — one global FIFO: strictly ordered, single delivery at a
 //    time (a degenerate but legal asynchronous executive).
 //  * kAsyncLifo — adversarial: always delivers the *most recently sent*
@@ -15,7 +18,8 @@
 //    hello-after-M races in broadcast scheme B (DESIGN.md deviation #4).
 //  * kAsyncLinkFifo — messages on the same directed link arrive in send
 //    order (the classic asynchronous message-passing model with FIFO
-//    channels), but different links race with independent random delays.
+//    channels), but different links race with independent counter-keyed
+//    delays.
 //  * kAsyncAdversarial — the Lemma 2.1 game played online: each directed
 //    link's first use is a *probe* answered by the edge-discovery
 //    CountingAdversary (lowerbound/counting_adversary.h), and links the
@@ -48,32 +52,11 @@ enum class SchedulerKind {
 
 const char* to_string(SchedulerKind kind);
 
-/// How the seeded schedulers (kAsyncRandom, kAsyncLinkFifo) derive their
-/// per-message delays.
-///
-///  * kCounter — the canonical mode: delay is a pure function of
-///    (seed, seq, link) via the same SplitMix64 counter keying FaultPlan
-///    uses for fault decisions. Because no draw-order stream is consumed,
-///    the delivery key of a message depends only on shared per-message
-///    state plus the lane's seed — which is what lets the seed-batch
-///    executor serve many scheduler seeds from one lockstep pass.
-///  * kStream — the legacy mode: delays are drawn from a seeded Rng stream
-///    in draw order. Kept bit-exact so trace artifacts recorded before the
-///    counter-keyed schedule became canonical still replay; selectable via
-///    RunOptions::keying and recorded in the oracletrace header.
-enum class SchedulerKeying : std::uint8_t {
-  kCounter,
-  kStream,
-};
-
-const char* to_string(SchedulerKeying keying);
-
 /// Computes the priority key under which a message becomes deliverable.
 /// Lower keys deliver first; ties broken by sequence number (FIFO).
 class Scheduler {
  public:
-  Scheduler(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay,
-            SchedulerKeying keying = SchedulerKeying::kCounter);
+  Scheduler(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay);
   ~Scheduler();  // out-of-line: unique_ptr of a forward-declared type
 
   /// Re-arms the scheduler for a fresh run without releasing the link-clock
@@ -82,8 +65,7 @@ class Scheduler {
   /// cover every link id delivery_key will see — the hot path asserts
   /// instead of growing the table on demand.
   void reset(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay,
-             std::size_t num_links = 0,
-             SchedulerKeying keying = SchedulerKeying::kCounter);
+             std::size_t num_links = 0);
 
   /// Key for a message sent with sequence number `seq` while the engine was
   /// processing an event with key `now` (0 for on_start sends). `link`
@@ -100,20 +82,76 @@ class Scheduler {
   /// seed-batch executor hashes each message once and asks every
   /// still-active lane for its key.
   static std::uint64_t delivery_prekey(std::uint64_t seq,
-                                       std::uint64_t link) noexcept;
+                                       std::uint64_t link) noexcept {
+    return mix64(kDelayTag ^ mix64(seq ^ mix64(link)));
+  }
 
   /// Counter-keyed delay in [0, max_delay) for one (seed, prekey) pair.
   /// max_delay == 0 is treated as 1, matching the constructor's clamp.
   static std::uint32_t counter_delay(std::uint64_t seed, std::uint64_t prekey,
-                                     std::uint32_t max_delay) noexcept;
+                                     std::uint32_t max_delay) noexcept {
+    if (max_delay == 0) max_delay = 1;
+    return static_cast<std::uint32_t>(mix64(seed ^ prekey) % max_delay);
+  }
+
+  /// The counter-keyed delivery key: one past `now` plus the delay of
+  /// counter_delay. kAsyncRandom's key, and kAsyncLinkFifo's before its
+  /// per-link clamp.
+  static std::int64_t counter_key(std::int64_t now, std::uint64_t seed,
+                                  std::uint64_t prekey,
+                                  std::uint32_t max_delay) noexcept {
+    return now + 1 +
+           static_cast<std::int64_t>(counter_delay(seed, prekey, max_delay));
+  }
+
+  /// The FIFO-channel clamp of kAsyncLinkFifo: a message on a link never
+  /// overtakes the link's previous one. Advances `clock` and returns the
+  /// clamped key.
+  static std::int64_t link_fifo_clamp(std::int64_t& clock,
+                                      std::int64_t candidate) noexcept {
+    clock = (candidate > clock) ? candidate : clock + 1;
+    return clock;
+  }
+
+  /// True for the schedulers whose key is a pure function of (now, seq,
+  /// link, seed): kSynchronous, kAsyncRandom, kAsyncFifo and kAsyncLifo.
+  /// kAsyncLinkFifo keeps per-link clocks and kAsyncAdversarial a probe
+  /// history, so their keys depend on earlier sends.
+  static bool is_pure(SchedulerKind kind) noexcept {
+    return kind == SchedulerKind::kSynchronous ||
+           kind == SchedulerKind::kAsyncRandom ||
+           kind == SchedulerKind::kAsyncFifo ||
+           kind == SchedulerKind::kAsyncLifo;
+  }
+
+  /// The key a pure scheduler assigns — the one copy of that switch, used
+  /// by delivery_key, the seed-batch pass and the sharded engine's
+  /// parallel routing. Precondition: is_pure(kind).
+  static std::int64_t pure_key(SchedulerKind kind, std::int64_t now,
+                               std::uint64_t seq, std::uint64_t link,
+                               std::uint64_t seed,
+                               std::uint32_t max_delay) noexcept {
+    switch (kind) {
+      case SchedulerKind::kAsyncRandom:
+        return counter_key(now, seed, delivery_prekey(seq, link), max_delay);
+      case SchedulerKind::kAsyncFifo:
+        return static_cast<std::int64_t>(seq);
+      case SchedulerKind::kAsyncLifo:
+        return -static_cast<std::int64_t>(seq);
+      default:  // kSynchronous
+        return now + 1;
+    }
+  }
 
   SchedulerKind kind() const noexcept { return kind_; }
-  SchedulerKeying keying() const noexcept { return keying_; }
 
  private:
+  /// Domain-separation tag for delivery prekeys — the scheduler's sibling
+  /// of FaultPlan's kMessageTag, so enabling faults never perturbs delays
+  /// and vice versa.
+  static constexpr std::uint64_t kDelayTag = 0x64656c6179ULL;  // "delay"
+
   SchedulerKind kind_;
-  SchedulerKeying keying_;
-  Rng rng_;
   std::uint64_t seed_;
   std::uint32_t max_delay_;
   /// Flat per-link FIFO clock, indexed by the dense link id. Zero means

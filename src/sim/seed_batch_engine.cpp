@@ -1,123 +1,20 @@
 #include "sim/seed_batch_engine.h"
 
-#include <algorithm>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace oraclesize {
 
-namespace {
-
-// Cold formatting helpers, duplicated from the scalar engine so violation
-// strings in the shared result match ExecutionContext's byte for byte (the
-// bit-identity contract covers RunResult::violation).
-[[gnu::cold]] std::string format_wakeup_violation(NodeId v) {
-  std::ostringstream os;
-  os << "wakeup violation: uninformed node " << v << " transmitted";
-  return os.str();
-}
-
-[[gnu::cold]] std::string format_invalid_send(NodeId v, Port port,
-                                              std::size_t degree) {
-  std::ostringstream os;
-  os << "invalid send: node " << v << " port " << port << " (degree " << degree
-     << ")";
-  return os.str();
-}
-
-[[gnu::cold]] std::string format_behavior_exception(const char* what) {
-  std::string s = "behavior exception: ";
-  s += what;
-  return s;
-}
-
-// Sift helpers for the per-class index heaps: identical ordering and hole
-// insertion to EventHeap, but over a bare Entry vector so a key class is
-// nothing more than its entries (the shared slot pool stores the events).
-void class_heap_push(std::vector<EventHeap::Entry>& h, EventHeap::Entry e) {
-  std::size_t i = h.size();
-  h.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!EventHeap::entry_before(e, h[parent])) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = e;
-}
-
-EventHeap::Entry class_heap_pop(std::vector<EventHeap::Entry>& h) {
-  const EventHeap::Entry top = h.front();
-  const EventHeap::Entry last = h.back();
-  h.pop_back();
-  const std::size_t size = h.size();
-  if (size > 0) {
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= size) break;
-      const std::size_t right = left + 1;
-      std::size_t best = left;
-      if (right < size && EventHeap::entry_before(h[right], h[left])) {
-        best = right;
-      }
-      if (!EventHeap::entry_before(h[best], last)) break;
-      h[i] = h[best];
-      i = best;
-    }
-    h[i] = last;
-  }
-  return top;
-}
-
-}  // namespace
-
 bool SeedBatchExecutionContext::lockstep_eligible(
     const RunOptions& base) noexcept {
-  switch (base.scheduler) {
-    case SchedulerKind::kSynchronous:
-    case SchedulerKind::kAsyncFifo:
-    case SchedulerKind::kAsyncLifo:
-      break;
-    case SchedulerKind::kAsyncRandom:
-    case SchedulerKind::kAsyncLinkFifo:
-      // Counter-keyed delays are pure in (options.seed, seq, link), so
-      // lanes batch as key classes; the legacy stream mode consumes a
-      // seeded stream in draw order, which differs per lane.
-      if (base.keying != SchedulerKeying::kCounter) return false;
-      break;
-    default:
-      // kAsyncAdversarial's probe history is execution-dependent.
-      return false;
-  }
-  // Byzantine families are ineligible outright: the replay buffer evolves
-  // with delivery order, so lanes can't share a clean-stream pass. They
-  // route to scalar replay (fallback-not-divergence), never diverge.
-  return !base.trace && base.trace_sink == nullptr &&
-         base.deadline_ns == 0 && !base.adversary.enabled();
-}
-
-void SeedBatchExecutionContext::arm_behaviors(std::size_t n,
-                                              const Algorithm& algorithm) {
-  const bool reusable = algorithm.reusable();
-  const bool pool_matches =
-      reusable && pool_count_ > 0 && pool_algorithm_ == algorithm.name();
-  behaviors_.resize(n);
-  const std::size_t reuse = pool_matches ? std::min(pool_count_, n) : 0;
-  for (NodeId v = 0; v < reuse; ++v) {
-    behaviors_[v]->reset(inputs_[v]);
-  }
-  for (NodeId v = reuse; v < n; ++v) {
-    behaviors_[v] = algorithm.make_behavior(inputs_[v]);
-  }
-  if (reusable) {
-    pool_algorithm_ = algorithm.name();
-    pool_count_ = n;
-  } else {
-    pool_algorithm_.clear();
-    pool_count_ = 0;
-  }
+  // Every scheduler but kAsyncAdversarial, whose probe history is
+  // execution-dependent, keys a message from (now, seq, link) and the lane
+  // seed; the seeded ones batch as key classes. Byzantine families are
+  // ineligible outright: the replay buffer evolves with delivery order, so
+  // lanes can't share a clean-stream pass. They route to scalar replay
+  // (fallback-not-divergence), never diverge.
+  return base.scheduler != SchedulerKind::kAsyncAdversarial &&
+         base.trace_sink == nullptr && base.deadline_ns == 0 &&
+         !base.adversary.enabled();
 }
 
 const RunResult& SeedBatchExecutionContext::run_lockstep(
@@ -125,12 +22,8 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
     const Algorithm& algorithm, const RunOptions& base,
     const std::vector<Lane>& lanes,
     std::vector<LaneDisposition>& dispositions) {
+  RunPlane::check_run(g, source, advice);
   const std::size_t n = g.num_nodes();
-  if (advice.size() != n) {
-    throw std::invalid_argument("run_execution: advice size != num nodes");
-  }
-  if (source >= n) throw std::invalid_argument("run_execution: bad source");
-
   stats_ = SeedBatchStats{};
   stats_.lanes = static_cast<std::uint32_t>(lanes.size());
   result_ = RunResult();
@@ -173,28 +66,13 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   }
   bool aborted = shared == 0;
 
-  result_.informed.assign(n, false);
-  result_.informed[source] = true;
-  result_.sends_by_node.assign(n, 0);
-  result_.informed_at.assign(n, RunResult::kNeverInformed);
-  result_.informed_at[source] = 0;
-
-  auto fail = [&](std::string what) {
-    if (result_.violation.empty()) result_.violation = std::move(what);
-  };
-
-  inputs_.resize(n);
-  link_offset_.resize(n + 1);
-  link_offset_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    // Shared lanes read the ORIGINAL advice: fault lanes that would have
-    // decoded a corrupted copy retired at arm time, and a zero-flip copy is
-    // content-identical to the original.
-    inputs_[v] = NodeInput{&advice[v], v == source,
-                           base.anonymous ? Label{0} : g.label(v),
-                           g.degree(v)};
-    link_offset_[v + 1] = link_offset_[v] + g.degree(v);
-  }
+  RunPlane::begin_result(result_, n, source);
+  // Shared lanes read the ORIGINAL advice: fault lanes that would have
+  // decoded a corrupted copy retired at arm time, and a zero-flip copy is
+  // content-identical to the original.
+  plane_.bind_inputs(g, source, advice, base.anonymous);
+  const std::uint64_t* const offsets = g.csr_offsets();
+  const Endpoint* const endpoints = g.csr_endpoints();
 
   // Counter-keyed seeded schedulers: group the surviving lanes into key
   // classes by scheduler seed. Each class gets its own heap / clocks /
@@ -220,7 +98,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         c.now = 0;
         c.completion_key = 0;
         if (link_fifo) {
-          c.link_clock.assign(link_offset_[n], 0);
+          c.link_clock.assign(offsets[n], 0);
         } else {
           c.link_clock.clear();
         }
@@ -251,50 +129,30 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   bool armed = true;
   if (!aborted) {
     try {
-      arm_behaviors(n, algorithm);
+      plane_.arm_behaviors(algorithm);
     } catch (const std::exception& e) {
-      behaviors_.clear();
-      pool_algorithm_.clear();
-      pool_count_ = 0;
       drop_clean_lanes();
-      fail(format_behavior_exception(e.what()));
+      RunPlane::arm_failed(result_, n, e.what(), false);
       armed = false;
     }
   }
   if (aborted || !armed) {
-    if (!armed && shared > 0) {
-      result_.terminated.assign(n, false);
-      result_.outputs.assign(n, 0);
-      result_.status = RunStatus::kTaskFailed;
-    }
     stats_.shared = shared;
     stats_.replayed = stats_.lanes - shared;
     return result_;
   }
 
   events_.clear();
-  std::uint64_t seq = 0;
+  SubmitState st(g, base, result_);
   bool budget_hit = false;
+  auto fail = [&](std::string what) {
+    if (result_.violation.empty()) result_.violation = std::move(what);
+  };
   // Keyed mode bypasses events_'s own heap (classes carry their own), so
   // the pending count and its peak — the scalar engine's heap-size
   // trajectory — are tracked by hand.
   std::size_t pending = 0;
   std::size_t pending_peak = 0;
-
-  const Endpoint* const csr = g.csr_endpoints();
-
-  // The seed-independent schedulers are pure in (now, seq) — inlined here
-  // so the clean pass carries no Scheduler state at all.
-  auto delivery_key = [kind](std::int64_t now, std::uint64_t seq_in) {
-    switch (kind) {
-      case SchedulerKind::kAsyncFifo:
-        return static_cast<std::int64_t>(seq_in);
-      case SchedulerKind::kAsyncLifo:
-        return -static_cast<std::int64_t>(seq_in);
-      default:
-        return now + 1;
-    }
-  };
 
   // Retires a whole key class (its delivery order split from the driver's,
   // or its last live lane left): every still-shared lane of the class goes
@@ -321,100 +179,75 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
     if (shared == 0) aborted = true;
   };
 
-  // Validates and enqueues one batch of sends from node v — the scalar
-  // submit path minus fault materialization, plus the R-wide mask: each
-  // message's seed-independent prekey is computed once, then every lane
-  // still on the clean stream is asked for its decision; any non-benign
-  // answer retires that lane.
-  auto submit = [&](NodeId v, const std::vector<Send>& sends,
-                    std::int64_t now) {
-    if (!sends.empty() && base.enforce_wakeup && !result_.informed[v]) {
-      fail(format_wakeup_violation(v));
+  // Places one admitted copy through the R-wide mask: the message's
+  // seed-independent fault prekey is computed once, then every lane still
+  // on the clean stream is asked for its decision; any non-benign answer
+  // retires that lane, and the pass aborts when none is left.
+  auto place = [&](const AdmittedCopy& c) {
+    if (!active_mask_lanes_.empty()) {
+      const std::uint64_t prekey = FaultPlan::message_prekey(c.seq, c.link);
+      for (std::size_t k = 0; k < active_mask_lanes_.size();) {
+        const std::uint32_t l = active_mask_lanes_[k];
+        const FaultPlan::MessageFault mf =
+            lane_plans_[l].message_fault_prekeyed(prekey);
+        if (mf.drop || mf.duplicate || mf.extra_delay > 0) {
+          dispositions[l] = LaneDisposition::kReplay;
+          --shared;
+          if (keyed_) {
+            KeyClass& kc = classes_[lane_class_[l]];
+            if (--kc.live == 0) kc.active = false;
+          }
+          active_mask_lanes_[k] = active_mask_lanes_.back();
+          active_mask_lanes_.pop_back();
+        } else {
+          ++k;
+        }
+      }
+      if (shared == 0) {
+        aborted = true;
+        return false;
+      }
+    }
+    const Endpoint dst = endpoints[c.link];
+    const std::size_t slot = events_.acquire_slot();
+    events_.slot(slot) = EngineEvent{dst.node, dst.port, c.msg, c.informed};
+    if (!keyed_) {
+      events_.push({Scheduler::pure_key(kind, c.now, c.seq, c.link, base.seed,
+                                        base.max_delay),
+                    c.seq, slot});
+      return true;
+    }
+    // One seed-independent hash for the message, one mix per active class
+    // — the counter-keyed mirror of the fault mask above. Each class keys
+    // the message with ITS OWN logical clock (kc.now is the key its scalar
+    // replica would pass as `now`).
+    const std::uint64_t prekey = Scheduler::delivery_prekey(c.seq, c.link);
+    for (KeyClass& kc : classes_) {
+      if (!kc.active) continue;
+      std::int64_t key =
+          Scheduler::counter_key(kc.now, kc.seed, prekey, base.max_delay);
+      if (link_fifo) {
+        key = Scheduler::link_fifo_clamp(kc.link_clock[c.link], key);
+      }
+      EventHeap::heap_push(kc.heap, {key, c.seq, slot});
+    }
+    if (++pending > pending_peak) pending_peak = pending;
+    return true;
+  };
+  auto submit = [&](NodeId v, std::int64_t now) {
+    const SubmitOutcome out =
+        submit_sends(st, v, result_.informed[v], now, sends_.data(),
+                     sends_.data() + sends_.size(), place);
+    if (out.verdict == SubmitVerdict::kOk ||
+        out.verdict == SubmitVerdict::kAborted) {
       return;
     }
-    for (const Send& s : sends) {
-      if (s.port >= link_offset_[v + 1] - link_offset_[v]) {
-        fail(format_invalid_send(v, s.port, g.degree(v)));
-        return;
-      }
-      if (result_.metrics.messages_total >= base.max_messages) {
-        budget_hit = true;
-        fail("message budget exceeded");
-        return;
-      }
-      const std::uint64_t link = link_offset_[v] + s.port;
-      const Endpoint dst = csr ? csr[link] : g.neighbor(v, s.port);
-      result_.metrics.count_send(s.msg);
-      ++result_.sends_by_node[v];
-      if (!active_mask_lanes_.empty()) {
-        const std::uint64_t prekey = FaultPlan::message_prekey(seq, link);
-        for (std::size_t k = 0; k < active_mask_lanes_.size();) {
-          const std::uint32_t l = active_mask_lanes_[k];
-          const FaultPlan::MessageFault mf =
-              lane_plans_[l].message_fault_prekeyed(prekey);
-          if (mf.drop || mf.duplicate || mf.extra_delay > 0) {
-            dispositions[l] = LaneDisposition::kReplay;
-            --shared;
-            if (keyed_) {
-              KeyClass& c = classes_[lane_class_[l]];
-              if (--c.live == 0) c.active = false;
-            }
-            active_mask_lanes_[k] = active_mask_lanes_.back();
-            active_mask_lanes_.pop_back();
-          } else {
-            ++k;
-          }
-        }
-        if (shared == 0) {
-          aborted = true;
-          return;
-        }
-      }
-      const std::size_t slot = events_.acquire_slot();
-      events_.slot(slot) =
-          EngineEvent{dst.node, dst.port, s.msg, result_.informed[v]};
-      if (!keyed_) {
-        events_.push({delivery_key(now, seq), seq, slot});
-      } else {
-        // One seed-independent hash for the message, one mix per active
-        // class — the counter-keyed mirror of the fault mask above. Each
-        // class keys the message with ITS OWN logical clock (c.now is the
-        // key its scalar replica would pass as `now`).
-        const std::uint64_t prekey = Scheduler::delivery_prekey(seq, link);
-        for (std::size_t ci = 0; ci < classes_.size(); ++ci) {
-          KeyClass& c = classes_[ci];
-          if (!c.active) continue;
-          std::int64_t key =
-              c.now + 1 +
-              static_cast<std::int64_t>(
-                  Scheduler::counter_delay(c.seed, prekey, base.max_delay));
-          if (link_fifo) {
-            std::int64_t& clock = c.link_clock[link];
-            clock = (key > clock) ? key : clock + 1;
-            key = clock;
-          }
-          class_heap_push(c.heap, {key, seq, slot});
-        }
-        ++pending;
-        if (pending > pending_peak) pending_peak = pending;
-      }
-      ++seq;
-    }
+    if (out.verdict == SubmitVerdict::kBudget) budget_hit = true;
+    fail(violation_text(out, v, g.degree(v)));
   };
-
-  auto invoke_start = [&](NodeId v) {
+  auto invoke = [&](auto&& call) {
     try {
-      behaviors_[v]->on_start(inputs_[v], sends_);
-      return true;
-    } catch (const std::exception& e) {
-      drop_clean_lanes();
-      fail(format_behavior_exception(e.what()));
-      return false;
-    }
-  };
-  auto invoke_receive = [&](NodeId v, const Message& msg, Port at_port) {
-    try {
-      behaviors_[v]->on_receive(inputs_[v], msg, at_port, sends_);
+      call();
       return true;
     } catch (const std::exception& e) {
       drop_clean_lanes();
@@ -425,8 +258,12 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
 
   for (NodeId v = 0; v < n && result_.violation.empty() && !aborted; ++v) {
     sends_.clear();
-    if (!invoke_start(v)) break;
-    submit(v, sends_, 0);
+    if (!invoke([&] {
+          plane_.behaviors[v]->on_start(plane_.inputs[v], sends_);
+        })) {
+      break;
+    }
+    submit(v, 0);
   }
 
   std::uint64_t processed = 0;
@@ -450,7 +287,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       std::size_t di = 0;
       while (di < classes_.size() && !classes_[di].active) ++di;
       KeyClass& d = classes_[di];
-      top = class_heap_pop(d.heap);
+      top = EventHeap::heap_pop(d.heap);
       d.now = top.key;
       if (top.key > d.completion_key) d.completion_key = top.key;
       for (std::size_t ci = di + 1; ci < classes_.size(); ++ci) {
@@ -461,7 +298,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
           if (aborted) break;
           continue;
         }
-        const EventHeap::Entry e = class_heap_pop(c.heap);
+        const EventHeap::Entry e = EventHeap::heap_pop(c.heap);
         c.now = e.key;
         if (e.key > c.completion_key) c.completion_key = e.key;
       }
@@ -491,8 +328,13 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       }
     }
     sends_.clear();
-    if (!invoke_receive(ev.to, ev.msg, ev.at_port)) break;
-    submit(ev.to, sends_, top.key);
+    if (!invoke([&] {
+          plane_.behaviors[ev.to]->on_receive(plane_.inputs[ev.to], ev.msg,
+                                              ev.at_port, sends_);
+        })) {
+      break;
+    }
+    submit(ev.to, top.key);
   }
 
   stats_.lockstep_events = processed;
@@ -500,13 +342,6 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   stats_.replayed = stats_.lanes - shared;
   if (shared == 0) return result_;  // nobody reads the aborted state
 
-  result_.terminated.resize(n);
-  result_.outputs.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    result_.terminated[v] = behaviors_[v]->terminated();
-    result_.outputs[v] = behaviors_[v]->output();
-  }
-  result_.all_informed = (result_.informed_count() == n);
   result_.metrics.queue_depth_peak = keyed_ ? pending_peak : events_.peak();
   if (keyed_) {
     // Fill the shared plane with the first surviving class's view so the
@@ -519,13 +354,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       break;
     }
   }
-  if (events_exhausted || budget_hit) {
-    result_.status = RunStatus::kBudgetExhausted;
-  } else if (!result_.violation.empty() || !result_.all_informed) {
-    result_.status = RunStatus::kTaskFailed;
-  } else {
-    result_.status = RunStatus::kCompleted;
-  }
+  plane_.end_result(result_, false, events_exhausted || budget_hit, false);
   return result_;
 }
 

@@ -15,8 +15,8 @@
 //    delivery keys from (now, seq) alone, so two lanes whose fault
 //    decisions all come up benign produce byte-for-byte the same event
 //    stream — the CLEAN stream, the one a disabled plan follows;
-//  * the counter-keyed seeded schedulers (kAsyncRandom, kAsyncLinkFifo
-//    under SchedulerKeying::kCounter) assign keys that are pure in
+//  * the counter-keyed seeded schedulers (kAsyncRandom, kAsyncLinkFifo)
+//    assign keys that are pure in
 //    (options.seed, seq, link), so `options.seed` becomes a lane axis too:
 //    lanes are grouped into KEY CLASSES by scheduler seed, each class
 //    carries its own tiny index heap (plus link clocks and key-valued
@@ -49,10 +49,11 @@
 // sim/sharded_engine.h: lanes the lockstep pass cannot serve — diverged
 // lanes, key classes whose delivery order split from the driver's, lanes
 // with a non-empty crash schedule or a materialized advice flip, or whole
-// families using features the pass doesn't honor (stream-keyed seeded
-// schedulers, trace sinks, legacy tracing, wall-clock deadlines) — are
-// REPLAYED on the scalar ExecutionContext, which is the definition of
-// correct.
+// families using features the pass doesn't honor (trace sinks, wall-clock
+// deadlines, the adversarial scheduler, Byzantine plans) — are REPLAYED on
+// the scalar ExecutionContext, which is the definition of correct. The
+// pass itself is the engines' one submit loop (sim/run_plane.h) with the
+// R-wide mask and the key-class heaps as its placement step.
 //
 // Determinism contract: for every lane, the result handed back (the shared
 // clean-run RunResult for lanes that stayed benign, the scalar replay
@@ -76,12 +77,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/event_heap.h"
 #include "sim/execution_context.h"
+#include "sim/run_plane.h"
 
 namespace oraclesize {
 
@@ -119,13 +120,11 @@ class SeedBatchExecutionContext {
   };
 
   /// True when a family under `base` can take the lockstep pass at all:
-  /// the scheduler must assign delivery keys as a pure per-message function
-  /// — kSynchronous / kAsyncFifo / kAsyncLifo always qualify, and
-  /// kAsyncRandom / kAsyncLinkFifo qualify under SchedulerKeying::kCounter
-  /// (under kStream they consume a seeded stream in draw order, which
-  /// differs per lane). The run must not be observed (trace sinks, legacy
-  /// tracing) or race a wall clock (deadline_ns). Ineligible families
-  /// replay every lane.
+  /// the scheduler must assign delivery keys as a per-message function of
+  /// the lane seed — every scheduler but kAsyncAdversarial qualifies. The
+  /// run must not be observed (trace sinks), race a wall clock
+  /// (deadline_ns) or run a Byzantine plan. Ineligible families replay
+  /// every lane.
   static bool lockstep_eligible(const RunOptions& base) noexcept;
 
   /// One lockstep pass over the clean stream. `base` carries the family's
@@ -138,8 +137,9 @@ class SeedBatchExecutionContext {
   /// the next run on this context; under counter-keyed seeded schedulers
   /// the key-valued fields (metrics.completion_key, informed_at) are
   /// per-class, so per-lane readers MUST use lane_result rather than the
-  /// shared reference. Throws the scalar engine's precondition
-  /// errors (advice size / source range); scheme-level behavior exceptions
+  /// shared reference. Throws the scalar engine's precondition errors
+  /// (unfrozen graph, advice size, source range); scheme-level behavior
+  /// exceptions
   /// follow the scalar engine's fault semantics (absorbed into a
   /// kTaskFailed shared result for fault-enabled lanes, a replay for
   /// fault-disabled lanes, which rethrow scalar-style from their replays).
@@ -161,10 +161,11 @@ class SeedBatchExecutionContext {
                              const std::vector<Lane>& lanes);
 
   /// Lane i's view of the most recent run_lockstep's shared result: the
-  /// shared plane patched with lane i's key class's completion_key,
-  /// informed_at, and queue_depth_peak. Identity (a plain copy of the
-  /// shared result) for the seed-independent schedulers. Meaningful only
-  /// for lanes whose disposition is kShared.
+  /// shared plane patched with lane i's key class's completion_key and
+  /// informed_at. queue_depth_peak needs no patch — the pending depth is
+  /// one count shared by every class. Identity (a plain copy of the shared
+  /// result) for the seed-independent schedulers. Meaningful only for
+  /// lanes whose disposition is kShared.
   RunResult lane_result(std::size_t lane) const;
 
   /// Usage accounting of the most recent run_lockstep / run call.
@@ -175,21 +176,16 @@ class SeedBatchExecutionContext {
   ExecutionContext& scalar() noexcept { return scalar_; }
 
  private:
-  /// Mirrors ExecutionContext::arm_behaviors, including the reusable-pool
-  /// bookkeeping, so a worker alternating between batched and scalar runs
-  /// keeps zero steady-state behavior allocations.
-  void arm_behaviors(std::size_t n, const Algorithm& algorithm);
-
   ExecutionContext scalar_;
   SeedBatchStats stats_;
   RunResult result_;  ///< the shared clean-run result (storage for the ref)
 
-  // Clean-pass state, mirroring ExecutionContext's reuse discipline.
-  std::vector<NodeInput> inputs_;
-  std::vector<std::unique_ptr<NodeBehavior>> behaviors_;
+  // Clean-pass state, mirroring ExecutionContext's reuse discipline: the
+  // run plane keeps its own behavior pool, so a worker alternating between
+  // batched and scalar runs keeps zero steady-state behavior allocations.
+  RunPlane plane_;
   std::vector<Send> sends_;  ///< scratch sink, recycled per event
   EventHeap events_;
-  std::vector<std::uint64_t> link_offset_;  ///< prefix sums of degrees
 
   // SoA lane plane: one armed plan per fault-enabled lane, plus the
   // compacted index set of lanes still answering the per-message mask.
@@ -216,9 +212,6 @@ class SeedBatchExecutionContext {
   bool keyed_ = false;  ///< last pass used key classes
   std::vector<KeyClass> classes_;
   std::vector<std::uint32_t> lane_class_;  ///< lane -> class index / kNoClass
-
-  std::string pool_algorithm_;
-  std::size_t pool_count_ = 0;
 };
 
 }  // namespace oraclesize

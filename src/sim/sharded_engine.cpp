@@ -23,6 +23,19 @@ std::uint32_t resolve_shards(std::uint32_t requested) {
   return hw > 0 ? static_cast<std::uint32_t>(hw) : 1u;
 }
 
+/// Collects the sharded attempt's sink stream: it is replayed into the real
+/// sink only when the attempt succeeds, so a fallback emits nothing.
+class BufferSink final : public TraceSink {
+ public:
+  explicit BufferSink(std::vector<TraceEvent>& out) : out_(out) {}
+  void begin_run(const TraceRunInfo&) override {}
+  void record(const TraceEvent& event) override { out_.push_back(event); }
+  void end_run(const RunResult&) override {}
+
+ private:
+  std::vector<TraceEvent>& out_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -141,12 +154,7 @@ RunResult ShardedExecutionContext::run(const PortGraph& g, NodeId source,
                                        const std::vector<BitString>& advice,
                                        const Algorithm& algorithm,
                                        const RunOptions& options) {
-  const std::size_t n = g.num_nodes();
-  if (advice.size() != n) {
-    throw std::invalid_argument("run_execution: advice size != num nodes");
-  }
-  if (source >= n) throw std::invalid_argument("run_execution: bad source");
-
+  RunPlane::check_run(g, source, advice);
   stats_ = ShardedRunStats{};
   // Byzantine runs and the adversarial scheduler are inherently serial
   // (replay-buffer state and probe history follow global delivery order):
@@ -182,6 +190,28 @@ RunResult ShardedExecutionContext::run(const PortGraph& g, NodeId source,
   return legacy_.run(g, source, advice, algorithm, options);
 }
 
+void ShardedExecutionContext::merge_by_order(
+    const std::vector<std::uint32_t>& parts) {
+  merge_order_.clear();
+  cursor_.assign(parts.size(), 0);
+  while (true) {
+    std::size_t pick = parts.size();
+    std::uint64_t best = 0;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      const std::vector<ProcessedEvent>& list =
+          shards_state_[parts[i]].processed;
+      if (cursor_[i] >= list.size()) continue;
+      const std::uint64_t order = list[cursor_[i]].order;
+      if (pick == parts.size() || order < best) {
+        pick = i;
+        best = order;
+      }
+    }
+    if (pick == parts.size()) return;
+    merge_order_.emplace_back(parts[pick], cursor_[pick]++);
+  }
+}
+
 bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
                                       const std::vector<BitString>& advice,
                                       const Algorithm& algorithm,
@@ -191,73 +221,18 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   const std::size_t n = g.num_nodes();
   const std::uint32_t S = part.num_shards();
   stats_.shards = S;
-
-  result.informed.assign(n, false);
-  result.informed[source] = true;
-  result.sends_by_node.assign(n, 0);
-  result.informed_at.assign(n, RunResult::kNeverInformed);
-  result.informed_at[source] = 0;
+  RunPlane::begin_result(result, n, source);
 
   // The sink stream is buffered for the whole attempt and flushed only on
   // success: a fallback must leave no trace of the discarded attempt.
   TraceSink* const sink = options.trace_sink;
   sink_buf_.clear();
+  BufferSink buffer(sink_buf_);
 
-  const bool faulty = options.fault.enabled();
-  const std::vector<BitString>* advice_used = &advice;
-  if (faulty) {
-    fault_plan_.arm(options.fault, n, source);
-    result.faults.crashed_nodes = fault_plan_.num_crashed();
-    if (fault_plan_.corrupts_advice()) {
-      result.faults.advice_bits_flipped =
-          fault_plan_.corrupt_advice(advice, corrupted_advice_);
-      advice_used = &corrupted_advice_;
-    }
-  }
-  const bool message_faulty = faulty && fault_plan_.message_faults();
-
-  // Global link ids: the frozen CSR offsets are exactly the prefix-summed
-  // degrees the engine keys faults and link clocks on; unfrozen test graphs
-  // pay for a computed copy.
-  const std::uint64_t* offsets = g.csr_offsets();
-  if (offsets == nullptr) {
-    link_offset_.resize(n + 1);
-    link_offset_[0] = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      link_offset_[v + 1] = link_offset_[v] + g.degree(v);
-    }
-    offsets = link_offset_.data();
-  }
-
-  inputs_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    inputs_[v] = NodeInput{&(*advice_used)[v], v == source,
-                           options.anonymous ? Label{0} : g.label(v),
-                           g.degree(v)};
-  }
-
-  if (sink) {
-    const bool corrupted = advice_used != &advice;
-    for (NodeId v = 0; v < n; ++v) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kAdviceRead;
-      e.node = v;
-      e.aux = (*advice_used)[v].size();
-      e.flag = corrupted;
-      sink_buf_.push_back(e);
-    }
-    if (faulty) {
-      for (NodeId v = 0; v < n; ++v) {
-        const std::int64_t at = fault_plan_.crash_key(v);
-        if (at == FaultPlan::kNoCrash) continue;
-        TraceEvent e;
-        e.kind = TraceEventKind::kCrash;
-        e.node = v;
-        e.key = at;
-        sink_buf_.push_back(e);
-      }
-    }
-  }
+  const bool faulty = plane_.bind(g, source, advice, options, result);
+  const FaultPlan& faults = plane_.fault_plan;
+  const bool message_faulty = faulty && faults.message_faults();
+  if (sink) plane_.trace_prologue(buffer, faulty);
 
   shards_state_.resize(S);
   for (std::uint32_t s = 0; s < S; ++s) {
@@ -290,185 +265,92 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   // share state. Any exception (reliable decode errors propagate in the
   // serial engine; faulty ones become structured failures) is routed
   // through the fallback, which replays the canonical semantics.
-  const bool reusable = algorithm.reusable();
-  const bool pool_matches =
-      reusable && pool_count_ > 0 && pool_algorithm_ == algorithm.name();
-  behaviors_.resize(n);
-  const std::size_t reuse = pool_matches ? std::min(pool_count_, n) : 0;
+  const std::size_t reuse = plane_.begin_arm(algorithm);
   workers_->parallel(S, [&](std::uint32_t s) {
     Shard& sh = shards_state_[s];
     try {
-      for (NodeId v = sh.begin; v < sh.end; ++v) {
-        if (v < reuse) {
-          behaviors_[v]->reset(inputs_[v]);
-        } else {
-          behaviors_[v] = algorithm.make_behavior(inputs_[v]);
-        }
-      }
+      plane_.arm_range(sh.begin, sh.end, reuse, algorithm);
     } catch (...) {
       sh.error = std::current_exception();
     }
   });
   if (any_error(nullptr)) {
-    // A partial arm leaves behaviors_ inconsistent with the pool
-    // bookkeeping; drop both so the next run rebuilds from scratch.
-    behaviors_.clear();
-    pool_algorithm_.clear();
-    pool_count_ = 0;
+    plane_.behaviors.clear();
+    plane_.drop_pool();
     return false;
   }
-  if (reusable) {
-    pool_algorithm_ = algorithm.name();
-    pool_count_ = n;
-  } else {
-    pool_algorithm_.clear();
-    pool_count_ = 0;
-  }
+  plane_.end_arm(algorithm);
 
-  scheduler_.reset(options.scheduler, options.seed, options.max_delay,
-                   offsets[n], options.keying);
-
+  const std::uint64_t* const offsets = g.csr_offsets();
+  const Endpoint* const endpoints = g.csr_endpoints();
   const SchedulerKind kind = options.scheduler;
+  scheduler_.reset(kind, options.seed, options.max_delay, offsets[n]);
+
   // Fast barriers need delivery keys that are pure in (now, seq, link) and
-  // sends that consume exactly one sequence number each; stream-RNG and
-  // stateful (link-clock, adversarial) schedulers, sinks, the legacy
-  // SentRecord trace, and duplication faults force the serial submit
-  // replica. Counter-keyed kAsyncRandom qualifies: its delay is a pure
-  // mix of (seed, seq, link).
-  const bool fast = (kind == SchedulerKind::kSynchronous ||
-                     kind == SchedulerKind::kAsyncFifo ||
-                     kind == SchedulerKind::kAsyncLifo ||
-                     (kind == SchedulerKind::kAsyncRandom &&
-                      options.keying == SchedulerKeying::kCounter)) &&
-                    sink == nullptr && !options.trace &&
+  // sends that consume exactly one sequence number each; the link-clock
+  // scheduler, sinks and duplication faults force the serial finalizer.
+  const bool fast = Scheduler::is_pure(kind) && sink == nullptr &&
                     !(faulty && options.fault.duplicate > 0);
 
   informed_.assign(n, 0);
   informed_[source] = 1;
 
-  if (options.trace) {
-    result.trace.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-        options.max_messages, 2 * g.num_edges() + n)));
-  }
-
-  const Endpoint* const csr = g.csr_endpoints();
-  std::uint64_t seq = 0;
+  SubmitState st(g, options, result);
+  // The fast finalizer decides message faults in its parallel routing
+  // pass; the serial one decides them in the submit loop.
+  if (message_faulty && !fast) st.faults = &faults;
+  if (sink) st.sink = &buffer;
   std::uint64_t inflight = 0;  // emulated single-queue size (V-trajectory)
   std::uint64_t queue_peak = 0;
 
-  // --- serial barrier finalizer: full submit replica in global order ------
+  // Delivery-side accounting of one processed event at the barrier, in
+  // global order. False for a dead delivery: nothing to submit.
+  auto account = [&](const ProcessedEvent& pe) {
+    if (!pe.popped) return true;
+    if (pe.dead) {
+      ++result.faults.dead_deliveries;
+      return false;
+    }
+    ++result.metrics.deliveries;
+    if (pe.now > result.metrics.completion_key) {
+      result.metrics.completion_key = pe.now;
+    }
+    return true;
+  };
+
+  // --- serial barrier finalizer: the submit loop in global order ---------
+  // Any violation stops the canonical run mid-epoch, which only the
+  // fallback can reproduce.
   auto finalize_serial = [&](const std::vector<std::uint32_t>& parts) {
-    std::vector<std::uint32_t> cursor(parts.size(), 0);
-    while (true) {
-      std::size_t pick = parts.size();
-      std::uint64_t best = 0;
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        const Shard& sh = shards_state_[parts[i]];
-        if (cursor[i] >= sh.processed.size()) continue;
-        const std::uint64_t order = sh.processed[cursor[i]].order;
-        if (pick == parts.size() || order < best) {
-          pick = i;
-          best = order;
-        }
-      }
-      if (pick == parts.size()) break;
-      const std::uint32_t p = parts[pick];
-      Shard& sh = shards_state_[p];
-      const ProcessedEvent& pe = sh.processed[cursor[pick]++];
+    merge_by_order(parts);
+    for (const auto& [p, idx] : merge_order_) {
+      const Shard& sh = shards_state_[p];
+      const ProcessedEvent& pe = sh.processed[idx];
       if (sink) {
-        for (std::uint32_t t = pe.trace_begin; t < pe.trace_end; ++t) {
-          sink_buf_.push_back(sh.trace[t]);
-        }
+        sink_buf_.insert(sink_buf_.end(), sh.trace.begin() + pe.trace_begin,
+                         sh.trace.begin() + pe.trace_end);
       }
-      if (pe.popped) {
-        --inflight;
-        if (pe.dead) {
-          ++result.faults.dead_deliveries;
-          continue;
-        }
-        ++result.metrics.deliveries;
-        if (pe.now > result.metrics.completion_key) {
-          result.metrics.completion_key = pe.now;
-        }
-      }
-      const NodeId v = pe.node;
-      if (pe.send_end != pe.send_begin && options.enforce_wakeup &&
-          !pe.informed) {
-        return false;  // wakeup violation: canonical run stops mid-epoch
-      }
-      const std::uint64_t deg = offsets[v + 1] - offsets[v];
-      for (std::uint32_t i = pe.send_begin; i < pe.send_end; ++i) {
-        const Send& s = sh.sends[i];
-        if (s.port >= deg) return false;  // invalid send
-        if (result.metrics.messages_total >= options.max_messages) {
-          return false;  // budget crossing mid-epoch
-        }
-        const std::uint64_t link = offsets[v] + s.port;
-        const Endpoint dst = csr ? csr[link] : g.neighbor(v, s.port);
-        result.metrics.count_send(s.msg);
-        ++result.sends_by_node[v];
-        if (options.trace) {
-          result.trace.push_back(
-              SentRecord{v, s.port, dst.node, s.msg.kind, pe.informed, pe.now});
-        }
-        if (sink) {
-          TraceEvent e;
-          e.kind = TraceEventKind::kSend;
-          e.node = v;
-          e.port = s.port;
-          e.peer = dst.node;
-          e.msg = s.msg.kind;
-          e.key = pe.now;
-          e.seq = seq;  // the first copy's sequence number: the fault key
-          e.link = link;
-          e.aux = s.msg.size_bits();
-          e.flag = pe.informed;
-          sink_buf_.push_back(e);
-        }
-        FaultPlan::MessageFault mf;
-        if (message_faulty) mf = fault_plan_.message_fault(seq, link);
-        if (sink && (mf.drop || mf.duplicate || mf.extra_delay > 0)) {
-          TraceEvent e;
-          e.kind = mf.drop ? TraceEventKind::kDrop
-                           : (mf.duplicate ? TraceEventKind::kDuplicate
-                                           : TraceEventKind::kDelay);
-          e.node = v;
-          e.port = s.port;
-          e.peer = dst.node;
-          e.msg = s.msg.kind;
-          e.key = pe.now;
-          e.seq = seq;
-          e.link = link;
-          e.aux = mf.extra_delay;
-          sink_buf_.push_back(e);
-          if (mf.duplicate && mf.extra_delay > 0) {
-            e.kind = TraceEventKind::kDelay;
-            sink_buf_.push_back(e);
-          }
-        }
-        if (mf.drop) {
-          ++result.faults.dropped;
-          ++seq;  // the dropped message still consumes its sequence number
-          continue;
-        }
-        if (mf.duplicate) ++result.faults.duplicated;
-        if (mf.extra_delay > 0) ++result.faults.delayed;
-        const int copies = mf.duplicate ? 2 : 1;
-        for (int c = 0; c < copies; ++c) {
-          const std::int64_t key =
-              scheduler_.delivery_key(pe.now, seq, link) +
-              static_cast<std::int64_t>(mf.extra_delay);
-          const std::uint32_t d = part.shard_of(dst.node);
-          Shard& dsh = shards_state_[d];
-          const std::size_t slot = dsh.events.acquire_slot();
-          dsh.events.slot(slot) =
-              EngineEvent{dst.node, dst.port, s.msg, pe.informed};
-          dsh.events.push({key, seq, slot});
-          ++inflight;
-          if (inflight > queue_peak) queue_peak = inflight;
-          if (d != p) ++stats_.cross_shard_messages;
-          ++seq;
-        }
+      if (pe.popped) --inflight;
+      if (!account(pe)) continue;
+      const std::uint32_t src = p;
+      auto place = [&](const AdmittedCopy& c) {
+        const Endpoint dst = endpoints[c.link];
+        const std::uint32_t d = part.shard_of(dst.node);
+        EventHeap& q = shards_state_[d].events;
+        const std::size_t slot = q.acquire_slot();
+        q.slot(slot) = EngineEvent{dst.node, dst.port, c.msg, c.informed};
+        q.push({scheduler_.delivery_key(c.now, c.seq, c.link) +
+                    static_cast<std::int64_t>(c.extra_delay),
+                c.seq, slot});
+        if (++inflight > queue_peak) queue_peak = inflight;
+        if (d != src) ++stats_.cross_shard_messages;
+        return true;
+      };
+      if (submit_sends(st, pe.node, pe.informed, pe.now,
+                       sh.sends.data() + pe.send_begin,
+                       sh.sends.data() + pe.send_end, place)
+              .verdict != SubmitVerdict::kOk) {
+        return false;
       }
     }
     return true;
@@ -476,60 +358,27 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
 
   // --- fast barrier finalizer: serial validation, parallel routing --------
   auto finalize_fast = [&](const std::vector<std::uint32_t>& parts) {
-    // Pass 1 (serial): merge order, violation/budget checks, sequence
-    // bases, and the cheap per-send counting the canonical engine does.
-    merge_order_.clear();
-    std::vector<std::uint32_t> cursor(parts.size(), 0);
-    while (true) {
-      std::size_t pick = parts.size();
-      std::uint64_t best = 0;
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        const Shard& sh = shards_state_[parts[i]];
-        if (cursor[i] >= sh.processed.size()) continue;
-        const std::uint64_t order = sh.processed[cursor[i]].order;
-        if (pick == parts.size() || order < best) {
-          pick = i;
-          best = order;
-        }
-      }
-      if (pick == parts.size()) break;
-      const std::uint32_t p = parts[pick];
+    // Pass 1 (serial): the submit loop with nothing to place — violation
+    // and budget checks, counting, and each event's sequence base.
+    merge_by_order(parts);
+    for (const auto& [p, idx] : merge_order_) {
       Shard& sh = shards_state_[p];
-      const std::uint32_t idx = cursor[pick]++;
       ProcessedEvent& pe = sh.processed[idx];
-      merge_order_.emplace_back(p, idx);
-      if (pe.popped) {
-        if (pe.dead) {
-          ++result.faults.dead_deliveries;
-          continue;
-        }
-        ++result.metrics.deliveries;
-        if (pe.now > result.metrics.completion_key) {
-          result.metrics.completion_key = pe.now;
-        }
-      }
-      if (pe.send_end != pe.send_begin && options.enforce_wakeup &&
-          !pe.informed) {
+      if (!account(pe)) continue;
+      pe.seq_base = st.seq;
+      if (submit_sends(st, pe.node, pe.informed, pe.now,
+                       sh.sends.data() + pe.send_begin,
+                       sh.sends.data() + pe.send_end,
+                       [](const AdmittedCopy&) { return true; })
+              .verdict != SubmitVerdict::kOk) {
         return false;
       }
-      const std::uint64_t deg = offsets[pe.node + 1] - offsets[pe.node];
-      for (std::uint32_t i = pe.send_begin; i < pe.send_end; ++i) {
-        const Send& s = sh.sends[i];
-        if (s.port >= deg) return false;
-        if (result.metrics.messages_total >= options.max_messages) {
-          return false;
-        }
-        result.metrics.count_send(s.msg);
-        ++result.sends_by_node[pe.node];
-      }
-      pe.seq_base = seq;
-      seq += pe.send_end - pe.send_begin;
     }
 
     // Pass 2 (parallel per source shard): fault decisions, delivery keys,
     // routing into per-destination mailboxes. Pure per-send work — fault
-    // decisions are keyed on (seq, link), keys on (now, seq) — so shards
-    // never contend.
+    // decisions are keyed on (seq, link), keys on (now, seq, link) — so
+    // shards never contend.
     auto route = [&](std::uint32_t pi) {
       const std::uint32_t p = parts[pi];
       Shard& sh = shards_state_[p];
@@ -543,35 +392,18 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
             const Send& s = sh.sends[i];
             const std::uint64_t link = offsets[pe.node] + s.port;
             FaultPlan::MessageFault mf;
-            if (message_faulty) mf = fault_plan_.message_fault(sq, link);
+            if (message_faulty) mf = faults.message_fault(sq, link);
             if (mf.drop) {
               ++sh.dropped;
               ++sq;
               continue;
             }
             if (mf.extra_delay > 0) ++sh.delayed;
-            std::int64_t key;
-            switch (kind) {
-              case SchedulerKind::kSynchronous:
-                key = pe.now + 1;
-                break;
-              case SchedulerKind::kAsyncFifo:
-                key = static_cast<std::int64_t>(sq);
-                break;
-              case SchedulerKind::kAsyncRandom:
-                // Counter-keyed only (the fast gate excludes kStream):
-                // same key the serial Scheduler would hand out.
-                key = pe.now + 1 +
-                      static_cast<std::int64_t>(Scheduler::counter_delay(
-                          options.seed, Scheduler::delivery_prekey(sq, link),
-                          options.max_delay));
-                break;
-              default:  // kAsyncLifo — the only other fast-path kind
-                key = -static_cast<std::int64_t>(sq);
-                break;
-            }
-            key += static_cast<std::int64_t>(mf.extra_delay);
-            const Endpoint dst = csr ? csr[link] : g.neighbor(pe.node, s.port);
+            const std::int64_t key =
+                Scheduler::pure_key(kind, pe.now, sq, link, options.seed,
+                                    options.max_delay) +
+                static_cast<std::int64_t>(mf.extra_delay);
+            const Endpoint dst = endpoints[link];
             const std::uint32_t d = part.shard_of(dst.node);
             sh.outbox[d].push_back(
                 MailboxEntry{key, sq, dst.node, dst.port, pe.informed, s.msg});
@@ -640,9 +472,9 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
     try {
       for (NodeId v = sh.begin; v < sh.end; ++v) {
         // A node whose crash key is <= 0 is down before its activation.
-        if (faulty && fault_plan_.crash_key(v) <= 0) continue;
+        if (faulty && faults.crash_key(v) <= 0) continue;
         sh.scratch.clear();
-        behaviors_[v]->on_start(inputs_[v], sh.scratch);
+        plane_.behaviors[v]->on_start(plane_.inputs[v], sh.scratch);
         if (sh.scratch.empty()) continue;  // nothing for the barrier to do
         ProcessedEvent pe;
         pe.order = v;
@@ -699,7 +531,7 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
             static_cast<std::uint32_t>(sh.sends.size());
         // Crash-stop: node v processes events with key strictly below its
         // crash key; anything at or after it lands on a dead node.
-        if (faulty && top.key >= fault_plan_.crash_key(ev.to)) {
+        if (faulty && top.key >= faults.crash_key(ev.to)) {
           pe.dead = true;
           if (sink) {
             TraceEvent e;
@@ -748,8 +580,8 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
           }
         }
         sh.scratch.clear();
-        behaviors_[ev.to]->on_receive(inputs_[ev.to], ev.msg, ev.at_port,
-                                      sh.scratch);
+        plane_.behaviors[ev.to]->on_receive(plane_.inputs[ev.to], ev.msg,
+                                            ev.at_port, sh.scratch);
         pe.informed = informed_[ev.to] != 0;
         sh.sends.insert(sh.sends.end(), sh.scratch.begin(),
                         sh.scratch.end());
@@ -817,14 +649,7 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   }
 
   // --- epilogue (serial) ---------------------------------------------------
-  result.terminated.resize(n);
-  result.outputs.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    result.terminated[v] = behaviors_[v]->terminated();
-    result.outputs[v] = behaviors_[v]->output();
-    result.informed[v] = informed_[v] != 0;
-  }
-  result.all_informed = (result.informed_count() == n);
+  for (NodeId v = 0; v < n; ++v) result.informed[v] = informed_[v] != 0;
   result.metrics.queue_depth_peak = queue_peak;
   if (fast) {
     for (std::uint32_t s = 0; s < S; ++s) {
@@ -833,24 +658,10 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
       stats_.cross_shard_messages += shards_state_[s].cross;
     }
   }
-  if (timed_out) {
-    result.status = RunStatus::kTimeout;
-  } else if (events_exhausted) {
-    result.status = RunStatus::kBudgetExhausted;
-  } else if (!result.all_informed) {
-    result.status = RunStatus::kTaskFailed;
-  } else {
-    result.status = RunStatus::kCompleted;
-  }
+  plane_.end_result(result, timed_out, events_exhausted, false);
 
   if (sink) {
-    TraceRunInfo info;
-    info.graph = &g;
-    info.advice = &advice;  // the ORIGINAL advice, pre-corruption
-    info.source = source;
-    info.algorithm = algorithm.name();
-    info.options = &options;
-    sink->begin_run(info);
+    RunPlane::begin_trace(*sink, g, source, advice, algorithm, options);
     for (const TraceEvent& e : sink_buf_) sink->record(e);
     sink->end_run(result);
   }

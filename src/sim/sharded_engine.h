@@ -29,22 +29,24 @@
 //
 // Determinism contract: for every (graph, source, advice, algorithm,
 // options), run() returns a RunResult bit-identical (RunResult::operator==)
-// to ExecutionContext::run at ANY shard count, including the recorded trace
-// and any TraceSink stream. Pinned by tests/test_sharded_engine.cpp,
+// to ExecutionContext::run at ANY shard count, including any TraceSink
+// stream. Pinned by tests/test_sharded_engine.cpp,
 // tests/test_sharded_goldens.cpp and the fuzz sweep.
 //
-// Two barrier finalizers keep the serial fraction small:
+// Both barrier finalizers run the engines' one submit loop
+// (sim/run_plane.h) in global send order; they differ in what it places:
 //
-//  * the FAST path (kSynchronous/kAsyncFifo/kAsyncLifo, no sink, no legacy
-//    trace, no duplication faults — delivery keys are pure functions of
-//    (now, seq) and every send consumes exactly one sequence number) runs
-//    validation + counting serially but computes fault decisions, delivery
-//    keys, and routing in parallel per source shard, then drains mailboxes
-//    into destination queues in parallel;
-//  * the SERIAL path (stream-RNG schedulers, active sinks, duplication)
-//    replays each send through a full submit replica at the coordinator —
-//    parallelism then covers only behavior execution, which is correct but
-//    slower; it exists so observability and fault regimes keep exact
+//  * the FAST path (the pure schedulers of Scheduler::is_pure, no sink, no
+//    duplication faults — delivery keys are pure functions of (now, seq,
+//    link) and every send consumes exactly one sequence number) places
+//    nothing: the serial pass only validates and counts, then fault
+//    decisions, delivery keys and routing run in parallel per source
+//    shard, and mailboxes drain into destination queues in parallel;
+//  * the SERIAL path (the link-clock scheduler, active sinks, duplication)
+//    places each copy into its destination shard's queue at the
+//    coordinator, with sink events collected by a buffering sink —
+//    parallelism then covers only behavior execution, which is correct
+//    but slower; it exists so observability and fault regimes keep exact
 //    semantics.
 //
 // Divergence handling: anything that stops the single-threaded engine
@@ -61,13 +63,14 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/partition.h"
 #include "sim/engine.h"
 #include "sim/event_heap.h"
 #include "sim/execution_context.h"
+#include "sim/run_plane.h"
 #include "sim/trace_recorder.h"
 
 namespace oraclesize {
@@ -99,8 +102,9 @@ class ShardedExecutionContext {
   ShardedExecutionContext(const ShardedExecutionContext&) = delete;
   ShardedExecutionContext& operator=(const ShardedExecutionContext&) = delete;
 
-  /// Plays one execution; same signature and semantics as
-  /// ExecutionContext::run, bit-identical results at any shard count.
+  /// Plays one execution; same signature, semantics and frozen-graph
+  /// precondition as ExecutionContext::run, bit-identical results at any
+  /// shard count.
   RunResult run(const PortGraph& g, NodeId source,
                 const std::vector<BitString>& advice,
                 const Algorithm& algorithm, const RunOptions& options);
@@ -171,19 +175,17 @@ class ShardedExecutionContext {
                const Algorithm& algorithm, const RunOptions& options,
                const Partition& part, RunResult& result);
 
+  /// Fills merge_order_ with the epoch's processed events of `parts` in
+  /// global `order` — the k-way merge both barrier finalizers walk.
+  void merge_by_order(const std::vector<std::uint32_t>& parts);
+
   std::uint32_t shards_ = 1;
   ShardedRunStats stats_;
   ExecutionContext legacy_;  ///< shards<=1 path and fallback replays
 
   // Sharded-run state (mirrors ExecutionContext's reuse discipline).
   Scheduler scheduler_;
-  FaultPlan fault_plan_;
-  std::vector<BitString> corrupted_advice_;
-  std::vector<NodeInput> inputs_;
-  std::vector<std::unique_ptr<NodeBehavior>> behaviors_;
-  std::string pool_algorithm_;
-  std::size_t pool_count_ = 0;
-  std::vector<std::uint64_t> link_offset_;  ///< only for unfrozen graphs
+  RunPlane plane_;
   /// Byte-wide informed flags: vector<bool> packs 64 nodes per word, which
   /// two shards bordering a word boundary would race on. Shards write only
   /// their own bytes here; RunResult::informed is filled serially at the
@@ -193,9 +195,9 @@ class ShardedExecutionContext {
   std::vector<Shard> shards_state_;
   std::vector<std::uint32_t> parts_;  ///< scratch: epoch participant ids
   /// Scratch: the epoch's merge order as (shard, processed-index) pairs,
-  /// built by the fast finalizer's serial pass and replayed by its
-  /// queue-depth pass.
+  /// built by merge_by_order with one cursor per participating shard.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> merge_order_;
+  std::vector<std::uint32_t> cursor_;
   std::unique_ptr<Workers> workers_;
 };
 

@@ -72,12 +72,6 @@ SchedulerKind scheduler_from_string(const std::string& s, std::size_t line) {
   parse_fail(line, "unknown scheduler '" + s + "'");
 }
 
-SchedulerKeying keying_from_string(const std::string& s, std::size_t line) {
-  if (s == "counter") return SchedulerKeying::kCounter;
-  if (s == "stream") return SchedulerKeying::kStream;
-  parse_fail(line, "unknown keying '" + s + "'");
-}
-
 ByzantineStrategy strategy_from_string(const std::string& s,
                                        std::size_t line) {
   if (s == "random-bits") return ByzantineStrategy::kRandomBits;
@@ -192,7 +186,6 @@ std::string to_string(const TraceEvent& e) {
 RunOptions TraceHeader::to_run_options() const {
   RunOptions o;
   o.scheduler = scheduler;
-  o.keying = keying;
   o.seed = seed;
   o.max_delay = max_delay;
   o.max_messages = max_messages;
@@ -253,7 +246,7 @@ void save_trace(std::ostream& os, const RecordedTrace& t) {
   if (!t.header.oracle.empty()) os << "oracle " << t.header.oracle << "\n";
   os << "source " << t.header.source << "\n"
      << "scheduler " << to_string(t.header.scheduler) << "\n"
-     << "keying " << to_string(t.header.keying) << "\n"
+     << "keying counter\n"
      << "seed " << t.header.seed << "\n"
      << "max_delay " << t.header.max_delay << "\n"
      << "max_messages " << t.header.max_messages << "\n"
@@ -346,6 +339,7 @@ RecordedTrace load_trace(std::istream& is) {
   }
 
   bool have_events = false;
+  bool have_keying = false;
   std::size_t num_events = 0;
   while (!have_events) {
     std::istringstream in(next_line());
@@ -360,8 +354,12 @@ RecordedTrace load_trace(std::istream& is) {
       t.header.scheduler =
           scheduler_from_string(tok_word(in, lineno, "scheduler"), lineno);
     } else if (tag == "keying") {
-      t.header.keying =
-          keying_from_string(tok_word(in, lineno, "keying"), lineno);
+      const std::string keying = tok_word(in, lineno, "keying");
+      if (keying != "counter") {
+        parse_fail(lineno, "unsupported keying '" + keying +
+                               "' (only counter-keyed traces replay)");
+      }
+      have_keying = true;
     } else if (tag == "seed") {
       t.header.seed = tok_u64(in, lineno, "seed");
     } else if (tag == "max_delay") {
@@ -422,6 +420,10 @@ RecordedTrace load_trace(std::istream& is) {
                                     : BitString::from_string(a));
       }
     } else if (tag == "events") {
+      if (!have_keying) {
+        parse_fail(lineno,
+                   "missing keying line (only counter-keyed traces replay)");
+      }
       num_events = tok_u64(in, lineno, "event count");
       have_events = true;
     } else {
@@ -530,7 +532,6 @@ void TraceRecorder::begin_run(const TraceRunInfo& info) {
   if (info.options != nullptr) {
     const RunOptions& o = *info.options;
     trace_.header.scheduler = o.scheduler;
-    trace_.header.keying = o.keying;
     trace_.header.seed = o.seed;
     trace_.header.max_delay = o.max_delay;
     trace_.header.max_messages = o.max_messages;

@@ -91,10 +91,6 @@ struct TraceHeader {
   std::string oracle;     ///< informational; empty when unknown
   NodeId source = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  /// Delay-keying mode the run was recorded under. Defaults to kStream so
-  /// artifacts written before counter keying became canonical (no `keying`
-  /// header line) replay bit-exactly on the legacy draw-order path.
-  SchedulerKeying keying = SchedulerKeying::kStream;
   std::uint64_t seed = 1;
   std::uint32_t max_delay = 16;
   std::uint64_t max_messages = 50'000'000;
@@ -133,7 +129,11 @@ struct RecordedTrace {
   std::uint64_t digest() const;
 };
 
-/// Serializes / parses the `oracletrace 1` text format. load_trace throws
+/// Serializes / parses the `oracletrace 1` text format. save_trace writes a
+/// `keying counter` header line (scheduler delays are counter-keyed);
+/// load_trace requires it, so an artifact recorded under the retired
+/// draw-order `stream` keying — or before keying was recorded at all — is
+/// refused instead of replayed wrongly. load_trace throws
 /// std::runtime_error with a line diagnostic on malformed input.
 void save_trace(std::ostream& os, const RecordedTrace& trace);
 RecordedTrace load_trace(std::istream& is);

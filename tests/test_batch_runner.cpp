@@ -11,6 +11,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/engine.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -75,16 +76,24 @@ TEST(BatchRunner, MatchesSingleTrialEngine) {
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 99;
-  opts.trace = true;
 
   const auto advice = oracle.advise(g, 5);
-  const RunResult direct = run_execution(g, 5, advice, algorithm, opts);
+  const auto direct = with_trace(
+      [&](const RunOptions& o) {
+        return run_execution(g, 5, advice, algorithm, o);
+      },
+      opts);
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    const auto reports = BatchRunner(jobs).run(
-        {TrialSpec{&g, 5, &oracle, &algorithm, opts}});
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_EQ(reports[0].run, direct) << "jobs=" << jobs;
+    const auto batched = with_trace(
+        [&](const RunOptions& o) {
+          return BatchRunner(jobs).run(
+              {TrialSpec{&g, 5, &oracle, &algorithm, o}});
+        },
+        opts);
+    ASSERT_EQ(batched.first.size(), 1u);
+    EXPECT_EQ(batched.first[0].run, direct.first) << "jobs=" << jobs;
+    EXPECT_EQ(batched.second, direct.second) << "jobs=" << jobs;
   }
 }
 

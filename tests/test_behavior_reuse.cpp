@@ -16,6 +16,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "sim/execution_context.h"
 #include "sim/history.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -60,22 +61,26 @@ TEST(BehaviorReuse, PooledRunsMatchFreshContexts) {
     RunOptions opts;
     opts.scheduler = sched;
     opts.seed = 17;
-    opts.trace = true;
+    auto traced_run = [&](ExecutionContext& ctx, const PortGraph& g,
+                          NodeId source, const std::vector<BitString>& adv) {
+      return with_trace(
+          [&](const RunOptions& o) {
+            return ctx.run(g, source, adv, algorithm, o);
+          },
+          opts);
+    };
 
     ExecutionContext pooled;
-    const RunResult ra = pooled.run(a, 0, advice_a, algorithm, opts);
-    const RunResult rb = pooled.run(b, 4, advice_b, algorithm, opts);
-    const RunResult rc = pooled.run(c, 0, advice_c, algorithm, opts);
+    const auto ra = traced_run(pooled, a, 0, advice_a);
+    const auto rb = traced_run(pooled, b, 4, advice_b);
+    const auto rc = traced_run(pooled, c, 0, advice_c);
     // Run `a` again through the (now thrice-recycled) pool.
-    const RunResult ra2 = pooled.run(a, 0, advice_a, algorithm, opts);
+    const auto ra2 = traced_run(pooled, a, 0, advice_a);
 
     ExecutionContext f1, f2, f3;
-    EXPECT_EQ(ra, f1.run(a, 0, advice_a, algorithm, opts))
-        << to_string(sched);
-    EXPECT_EQ(rb, f2.run(b, 4, advice_b, algorithm, opts))
-        << to_string(sched);
-    EXPECT_EQ(rc, f3.run(c, 0, advice_c, algorithm, opts))
-        << to_string(sched);
+    EXPECT_EQ(ra, traced_run(f1, a, 0, advice_a)) << to_string(sched);
+    EXPECT_EQ(rb, traced_run(f2, b, 4, advice_b)) << to_string(sched);
+    EXPECT_EQ(rc, traced_run(f3, c, 0, advice_c)) << to_string(sched);
     EXPECT_EQ(ra, ra2) << to_string(sched);
   }
 }

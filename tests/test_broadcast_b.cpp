@@ -16,6 +16,7 @@
 #include "graph/light_tree.h"
 #include "graph/subdivision.h"
 #include "oracle/light_broadcast_oracle.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -109,14 +110,17 @@ TEST(BroadcastB, AllTrafficRidesTreeEdges) {
   for (const Edge& e : tree.edges(g)) tree_edges.insert({e.u, e.v});
 
   RunOptions opts;
-  opts.trace = true;
   opts.scheduler = SchedulerKind::kAsyncLifo;
-  const TaskReport report =
-      run_task(g, 6, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
+  const auto [report, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 6, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                        o);
+      },
+      opts);
   ASSERT_TRUE(report.ok());
-  for (const SentRecord& s : report.run.trace) {
-    const NodeId a = std::min(s.from, s.to);
-    const NodeId b = std::max(s.from, s.to);
+  for (const TraceEvent& s : sends) {
+    const NodeId a = std::min(s.node, s.peer);
+    const NodeId b = std::max(s.node, s.peer);
     EXPECT_TRUE(tree_edges.count({a, b}))
         << "non-tree traffic " << a << "-" << b;
   }
@@ -125,15 +129,18 @@ TEST(BroadcastB, AllTrafficRidesTreeEdges) {
 TEST(BroadcastB, HelloAtMostOncePerEdgeAndOneDirection) {
   Rng rng(204);
   const PortGraph g = make_random_connected(45, 0.2, rng);
-  RunOptions opts;
-  opts.trace = true;
-  const TaskReport report =
-      run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
+  const auto [report, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                        o);
+      },
+      RunOptions{});
   ASSERT_TRUE(report.ok());
   std::set<std::pair<NodeId, NodeId>> hello_edges;
-  for (const SentRecord& s : report.run.trace) {
-    if (s.kind != MsgKind::kHello) continue;
-    const auto key = std::pair{std::min(s.from, s.to), std::max(s.from, s.to)};
+  for (const TraceEvent& s : sends) {
+    if (s.msg != MsgKind::kHello) continue;
+    const auto key =
+        std::pair{std::min(s.node, s.peer), std::max(s.node, s.peer)};
     EXPECT_TRUE(hello_edges.insert(key).second)
         << "duplicate hello on " << key.first << "-" << key.second;
   }
@@ -143,16 +150,19 @@ TEST(BroadcastB, SourceMessagePerEdgePerDirectionAtMostOnce) {
   Rng rng(205);
   const PortGraph g = make_random_connected(45, 0.25, rng);
   RunOptions opts;
-  opts.trace = true;
   opts.scheduler = SchedulerKind::kAsyncLifo;
-  const TaskReport report =
-      run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
+  const auto [report, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                        o);
+      },
+      opts);
   ASSERT_TRUE(report.ok());
   std::set<std::pair<NodeId, NodeId>> directed;
-  for (const SentRecord& s : report.run.trace) {
-    if (s.kind != MsgKind::kSource) continue;
-    EXPECT_TRUE(directed.insert({s.from, s.to}).second)
-        << "M resent " << s.from << "->" << s.to;
+  for (const TraceEvent& s : sends) {
+    if (s.msg != MsgKind::kSource) continue;
+    EXPECT_TRUE(directed.insert({s.node, s.peer}).second)
+        << "M resent " << s.node << "->" << s.peer;
   }
 }
 
@@ -160,20 +170,25 @@ TEST(BroadcastB, AnonymousRunIsBitIdentical) {
   Rng rng(206);
   const PortGraph g = make_random_connected(35, 0.2, rng);
   RunOptions named;
-  named.trace = true;
   RunOptions anon = named;
   anon.anonymous = true;
-  const TaskReport a =
-      run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), named);
-  const TaskReport b =
-      run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), anon);
+  auto traced = [&](const RunOptions& opts) {
+    return with_trace(
+        [&](const RunOptions& o) {
+          return run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                          o);
+        },
+        opts);
+  };
+  const auto [a, a_sends] = traced(named);
+  const auto [b, b_sends] = traced(anon);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].from, b.run.trace[i].from);
-    EXPECT_EQ(a.run.trace[i].port, b.run.trace[i].port);
-    EXPECT_EQ(a.run.trace[i].kind, b.run.trace[i].kind);
+  ASSERT_EQ(a_sends.size(), b_sends.size());
+  for (std::size_t i = 0; i < a_sends.size(); ++i) {
+    EXPECT_EQ(a_sends[i].node, b_sends[i].node);
+    EXPECT_EQ(a_sends[i].port, b_sends[i].port);
+    EXPECT_EQ(a_sends[i].msg, b_sends[i].msg);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "graph/builders.h"
 #include "graph/complete_star.h"
 #include "graph/validate.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -97,6 +98,16 @@ std::vector<BitString> no_advice(const PortGraph& g) {
   return std::vector<BitString>(g.num_nodes());
 }
 
+// A run with its transmissions recorded (trace_helpers.h).
+auto traced_execution(const PortGraph& g, NodeId source,
+                      const Algorithm& algorithm, const RunOptions& opts) {
+  return with_trace(
+      [&](const RunOptions& o) {
+        return run_execution(g, source, no_advice(g), algorithm, o);
+      },
+      opts);
+}
+
 TEST(Engine, FloodInformsEveryone) {
   const PortGraph g = make_grid(4, 5);
   const RunResult r =
@@ -143,13 +154,12 @@ TEST(Engine, AsyncRandomIsSeedDeterministic) {
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 1234;
-  opts.trace = true;
-  const RunResult a = run_execution(g, 0, no_advice(g), TestFlood(), opts);
-  const RunResult b = run_execution(g, 0, no_advice(g), TestFlood(), opts);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].from, b.trace[i].from);
-    EXPECT_EQ(a.trace[i].port, b.trace[i].port);
+  const auto [a, a_sends] = traced_execution(g, 0, TestFlood(), opts);
+  const auto [b, b_sends] = traced_execution(g, 0, TestFlood(), opts);
+  ASSERT_EQ(a_sends.size(), b_sends.size());
+  for (std::size_t i = 0; i < a_sends.size(); ++i) {
+    EXPECT_EQ(a_sends[i].node, b_sends[i].node);
+    EXPECT_EQ(a_sends[i].port, b_sends[i].port);
   }
 }
 
@@ -178,14 +188,12 @@ TEST(Engine, SpontaneousControlTrafficDoesNotInform) {
   // Without wakeup enforcement, uninformed nodes may send; their messages
   // must not inform receivers (sender was not informed at send time).
   const PortGraph g = make_path(3);
-  RunOptions opts;
-  opts.trace = true;
-  const RunResult r =
-      run_execution(g, 0, no_advice(g), TestFlood(/*spontaneous=*/true), opts);
+  const auto [r, sends] =
+      traced_execution(g, 0, TestFlood(/*spontaneous=*/true), RunOptions{});
   EXPECT_TRUE(r.all_informed);  // the real flood still completes
-  for (const SentRecord& s : r.trace) {
-    if (s.kind == MsgKind::kControl) {
-      EXPECT_FALSE(s.sender_informed);
+  for (const TraceEvent& s : sends) {
+    if (s.msg == MsgKind::kControl) {
+      EXPECT_FALSE(s.flag);
     }
   }
 }
@@ -249,8 +257,7 @@ TEST(Engine, AnonymousModeHidesIds) {
   const PortGraph g = make_path(2);
   RunOptions opts;
   opts.anonymous = true;
-  opts.trace = true;
-  const RunResult r = run_execution(g, 0, no_advice(g), IdLeak(), opts);
+  const RunResult r = traced_execution(g, 0, IdLeak(), opts).first;
   EXPECT_EQ(r.metrics.bits_sent, 2u);  // payload 0 carries no bits
 }
 
@@ -277,14 +284,12 @@ TEST(Engine, SingleNodeNetworkIsTriviallyDone) {
 
 TEST(Engine, TraceRecordsEveryMessage) {
   const PortGraph g = make_star(6);
-  RunOptions opts;
-  opts.trace = true;
-  const RunResult r = run_execution(g, 0, no_advice(g), TestFlood(), opts);
-  EXPECT_EQ(r.trace.size(), r.metrics.messages_total);
-  for (const SentRecord& s : r.trace) {
-    EXPECT_LT(s.from, g.num_nodes());
-    EXPECT_LT(s.port, g.degree(s.from));
-    EXPECT_EQ(s.to, g.neighbor(s.from, s.port).node);
+  const auto [r, sends] = traced_execution(g, 0, TestFlood(), RunOptions{});
+  EXPECT_EQ(sends.size(), r.metrics.messages_total);
+  for (const TraceEvent& s : sends) {
+    EXPECT_LT(s.node, g.num_nodes());
+    EXPECT_LT(s.port, g.degree(s.node));
+    EXPECT_EQ(s.peer, g.neighbor(s.node, s.port).node);
   }
 }
 
@@ -326,6 +331,21 @@ TEST(Engine, InformedAtNeverForUnreached) {
   for (NodeId v = 1; v < 4; ++v) {
     EXPECT_EQ(r.informed_at[v], RunResult::kNeverInformed);
   }
+}
+
+TEST(Engine, UnfrozenGraphThrows) {
+  // Engines read link ids and delivery targets straight from the CSR, so a
+  // builder-state graph is rejected at run entry.
+  PortGraph g(3);
+  g.add_edge_auto(0, 1);
+  g.add_edge_auto(1, 2);
+  ASSERT_FALSE(g.frozen());
+  EXPECT_THROW(run_execution(g, 0, no_advice(g), TestFlood(), RunOptions{}),
+               std::invalid_argument);
+  g.freeze();
+  const RunResult r =
+      run_execution(g, 0, no_advice(g), TestFlood(), RunOptions{});
+  EXPECT_TRUE(r.all_informed);
 }
 
 }  // namespace

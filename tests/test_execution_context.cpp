@@ -11,6 +11,7 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -37,17 +38,22 @@ TEST(ExecutionContext, ReuseAcrossGraphsMatchesFreshContexts) {
     RunOptions opts;
     opts.scheduler = sched;
     opts.seed = 5;
-    opts.trace = true;
+    auto traced_run = [&](ExecutionContext& ctx, const PortGraph& g,
+                          NodeId source, const std::vector<BitString>& adv) {
+      return with_trace(
+          [&](const RunOptions& o) {
+            return ctx.run(g, source, adv, algorithm, o);
+          },
+          opts);
+    };
 
     ExecutionContext reused;
-    const RunResult ra = reused.run(a, 0, advice_a, algorithm, opts);
-    const RunResult rb = reused.run(b, 2, advice_b, algorithm, opts);
+    const auto ra = traced_run(reused, a, 0, advice_a);
+    const auto rb = traced_run(reused, b, 2, advice_b);
 
     ExecutionContext fresh_a, fresh_b;
-    EXPECT_EQ(ra, fresh_a.run(a, 0, advice_a, algorithm, opts))
-        << to_string(sched);
-    EXPECT_EQ(rb, fresh_b.run(b, 2, advice_b, algorithm, opts))
-        << to_string(sched);
+    EXPECT_EQ(ra, traced_run(fresh_a, a, 0, advice_a)) << to_string(sched);
+    EXPECT_EQ(rb, traced_run(fresh_b, b, 2, advice_b)) << to_string(sched);
   }
 }
 

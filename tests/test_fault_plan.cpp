@@ -23,6 +23,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -32,10 +33,15 @@ PortGraph fault_graph() {
   return make_random_connected(60, 0.12, rng);
 }
 
-RunOptions traced() {
-  RunOptions opts;
-  opts.trace = true;
-  return opts;
+/// One run on `ctx` with its transmissions recorded (trace_helpers.h).
+auto traced_run(ExecutionContext& ctx, const PortGraph& g, NodeId source,
+                const std::vector<BitString>& advice,
+                const Algorithm& algorithm, const RunOptions& opts) {
+  return with_trace(
+      [&](const RunOptions& o) {
+        return ctx.run(g, source, advice, algorithm, o);
+      },
+      opts);
 }
 
 TEST(FaultPlan, ZeroPlanBitIdenticalToDefaultRun) {
@@ -44,17 +50,17 @@ TEST(FaultPlan, ZeroPlanBitIdenticalToDefaultRun) {
   const WakeupTreeAlgorithm algorithm;
   const auto advice = oracle.advise(g, 0);
 
-  RunOptions base = traced();
+  RunOptions base;
   RunOptions zero = base;
   zero.fault.seed = 0xfeedface;  // a seed alone must not enable anything
   ASSERT_FALSE(zero.fault.enabled());
 
   ExecutionContext ctx;
-  const RunResult a = ctx.run(g, 0, advice, algorithm, base);
-  const RunResult b = ctx.run(g, 0, advice, algorithm, zero);
+  const auto a = traced_run(ctx, g, 0, advice, algorithm, base);
+  const auto b = traced_run(ctx, g, 0, advice, algorithm, zero);
   EXPECT_EQ(a, b);  // full field-by-field equality, trace included
-  EXPECT_EQ(a.status, RunStatus::kCompleted);
-  EXPECT_EQ(a.faults, FaultCounters{});
+  EXPECT_EQ(a.first.status, RunStatus::kCompleted);
+  EXPECT_EQ(a.first.faults, FaultCounters{});
 }
 
 TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
@@ -63,7 +69,7 @@ TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
   const FloodingAlgorithm algorithm;
   const auto advice = oracle.advise(g, 0);
 
-  RunOptions opts = traced();
+  RunOptions opts;
   opts.fault.seed = 99;
   opts.fault.drop = 0.1;
   opts.fault.duplicate = 0.1;
@@ -71,16 +77,17 @@ TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
   opts.fault.crash = 0.1;
 
   ExecutionContext ctx1, ctx2;
-  const RunResult a = ctx1.run(g, 0, advice, algorithm, opts);
-  const RunResult b = ctx2.run(g, 0, advice, algorithm, opts);
+  const auto a = traced_run(ctx1, g, 0, advice, algorithm, opts);
+  const auto b = traced_run(ctx2, g, 0, advice, algorithm, opts);
   EXPECT_EQ(a, b);
   // A fresh context after unrelated runs must reproduce it too (pooled
   // state cannot leak into fault decisions).
-  ctx1.run(g, 3, advice, algorithm, traced());
-  const RunResult c = ctx1.run(g, 0, advice, algorithm, opts);
+  traced_run(ctx1, g, 3, advice, algorithm, RunOptions{});
+  const auto c = traced_run(ctx1, g, 0, advice, algorithm, opts);
   EXPECT_EQ(a, c);
   // The regime actually exercised something.
-  EXPECT_GT(a.faults.dropped + a.faults.duplicated + a.faults.delayed, 0u);
+  const FaultCounters& f = a.first.faults;
+  EXPECT_GT(f.dropped + f.duplicated + f.delayed, 0u);
 }
 
 TEST(FaultPlan, ResultsIndependentOfJobsUnderFaults) {

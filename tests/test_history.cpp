@@ -12,6 +12,7 @@
 #include "core/wakeup.h"
 #include "graph/builders.h"
 #include "oracle/tree_wakeup_oracle.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -39,22 +40,27 @@ TEST(HistoryScheme, PureWakeupMatchesStatefulWakeup) {
   Rng rng(801);
   const PortGraph g = make_random_connected(40, 0.2, rng);
   const auto advice = TreeWakeupOracle().advise(g, 0);
+  TraceRecorder trace_a(TraceLevel::kMessages);
+  TraceRecorder trace_b(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
   opts.enforce_wakeup = true;
 
   const HistorySchemeAlgorithm pure(wakeup_as_history_function,
                                     "wakeup-pure", /*wakeup=*/true);
+  opts.trace_sink = &trace_a;
   const RunResult a = run_execution(g, 0, advice, pure, opts);
+  opts.trace_sink = &trace_b;
   const RunResult b = run_execution(g, 0, advice, WakeupTreeAlgorithm(),
                                     opts);
   ASSERT_TRUE(a.violation.empty()) << a.violation;
   EXPECT_TRUE(a.all_informed);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].from, b.trace[i].from) << i;
-    EXPECT_EQ(a.trace[i].port, b.trace[i].port) << i;
-    EXPECT_EQ(a.trace[i].kind, b.trace[i].kind) << i;
+  const std::vector<TraceEvent> sa = send_events(trace_a.trace().events);
+  const std::vector<TraceEvent> sb = send_events(trace_b.trace().events);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].node, sb[i].node) << i;
+    EXPECT_EQ(sa[i].port, sb[i].port) << i;
+    EXPECT_EQ(sa[i].msg, sb[i].msg) << i;
   }
 }
 
@@ -83,8 +89,9 @@ TEST(HistoryScheme, MonotoneEmissionNoDuplicates) {
   };
   const PortGraph g = make_path(2);
   const std::vector<BitString> advice(2);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   opts.max_messages = 40;  // the two nodes echo forever; cap it
   const RunResult r = run_execution(
       g, 0, advice, HistorySchemeAlgorithm(echo, "echo"), opts);
@@ -92,7 +99,8 @@ TEST(HistoryScheme, MonotoneEmissionNoDuplicates) {
   // delivery plus the source's initial one. Deliveries lag sends by the
   // in-flight messages, so sends <= deliveries + small slack; re-emission
   // would make sends grow ~quadratically in deliveries instead.
-  EXPECT_GT(r.trace.size(), 4u);  // the ping-pong actually ran
+  // the ping-pong actually ran
+  EXPECT_GT(send_events(recorder.trace().events).size(), 4u);
   EXPECT_LE(r.metrics.messages_total, r.metrics.deliveries + 3);
   EXPECT_NE(r.violation.find("budget"), std::string::npos);
 }

@@ -1,11 +1,12 @@
 // Invariant tests for graph/partition.h: every partition is a strictly
 // increasing cover of [0, n), shard_of inverts the bounds, edge mass is
-// balanced within the granularity the node-boundary cuts allow, and shard
-// views window the frozen CSR exactly.
+// balanced within the granularity the node-boundary cuts allow, and only
+// frozen graphs are split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/builders.h"
@@ -140,56 +141,14 @@ TEST(Partition, AlignmentRoundsBoundariesWhenRoomAllows) {
   EXPECT_EQ(ps.num_shards(), 8u);
 }
 
-TEST(Partition, FrozenAndBuilderGraphsPartitionIdentically) {
-  Rng rng(99);
-  PortGraph frozen = make_random_connected(80, 0.15, rng);  // comes frozen
-  PortGraph builder(frozen.num_nodes());
-  for (const Edge& e : frozen.edges()) {
-    builder.add_edge(e.u, e.port_u, e.v, e.port_v);
-  }
-  const Partition pf = make_partition(frozen, opts(5, 0));
-  const Partition pb = make_partition(builder, opts(5, 0));
-  EXPECT_EQ(pf.bounds, pb.bounds);
-}
-
-TEST(Partition, ShardViewWindowsTheCsrExactly) {
-  Rng rng(7);
-  const PortGraph g = make_random_connected(60, 0.2, rng);
-  ASSERT_NE(g.csr_offsets(), nullptr);
-  const Partition p = make_partition(g, opts(4, 0));
-  std::uint64_t expected_link = 0;
-  for (std::uint32_t s = 0; s < p.num_shards(); ++s) {
-    const ShardView view = make_shard_view(g, p, s);
-    EXPECT_EQ(view.node_begin, p.begin(s));
-    EXPECT_EQ(view.node_end, p.end(s));
-    EXPECT_EQ(view.link_begin, expected_link);
-    ASSERT_NE(view.endpoints, nullptr);
-    ASSERT_NE(view.offsets, nullptr);
-    // The window covers exactly its nodes' adjacency rows, and indexing
-    // through offsets recovers every neighbor.
-    std::uint64_t links = 0;
-    for (NodeId v = view.node_begin; v < view.node_end; ++v) {
-      for (Port q = 0; q < g.degree(v); ++q) {
-        const Endpoint via = view.endpoints[view.offsets[v] + q];
-        const Endpoint direct = g.neighbor(v, q);
-        EXPECT_EQ(via.node, direct.node);
-        EXPECT_EQ(via.port, direct.port);
-        ++links;
-      }
-    }
-    EXPECT_EQ(view.num_links(), links);
-    expected_link = view.link_end;
-  }
-  EXPECT_EQ(expected_link, 2 * g.num_edges());
-}
-
-TEST(Partition, ShardViewOnUnfrozenGraphHasNullCsr) {
+TEST(Partition, UnfrozenGraphIsRejectedWhenSplit) {
   PortGraph g(10);
   for (NodeId v = 0; v + 1 < 10; ++v) g.add_edge_auto(v, v + 1);
-  const Partition p = make_partition(g, opts(2, 0));
-  const ShardView view = make_shard_view(g, p, 0);
-  EXPECT_EQ(view.endpoints, nullptr);
-  EXPECT_EQ(view.num_nodes(), p.size(0));
+  EXPECT_THROW(make_partition(g, opts(2, 0)), std::invalid_argument);
+  // One shard never reads the CSR: the whole range is the answer.
+  EXPECT_EQ(make_partition(g, opts(1, 0)).num_shards(), 1u);
+  g.freeze();
+  check_invariants(g, make_partition(g, opts(2, 0)));
 }
 
 TEST(Partition, SparseRandomConnectedBuilder) {

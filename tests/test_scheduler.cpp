@@ -193,14 +193,28 @@ TEST(Scheduler, AsyncRandomDelayBounded) {
   }
 }
 
+// The pure schedulers' one key switch is what delivery_key answers, so the
+// sharded routing pass and the seed-batch pass key messages identically.
+TEST(Scheduler, PureKeyMatchesDeliveryKey) {
+  for (SchedulerKind kind :
+       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
+        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
+    ASSERT_TRUE(Scheduler::is_pure(kind));
+    Scheduler s(kind, 31, 12);
+    for (std::uint64_t seq = 0; seq < 40; ++seq) {
+      const std::uint64_t link = seq * 7 % 11;
+      EXPECT_EQ(s.delivery_key(3, seq, link),
+                Scheduler::pure_key(kind, 3, seq, link, 31, 12))
+          << to_string(kind) << " seq " << seq;
+    }
+  }
+  EXPECT_FALSE(Scheduler::is_pure(SchedulerKind::kAsyncLinkFifo));
+  EXPECT_FALSE(Scheduler::is_pure(SchedulerKind::kAsyncAdversarial));
+}
+
 TEST(Scheduler, Names) {
   EXPECT_STREQ(to_string(SchedulerKind::kSynchronous), "sync");
   EXPECT_STREQ(to_string(SchedulerKind::kAsyncLinkFifo), "async-link-fifo");
-}
-
-TEST(SchedulerKeyingTest, Names) {
-  EXPECT_STREQ(to_string(SchedulerKeying::kCounter), "counter");
-  EXPECT_STREQ(to_string(SchedulerKeying::kStream), "stream");
 }
 
 // The counter-keyed contract: a message's key is a pure function of
@@ -218,19 +232,7 @@ TEST(SchedulerKeyingTest, CounterKeysAreDrawOrderInvariant) {
   }
 }
 
-// The legacy stream mode must keep consuming the seeded Rng in draw order,
-// bit-exactly: old trace artifacts replay through this path.
-TEST(SchedulerKeyingTest, StreamModeMatchesLegacyRngStream) {
-  Scheduler s(SchedulerKind::kAsyncRandom, 99, 16, SchedulerKeying::kStream);
-  Rng reference(99);
-  for (std::uint64_t seq = 0; seq < 64; ++seq) {
-    const std::int64_t expected =
-        7 + 1 + static_cast<std::int64_t>(reference.below(16));
-    EXPECT_EQ(s.delivery_key(7, seq, 0), expected) << "seq " << seq;
-  }
-}
-
-// delivery_key under kCounter must agree with the prekey/decide split the
+// delivery_key must agree with the prekey/decide split the
 // seed-batch executor uses (one hash per message, one mix per lane).
 TEST(SchedulerKeyingTest, PrekeySplitMatchesDeliveryKey) {
   const std::uint64_t seed = 1234567;
@@ -246,7 +248,7 @@ TEST(SchedulerKeyingTest, PrekeySplitMatchesDeliveryKey) {
   }
 }
 
-// Counter keys honor the delay bound and change with seed and keying mode.
+// Counter keys honor the delay bound and change with the seed.
 TEST(SchedulerKeyingTest, CounterKeysBoundedAndSeedSensitive) {
   Scheduler a(SchedulerKind::kAsyncRandom, 3, 8);
   Scheduler b(SchedulerKind::kAsyncRandom, 4, 8);

@@ -34,6 +34,7 @@
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
 #include "sim/seed_batch_engine.h"
+#include "sim/trace_recorder.h"
 
 namespace oraclesize {
 namespace {
@@ -308,19 +309,12 @@ TEST(SeedBatchEngine, EligibilityGates) {
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
   base.scheduler = SchedulerKind::kAsyncLifo;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  // Counter-keyed seeded schedulers batch; the legacy stream keying keeps
-  // its draw-order RNG state and must stay scalar.
+  // Counter-keyed seeded schedulers batch as key classes.
   base.scheduler = SchedulerKind::kAsyncRandom;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kStream;
-  EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kCounter;
   base.scheduler = SchedulerKind::kAsyncLinkFifo;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kStream;
-  EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base = RunOptions{};
-  base.trace = true;
+  base.scheduler = SchedulerKind::kAsyncAdversarial;
   EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
   base = RunOptions{};
   base.deadline_ns = 1;
@@ -368,23 +362,43 @@ TEST(SeedBatchEngine, IneligibleFamilyReplaysEveryLane) {
   const NullOracle oracle;
   const std::vector<BitString> advice = oracle.advise(g, 0);
   const Algorithm* flooding = algorithm_by_name("flooding");
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions base;
-  base.trace = true;  // legacy tracing: an unsupported feature
+  base.trace_sink = &recorder;  // an observed run: an unsupported feature
   std::vector<Lane> lanes = {{1, 0}, {2, 0}, {3, 0}};
   std::vector<Disposition> disp;
   SeedBatchExecutionContext batched;
   batched.run_lockstep(g, 0, advice, *flooding, base, lanes, disp);
   EXPECT_FALSE(batched.last_stats().lockstep_ran);
   EXPECT_EQ(batched.last_stats().replayed, 3u);
-  // Replays honor the unsupported feature: the recorded traces match.
+  // Replays honor the unsupported feature: the recorded traces match. The
+  // recorder keeps the last run it saw — the final lane's replay.
   const std::vector<RunResult> got =
       batched.run(g, 0, advice, *flooding, base, lanes);
+  const std::vector<TraceEvent> got_events = recorder.take().events;
   ExecutionContext scalar;
   RunOptions options = base;
-  options.seed = lanes[0].seed;
+  options.seed = lanes.back().seed;
   const RunResult want = scalar.run(g, 0, advice, *flooding, options);
-  EXPECT_FALSE(want.trace.empty());
-  EXPECT_EQ(got[0], want);
+  EXPECT_FALSE(got_events.empty());
+  EXPECT_EQ(got_events, recorder.trace().events);
+  EXPECT_EQ(got.back(), want);
+}
+
+TEST(SeedBatchEngine, UnfrozenGraphThrows) {
+  PortGraph g(4);
+  for (NodeId v = 0; v + 1 < 4; ++v) g.add_edge_auto(v, v + 1);
+  const std::vector<BitString> advice(4);
+  const Algorithm* flooding = algorithm_by_name("flooding");
+  std::vector<Disposition> disp;
+  SeedBatchExecutionContext batched;
+  EXPECT_THROW(batched.run_lockstep(g, 0, advice, *flooding, RunOptions{},
+                                    {{1, 0}, {2, 0}}, disp),
+               std::invalid_argument);
+  g.freeze();
+  batched.run_lockstep(g, 0, advice, *flooding, RunOptions{},
+                       {{1, 0}, {2, 0}}, disp);
+  EXPECT_EQ(batched.last_stats().shared, 2u);
 }
 
 TEST(SeedBatchEngine, EmptyLanesAndPreconditionErrors) {
@@ -595,9 +609,6 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   TrialSpec d = a;
   d.options.scheduler = SchedulerKind::kAsyncLifo;
   EXPECT_NE(seed_family_key(a), seed_family_key(d));
-  TrialSpec q = a;
-  q.options.keying = SchedulerKeying::kStream;
-  EXPECT_NE(seed_family_key(a), seed_family_key(q));
   TrialSpec e = a;
   e.graph = &h;
   EXPECT_NE(seed_family_key(a), seed_family_key(e));
@@ -734,17 +745,10 @@ TEST(SeedBatchRunner, MixedBatchIsJobsInvariant) {
   const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
   const Algorithm* flooding = algorithm_by_name("flooding");
   std::vector<TrialSpec> specs = family_specs(g, oracle, *wakeup, 8, 0.02);
-  // Singles that must stay scalar: a different algorithm, a different
-  // source, and a stream-keyed async-random pair (ineligible keying).
+  // Singles that must stay scalar: a different algorithm and a different
+  // source.
   specs.emplace_back(&g, 3, &null_oracle, flooding);
   specs.emplace_back(&g, 5, &oracle, wakeup);
-  for (int k = 0; k < 2; ++k) {
-    RunOptions options;
-    options.scheduler = SchedulerKind::kAsyncRandom;
-    options.keying = SchedulerKeying::kStream;
-    options.seed = 40 + k;
-    specs.emplace_back(&g, 3, &oracle, wakeup, options);
-  }
   // Counter-keyed async-random pair: options.seed is now a lane axis, so
   // these two collapse into a second family.
   for (int k = 0; k < 2; ++k) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_runner.h"
@@ -175,17 +176,29 @@ TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
 }
 
 TEST(ShardedEngine, LegacyTraceVectorMatches) {
+  // The transmission stream at TraceLevel::kMessages — every send and
+  // delivery — must match event for event; a sink routes the run through
+  // the serial finalizer.
   Rng rng(77);
   const PortGraph g = make_random_connected(50, 0.1, rng);
   const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
   ShardedExecutionContext engine(4);
+  ExecutionContext legacy;
   RunOptions opts;
-  opts.trace = true;  // SentRecord capture → serial finalizer
   opts.scheduler = SchedulerKind::kAsyncFifo;
-  const RunResult want =
-      expect_identical(g, 0, advice, FloodingAlgorithm(), opts, engine,
-                       "trace vector");
-  EXPECT_FALSE(want.trace.empty());  // the comparison actually saw a trace
+  auto record = [&](auto& context) {
+    TraceRecorder recorder(TraceLevel::kMessages);
+    RunOptions with_sink = opts;
+    with_sink.trace_sink = &recorder;
+    const RunResult r =
+        context.run(g, 0, advice, FloodingAlgorithm(), with_sink);
+    return std::make_pair(r, recorder.take().events);
+  };
+  const auto want = record(legacy);
+  const auto got = record(engine);
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_FALSE(want.second.empty());  // the comparison actually saw a trace
   EXPECT_FALSE(engine.last_stats().fell_back);
 }
 
@@ -278,6 +291,18 @@ TEST(ShardedEngine, PreconditionExceptionsMatchLegacy) {
   const std::vector<BitString> ok(10);
   EXPECT_THROW(engine.run(g, 99, ok, FloodingAlgorithm(), RunOptions{}),
                std::invalid_argument);
+}
+
+TEST(ShardedEngine, UnfrozenGraphThrows) {
+  PortGraph g(64);
+  for (NodeId v = 0; v + 1 < 64; ++v) g.add_edge_auto(v, v + 1);
+  const std::vector<BitString> advice(64);
+  ShardedExecutionContext engine(4);
+  EXPECT_THROW(engine.run(g, 0, advice, FloodingAlgorithm(), RunOptions{}),
+               std::invalid_argument);
+  g.freeze();
+  EXPECT_TRUE(
+      engine.run(g, 0, advice, FloodingAlgorithm(), RunOptions{}).all_informed);
 }
 
 TEST(ShardedEngine, ContextReusesAcrossHeterogeneousRuns) {

@@ -9,6 +9,7 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "sim/trace_analysis.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -67,18 +68,19 @@ TEST(GraphStats, SingleNode) {
 TEST(TraceAnalysis, WakeupEdgeTrafficIsExactlyOneEachWay) {
   Rng rng(1001);
   const PortGraph g = make_random_connected(30, 0.2, rng);
-  RunOptions opts;
-  opts.trace = true;
-  const TaskReport r =
-      run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), opts);
+  const auto [r, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), o);
+      },
+      RunOptions{});
   ASSERT_TRUE(r.ok());
-  const auto per_edge = traffic_per_edge(r.run.trace);
+  const auto per_edge = traffic_per_edge(sends);
   EXPECT_EQ(per_edge.size(), g.num_nodes() - 1);  // exactly the tree edges
   for (const auto& [edge, count] : per_edge) {
     EXPECT_EQ(count, 1u);  // parent -> child, once
   }
-  EXPECT_EQ(max_edge_traffic(r.run.trace), 1u);
-  EXPECT_EQ(uninformed_sends(r.run.trace), 0u);
+  EXPECT_EQ(max_edge_traffic(sends), 1u);
+  EXPECT_EQ(uninformed_sends(sends), 0u);
 }
 
 TEST(TraceAnalysis, BroadcastStaysWithinTreeAndBudgets) {
@@ -89,41 +91,46 @@ TEST(TraceAnalysis, BroadcastStaysWithinTreeAndBudgets) {
   for (const Edge& e : tree.edges(g)) allowed.insert({e.u, e.v});
 
   RunOptions opts;
-  opts.trace = true;
   opts.scheduler = SchedulerKind::kAsyncLifo;
-  const TaskReport r =
-      run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
+  const auto [r, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                        o);
+      },
+      opts);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(traffic_within(r.run.trace, allowed));
+  EXPECT_TRUE(traffic_within(sends, allowed));
   // Hellos: at most once per edge; M: at most twice per edge.
   for (const auto& [edge, count] :
-       traffic_per_edge(r.run.trace, MsgKind::kHello)) {
+       traffic_per_edge(sends, MsgKind::kHello)) {
     EXPECT_LE(count, 1u);
   }
   for (const auto& [edge, count] :
-       traffic_per_edge(r.run.trace, MsgKind::kSource)) {
+       traffic_per_edge(sends, MsgKind::kSource)) {
     EXPECT_LE(count, 2u);
   }
   // Spontaneous hellos are exactly the uninformed sends.
-  EXPECT_GT(uninformed_sends(r.run.trace), 0u);
+  EXPECT_GT(uninformed_sends(sends), 0u);
 }
 
 TEST(TraceAnalysis, DirectedCountsSumToTotal) {
   const PortGraph g = make_star(12);
-  RunOptions opts;
-  opts.trace = true;
-  const TaskReport r =
-      run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
+  const auto [r, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(),
+                        o);
+      },
+      RunOptions{});
   ASSERT_TRUE(r.ok());
   std::uint64_t sum = 0;
-  for (const auto& [dir, count] : traffic_per_direction(r.run.trace)) {
+  for (const auto& [dir, count] : traffic_per_direction(sends)) {
     sum += count;
   }
   EXPECT_EQ(sum, r.run.metrics.messages_total);
 }
 
 TEST(TraceAnalysis, EmptyTrace) {
-  const std::vector<SentRecord> empty;
+  const std::vector<TraceEvent> empty;
   EXPECT_TRUE(traffic_per_edge(empty).empty());
   EXPECT_EQ(max_edge_traffic(empty), 0u);
   EXPECT_TRUE(traffic_within(empty, {}));

@@ -82,35 +82,42 @@ TEST(TraceRecorder, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.digest(), t.digest());
 }
 
-TEST(TraceRecorder, HeaderRecordsKeyingAndDefaultsLegacyStream) {
-  // The header pins the delivery-key mode so old artifacts stay
-  // replayable: a counter-keyed recording round-trips its mode, and an
-  // artifact WITHOUT a keying line (anything recorded before the mode
-  // existed) must load as the legacy stream keying it was recorded under.
+TEST(TraceRecorder, LoadRequiresCounterKeying) {
+  // Scheduler delays are counter-keyed, and the header says so. An artifact
+  // claiming the retired draw-order `stream` keying — or carrying no keying
+  // line at all — cannot be replayed faithfully, so loading refuses it with
+  // a line-numbered parse error.
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 90210;
-  const RecordedTrace counter = record_broadcast(opts);
-  EXPECT_EQ(counter.header.keying, SchedulerKeying::kCounter);
-
-  opts.keying = SchedulerKeying::kStream;
-  const RecordedTrace stream = record_broadcast(opts);
-  EXPECT_EQ(stream.header.keying, SchedulerKeying::kStream);
-  // The two modes genuinely diverge on this seeded scheduler.
-  EXPECT_NE(counter.digest(), stream.digest());
-
   std::stringstream ss;
-  save_trace(ss, counter);
-  std::string text = ss.str();
-  const std::size_t at = text.find("keying counter\n");
+  save_trace(ss, record_broadcast(opts));
+  const std::string text = ss.str();
+  const std::string line = "keying counter\n";
+  const std::size_t at = text.find(line);
   ASSERT_NE(at, std::string::npos);
-  text.erase(at, std::string("keying counter\n").size());
-  std::istringstream in(text);
-  const RecordedTrace legacy = load_trace(in);
-  EXPECT_EQ(legacy.header.keying, SchedulerKeying::kStream);
-  // The digest hashes events + outcome, not the header, so stripping the
-  // line changes only the replay interpretation.
-  EXPECT_EQ(legacy.digest(), counter.digest());
+  {
+    std::istringstream in(text);
+    EXPECT_NO_THROW(load_trace(in));
+  }
+  auto load_error = [](const std::string& bad) {
+    std::istringstream in(bad);
+    try {
+      load_trace(in);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  std::string stream = text;
+  stream.replace(at, line.size(), "keying stream\n");
+  EXPECT_NE(load_error(stream).find("trace parse error (line"),
+            std::string::npos);
+  EXPECT_NE(load_error(stream).find("stream"), std::string::npos);
+  std::string missing = text;
+  missing.erase(at, line.size());
+  EXPECT_NE(load_error(missing).find("missing keying line"),
+            std::string::npos);
 }
 
 TEST(TraceRecorder, LoadRejectsTamperedAndTruncatedArtifacts) {

@@ -13,6 +13,7 @@
 #include "graph/subdivision.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "util/mathx.h"
+#include "trace_helpers.h"
 
 namespace oraclesize {
 namespace {
@@ -80,19 +81,23 @@ TEST(Wakeup, WorksAnonymously) {
   Rng rng(102);
   const PortGraph g = make_random_connected(40, 0.2, rng);
   RunOptions named;
-  named.trace = true;
   RunOptions anon = named;
   anon.anonymous = true;
-  const TaskReport a =
-      run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), named);
-  const TaskReport b =
-      run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), anon);
+  auto traced = [&](const RunOptions& opts) {
+    return with_trace(
+        [&](const RunOptions& o) {
+          return run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), o);
+        },
+        opts);
+  };
+  const auto [a, a_sends] = traced(named);
+  const auto [b, b_sends] = traced(anon);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].from, b.run.trace[i].from);
-    EXPECT_EQ(a.run.trace[i].port, b.run.trace[i].port);
+  ASSERT_EQ(a_sends.size(), b_sends.size());
+  for (std::size_t i = 0; i < a_sends.size(); ++i) {
+    EXPECT_EQ(a_sends[i].node, b_sends[i].node);
+    EXPECT_EQ(a_sends[i].port, b_sends[i].port);
   }
 }
 
@@ -135,16 +140,17 @@ TEST(Wakeup, TrafficFollowsTheTree) {
   Rng rng(104);
   const PortGraph g = make_random_connected(30, 0.3, rng);
   const SpanningTree tree = bfs_tree(g, 0);
-  RunOptions opts;
-  opts.trace = true;
-  const TaskReport report =
-      run_task(g, 0, TreeWakeupOracle(TreeKind::kBfs), WakeupTreeAlgorithm(),
-               opts);
+  const auto [report, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 0, TreeWakeupOracle(TreeKind::kBfs),
+                        WakeupTreeAlgorithm(), o);
+      },
+      RunOptions{});
   ASSERT_TRUE(report.ok());
-  for (const SentRecord& s : report.run.trace) {
+  for (const TraceEvent& s : sends) {
     // Each message goes parent -> child along a tree edge.
-    const NodeId child = g.neighbor(s.from, s.port).node;
-    EXPECT_EQ(tree.parent(child), s.from);
+    const NodeId child = g.neighbor(s.node, s.port).node;
+    EXPECT_EQ(tree.parent(child), s.node);
   }
 }
 
@@ -152,13 +158,14 @@ TEST(Wakeup, SourceMessageNeverDuplicated) {
   // Each node receives M exactly once (n-1 messages, n-1 receivers).
   Rng rng(105);
   const PortGraph g = make_random_connected(45, 0.15, rng);
-  RunOptions opts;
-  opts.trace = true;
-  const TaskReport report =
-      run_task(g, 9, TreeWakeupOracle(), WakeupTreeAlgorithm(), opts);
+  const auto [report, sends] = with_trace(
+      [&](const RunOptions& o) {
+        return run_task(g, 9, TreeWakeupOracle(), WakeupTreeAlgorithm(), o);
+      },
+      RunOptions{});
   ASSERT_TRUE(report.ok());
   std::vector<int> received(g.num_nodes(), 0);
-  for (const SentRecord& s : report.run.trace) ++received[s.to];
+  for (const TraceEvent& s : sends) ++received[s.peer];
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_EQ(received[v], v == 9 ? 0 : 1);
   }

@@ -8,7 +8,6 @@
 //         wheel N | caterpillar S L | regular N D | gns N T | gnsc N K
 //   run <task> [--source S]
 //       [--scheduler sync|random|fifo|lifo|linkfifo|adversarial]
-//       [--keying counter|stream]
 //       [--tree bfs|dfs|kruskal|light] [--seed S] [--anonymous]
 //       [--advice-file F] [--all-sources] [--jobs N] [--shards N] [--json]
 //       [--fault-rate P] [--fault-seed S] [--deadline-ms T] [--retries K]
@@ -114,7 +113,6 @@ using namespace oraclesize;
       "  oraclesize_cli run <wakeup|broadcast|flooding|census|gossip|hybrid>\n"
       "      [--source S] [--scheduler "
       "sync|random|fifo|lifo|linkfifo|adversarial]\n"
-      "      [--keying counter|stream]\n"
       "      [--tree bfs|dfs|kruskal|light] [--seed S] [--anonymous]\n"
       "      [--advice-file F] [--all-sources] [--jobs N] [--shards N] "
       "[--json]\n"
@@ -167,7 +165,6 @@ struct Options {
   NodeId source = 0;
   NodeId root = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  SchedulerKeying keying = SchedulerKeying::kCounter;
   TreeKind tree = TreeKind::kBfs;
   bool tree_set = false;
   bool anonymous = false;
@@ -283,15 +280,6 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
         opts.scheduler = SchedulerKind::kAsyncAdversarial;
       } else {
         usage("unknown scheduler '" + v + "'");
-      }
-    } else if (a == "--keying") {
-      const std::string v = next();
-      if (v == "counter") {
-        opts.keying = SchedulerKeying::kCounter;
-      } else if (v == "stream") {
-        opts.keying = SchedulerKeying::kStream;
-      } else {
-        usage("unknown keying '" + v + "'");
       }
     } else if (a == "--tree") {
       const std::string v = next();
@@ -436,7 +424,6 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
 
   RunOptions run_opts;
   run_opts.scheduler = opts.scheduler;
-  run_opts.keying = opts.keying;
   run_opts.seed = opts.seed;
   run_opts.anonymous = opts.anonymous;
   run_opts.fault.drop = opts.fault_rate;

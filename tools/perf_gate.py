@@ -3,19 +3,6 @@
 
 Dispatches on the file's "bench" field:
 
-perf_csr  (bench_perf --csr-compare)
-    Compares a freshly measured run against the committed baseline and
-    fails when the frozen-CSR advise-phase speedup regresses by more than
-    --max-regression (default 15%) on any row present in both files.
-    Because both sides of every row (legacy nested-vector pipeline vs
-    frozen-CSR pipeline) are re-measured on the same machine in the same
-    process, the gated quantity is a dimensionless ratio: machine speed
-    cancels, so the committed baseline stays meaningful on any hardware.
-    Also enforces the absolute acceptance floors this layout shipped with:
-    complete-family rows with n >= --floor-n must show at least
-    --min-speedup on both advise tasks, and every row must keep a
-    bytes-per-edge reduction of at least --min-mem-saved.
-
 perf_shard  (bench_perf --shard-scale)
     Two checks, with very different portability:
      * "identical" — the sharded engine reproduced the single-threaded
@@ -59,68 +46,23 @@ perf_seedbatch  (bench_perf --seed-batch)
        vanished and the ratio is timer noise over microseconds).
 
 Usage:
-    python3 tools/perf_gate.py --fresh BENCH_perf_csr.json \
-        --baseline BENCH_perf_csr.json.committed
+    python3 tools/perf_gate.py --fresh BENCH_perf_shard.fresh.json \
+        --baseline BENCH_perf_shard.json
 """
 
 import argparse
 import json
 import sys
 
-SPEEDUP_KEYS = ("advise_wakeup_speedup", "advise_broadcast_speedup")
-
-
 def load(path):
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("bench") not in ("perf_csr", "perf_shard", "perf_seedbatch",
+    if data.get("bench") not in ("perf_shard", "perf_seedbatch",
                                  "perf_schedbatch", "perf_service",
                                  "e16_byzantine"):
         sys.exit(f"{path}: not a perf_gate-gated bench record "
                  f"(bench = {data.get('bench')!r})")
     return data
-
-
-def gate_csr(fresh_data, base_data, args):
-    fresh = {(r["family"], r["n"]): r for r in fresh_data["rows"]}
-    base = {(r["family"], r["n"]): r for r in base_data["rows"]}
-    shared = sorted(set(fresh) & set(base))
-    if not shared:
-        sys.exit("no (family, n) rows shared between fresh and baseline")
-
-    failures = []
-    print(f"{'row':>22} | {'metric':>24} | {'base':>8} | {'fresh':>8}")
-    for key in shared:
-        family, n = key
-        frow, brow = fresh[key], base[key]
-        for metric in SPEEDUP_KEYS:
-            got, ref = frow[metric], brow[metric]
-            print(f"{family + ' n=' + str(n):>22} | {metric:>24} "
-                  f"| {ref:8.2f} | {got:8.2f}")
-            got_c = min(got, args.regression_cap)
-            ref_c = min(ref, args.regression_cap)
-            if got_c < ref_c * (1.0 - args.max_regression):
-                failures.append(
-                    f"{family} n={n}: {metric} regressed "
-                    f"{ref:.2f} -> {got:.2f} "
-                    f"(> {args.max_regression:.0%} drop)")
-            if (family == "complete" and n >= args.floor_n
-                    and got < args.min_speedup):
-                failures.append(
-                    f"{family} n={n}: {metric} {got:.2f} below the "
-                    f"{args.min_speedup}x acceptance floor")
-        saved = frow["bytes_reduction"]
-        if saved < args.min_mem_saved:
-            failures.append(
-                f"{family} n={n}: bytes_reduction {saved:.3f} below "
-                f"{args.min_mem_saved}")
-
-    if failures:
-        return failures
-    print(f"\nperf gate passed on {len(shared)} rows "
-          f"(max regression {args.max_regression:.0%}, "
-          f"floor {args.min_speedup}x on complete n>={args.floor_n})")
-    return []
 
 
 def gate_shard(fresh_data, base_data, args):
@@ -141,7 +83,7 @@ def gate_shard(fresh_data, base_data, args):
                 f"{family} n={n} shards={shards}: sharded run NOT "
                 f"bit-identical to the single-threaded engine")
 
-    # Unlike perf_csr, an empty intersection is not an error: CI measures
+    # An empty intersection is not an error: CI measures
     # at a reduced --scale-n, so fresh rows may share no (family, n) with
     # the committed million-node baseline. The identity check above already
     # covered every fresh row; only the scaling comparison needs a match.
@@ -445,21 +387,6 @@ def main():
     ap.add_argument("--max-regression", type=float, default=0.15,
                     help="largest tolerated fractional speedup drop vs "
                          "baseline (default 0.15)")
-    ap.add_argument("--regression-cap", type=float, default=8.0,
-                    help="speedups are clamped to this value before the "
-                         "regression comparison: past it the phase is no "
-                         "longer a bottleneck and the ratio (a huge "
-                         "denominator over a microsecond numerator) is "
-                         "dominated by timer noise")
-    ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="absolute advise-speedup floor on gated rows "
-                         "(perf_csr only)")
-    ap.add_argument("--floor-n", type=int, default=2048,
-                    help="complete-family rows with n >= this are held to "
-                         "--min-speedup (perf_csr only)")
-    ap.add_argument("--min-mem-saved", type=float, default=0.30,
-                    help="bytes-per-edge reduction floor on every row "
-                         "(perf_csr only)")
     ap.add_argument("--min-batch-speedup", type=float, default=10.0,
                     help="absolute scalar/batched speedup floor on "
                          "fault-free rows (perf_seedbatch only)")
@@ -498,10 +425,8 @@ def main():
         failures = gate_schedbatch(fresh_data, base_data, args)
     elif fresh_data["bench"] == "perf_service":
         failures = gate_service(fresh_data, base_data, args)
-    elif fresh_data["bench"] == "e16_byzantine":
+    else:  # e16_byzantine
         failures = gate_e16(fresh_data, base_data, args)
-    else:
-        failures = gate_csr(fresh_data, base_data, args)
 
     if failures:
         print("\nPERF GATE FAILED:", file=sys.stderr)
