@@ -8,15 +8,28 @@
 //
 // Round-trips every PortGraph exactly (structure, ports, labels). Used by
 // the CLI to pipe networks between tools and by users to persist workloads.
+// to_text is canonical: the header, then non-default labels by node, then
+// edges in edges() order, each field in decimal. The advice service's
+// graph digests hash these bytes, so they must not change.
 //
-// The parser is hardened against hostile input (tests/test_fuzz.cpp feeds
-// it mutated files): every number is parsed strictly (digits only — no
-// sign-wrapping through `operator>>` into unsigned), resource-exhausting
-// node counts are rejected by ParseLimits BEFORE any allocation, ports are
-// range-checked before they can drive adjacency growth, and the finished
-// graph is structurally validated (no port holes, symmetric neighbor
-// relation). Every rejection is a GraphParseError carrying the offending
-// line number.
+// Reader contract. One pass over the text, one line at a time, reading
+// the bytes in place:
+//   * lines end at '\n' only; a final line without '\n' counts, and
+//     everything from the first '#' of a line on is a comment;
+//   * tokens are separated by the whitespace `operator>>` skips in the
+//     classic locale: ' ', '\t', '\n', '\v', '\f', '\r'. Every other
+//     byte, NUL and bytes >= 0x80 included, belongs to a token;
+//   * every number is parsed strictly (digits only — no sign, no base
+//     prefix, no overflow), resource-exhausting node counts are rejected
+//     by ParseLimits BEFORE any allocation, and ports are range-checked
+//     before they can drive adjacency growth;
+//   * the finished graph is structurally validated (validate_ports: no
+//     port holes, symmetric neighbor relation, distinct labels, no
+//     parallel edges).
+// Every rejection is a GraphParseError carrying the offending line number
+// and a fixed diagnostic. tests/test_graph_io.cpp pins the exact line()
+// and detail() of each rejection class, and tests/test_fuzz.cpp feeds the
+// reader mutated files, any byte included.
 #pragma once
 
 #include <cstddef>
@@ -52,14 +65,16 @@ class GraphParseError : public std::invalid_argument {
   std::string detail_;
 };
 
-/// Writes g in the text format above.
+/// Writes g in the text format above; write_port_graph writes to_text(g).
 void write_port_graph(std::ostream& os, const PortGraph& g);
 std::string to_text(const PortGraph& g);
 
 /// Parses the text format. Throws GraphParseError (an
 /// std::invalid_argument) with line context on any malformed input; never
-/// asserts or invokes UB, whatever the bytes. The returned graph always
-/// satisfies validate_ports (graph/validate.h).
+/// asserts or invokes UB, whatever the bytes. The returned graph is frozen
+/// and always satisfies validate_ports (graph/validate.h). from_text reads
+/// the string in place; read_port_graph feeds the lines of std::getline to
+/// the same parser, so both accept and reject exactly the same texts.
 PortGraph read_port_graph(std::istream& is, const ParseLimits& limits = {});
 PortGraph from_text(const std::string& text, const ParseLimits& limits = {});
 

@@ -1,41 +1,46 @@
 #include "graph/validate.h"
 
 #include <deque>
-#include <sstream>
+#include <span>
 #include <unordered_set>
 
 namespace oraclesize {
 
 std::string validate_ports(const PortGraph& g) {
-  std::ostringstream err;
+  const std::size_t n = g.num_nodes();
   std::unordered_set<Label> labels;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  labels.reserve(n);
+  // seen_by[u] == v once u has turned up behind a port of v: one array
+  // finds parallel edges at every node.
+  std::vector<NodeId> seen_by(n, kNoNode);
+  for (NodeId v = 0; v < n; ++v) {
     if (!labels.insert(g.label(v)).second) {
-      err << "duplicate label " << g.label(v) << " at node " << v;
-      return err.str();
+      return "duplicate label " + std::to_string(g.label(v)) + " at node " +
+             std::to_string(v);
     }
-    std::unordered_set<NodeId> seen_neighbors;
-    const std::size_t deg = g.degree(v);
-    for (Port p = 0; p < deg; ++p) {
-      if (!g.has_port(v, p)) {
-        err << "node " << v << " has a vacant port " << p << " below degree "
-            << deg;
-        return err.str();
+    const std::span<const Endpoint> row = g.neighbors(v);
+    for (Port p = 0; p < row.size(); ++p) {
+      const Endpoint e = row[p];
+      if (e.node == kNoNode) {
+        return "node " + std::to_string(v) + " has a vacant port " +
+               std::to_string(p) + " below degree " +
+               std::to_string(row.size());
       }
-      const Endpoint e = g.neighbor(v, p);
-      if (!g.has_port(e.node, e.port)) {
-        err << "node " << v << " port " << p << " points to vacant slot";
-        return err.str();
+      const std::span<const Endpoint> far =
+          e.node < n ? g.neighbors(e.node) : std::span<const Endpoint>{};
+      if (e.port >= far.size() || far[e.port].node == kNoNode) {
+        return "node " + std::to_string(v) + " port " + std::to_string(p) +
+               " points to vacant slot";
       }
-      const Endpoint back = g.neighbor(e.node, e.port);
-      if (back.node != v || back.port != p) {
-        err << "asymmetric port relation at node " << v << " port " << p;
-        return err.str();
+      if (far[e.port] != Endpoint{v, p}) {
+        return "asymmetric port relation at node " + std::to_string(v) +
+               " port " + std::to_string(p);
       }
-      if (!seen_neighbors.insert(e.node).second) {
-        err << "parallel edge between " << v << " and " << e.node;
-        return err.str();
+      if (seen_by[e.node] == v) {
+        return "parallel edge between " + std::to_string(v) + " and " +
+               std::to_string(e.node);
       }
+      seen_by[e.node] = v;
     }
   }
   return {};

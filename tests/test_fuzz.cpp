@@ -274,7 +274,7 @@ TEST_P(LoaderFuzz, MutatedInputParsesCleanlyOrThrowsStructured) {
 
   const std::size_t mutations = 1 + static_cast<std::size_t>(rng.below(8));
   for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
-    switch (rng.below(5)) {
+    switch (rng.below(7)) {
       case 0:  // flip one character to random printable junk
         text[rng.below(text.size())] =
             static_cast<char>(' ' + rng.below(95));
@@ -298,6 +298,16 @@ TEST_P(LoaderFuzz, MutatedInputParsesCleanlyOrThrowsStructured) {
         const std::size_t len =
             std::min<std::size_t>(text.size() - at, 1 + rng.below(20));
         text.erase(at, len);
+        break;
+      }
+      case 5:  // overwrite one byte with any byte: NUL, controls, >= 0x80
+        text[rng.below(text.size())] = static_cast<char>(rng.below(256));
+        break;
+      case 6: {  // insert a separator a tokenizer may misclassify
+        static constexpr char kSeparators[] = {' ',  '\t', '\n', '\v',
+                                               '\f', '\r', '#'};
+        text.insert(rng.below(text.size() + 1), 1,
+                    kSeparators[rng.below(sizeof kSeparators)]);
         break;
       }
     }

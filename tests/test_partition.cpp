@@ -33,7 +33,9 @@ void check_invariants(const PortGraph& g, const Partition& p) {
   EXPECT_EQ(p.bounds.front(), 0u);
   EXPECT_EQ(p.bounds.back(), n);
   for (std::size_t i = 0; i + 1 < p.bounds.size(); ++i) {
-    if (n > 0) EXPECT_LT(p.bounds[i], p.bounds[i + 1]);
+    if (n > 0) {
+      EXPECT_LT(p.bounds[i], p.bounds[i + 1]);
+    }
   }
   for (NodeId v = 0; v < n; ++v) {
     const std::uint32_t s = p.shard_of(v);

@@ -110,7 +110,9 @@ TEST(SeedBatchEngine, FuzzFortySeedsBitIdenticalAcrossMatrix) {
           // classes split from the driver's order and retire, but the
           // driver class itself always survives a fault-free pass.
           EXPECT_TRUE(stats.lockstep_ran);
-          if (rate == 0.0) EXPECT_GE(stats.shared, 1u);
+          if (rate == 0.0) {
+            EXPECT_GE(stats.shared, 1u);
+          }
         } else if (rate == 0.0) {
           // Fault-free family on a pure scheduler: one pass serves all.
           EXPECT_TRUE(stats.lockstep_ran);

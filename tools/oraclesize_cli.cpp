@@ -93,7 +93,6 @@
 #include "graph/stats.h"
 #include "graph/light_tree.h"
 #include "graph/subdivision.h"
-#include "graph/validate.h"
 #include "lowerbound/bounds.h"
 #include "lowerbound/counting_adversary.h"
 #include "lowerbound/strategies.h"
@@ -415,11 +414,6 @@ TaskSelection select_task(const std::string& task, const Options& opts) {
 int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   if (args.size() != 1) usage("run: expected exactly one task");
   const PortGraph g = read_port_graph(std::cin);
-  const std::string err = validate_ports(g);
-  if (!err.empty()) {
-    std::cerr << "invalid network: " << err << "\n";
-    return 2;  // infrastructure, not a task result
-  }
   if (opts.source >= g.num_nodes()) usage("run: --source out of range");
 
   RunOptions run_opts;
@@ -692,11 +686,6 @@ int cmd_trace(const std::vector<std::string>& args, const Options& opts) {
 int cmd_advise(const std::vector<std::string>& args, const Options& opts) {
   if (args.size() != 1) usage("advise: expected exactly one oracle");
   const PortGraph g = read_port_graph(std::cin);
-  const std::string err = validate_ports(g);
-  if (!err.empty()) {
-    std::cerr << "invalid network: " << err << "\n";
-    return 1;
-  }
   if (opts.source >= g.num_nodes()) usage("advise: --source out of range");
   std::unique_ptr<Oracle> oracle;
   if (args[0] == "tree") {
@@ -747,11 +736,6 @@ int cmd_tree(const std::vector<std::string>& args, const Options& opts) {
 
 int cmd_stats() {
   const PortGraph g = read_port_graph(std::cin);
-  const std::string err = validate_ports(g);
-  if (!err.empty()) {
-    std::cerr << "invalid network: " << err << "\n";
-    return 1;
-  }
   const GraphStats s = compute_stats(g);
   std::cout << g.summary() << "\n"
             << "degree: min " << s.min_degree << ", max " << s.max_degree
