@@ -9,6 +9,9 @@
 // count stays below ceil(log2 n) + 1. The comparison columns show that
 // naive trees (BFS from the source) can exceed the 4n budget on dense
 // port-rich graphs while the light tree never does.
+//
+// Exits 1 if any row breaks sum #2 <= 4n or any K*_2048 phase has
+// C_k > k * |T_small(k)|, so a ctest run checks Claim 3.1.
 #include <iostream>
 
 #include "bench_common.h"
@@ -22,6 +25,7 @@ int main(int argc, char** argv) {
   // carries just the envelope (bench id, jobs, total_wall_ns).
   bench::Harness harness("e3_light_tree", argc, argv);
   (void)harness;
+  bool holds = true;
   {
     Table t({"family", "n", "light contrib", "contrib/n", "<=4n?", "phases",
              "bfs contrib", "dfs contrib", "kruskal contrib"});
@@ -33,6 +37,8 @@ int main(int argc, char** argv) {
           tree_contribution(w.graph, dfs_tree(w.graph, 0));
       const std::uint64_t kruskal =
           tree_contribution(w.graph, kruskal_mst(w.graph, 0));
+      const bool within = light.contribution <= 4 * w.n;
+      holds = holds && within;
       t.row()
           .cell(w.family)
           .cell(w.n)
@@ -40,7 +46,7 @@ int main(int argc, char** argv) {
           .cell(static_cast<double>(light.contribution) /
                     static_cast<double>(w.n),
                 3)
-          .cell(light.contribution <= 4 * w.n ? "yes" : "NO")
+          .cell(within ? "yes" : "NO")
           .cell(light.phases.size())
           .cell(bfs)
           .cell(dfs)
@@ -57,6 +63,9 @@ int main(int argc, char** argv) {
     Table t({"phase k", "trees before", "small trees", "edges added",
              "edges erased", "C_k", "proof cap k*|small|"});
     for (const LightTreePhase& p : r.phases) {
+      const std::uint64_t cap =
+          static_cast<std::uint64_t>(p.phase) * p.small_trees;
+      holds = holds && p.contribution <= cap;
       t.row()
           .cell(p.phase)
           .cell(p.trees_before)
@@ -64,10 +73,14 @@ int main(int argc, char** argv) {
           .cell(p.edges_added)
           .cell(p.edges_erased)
           .cell(p.contribution)
-          .cell(static_cast<std::uint64_t>(p.phase) * p.small_trees);
+          .cell(cap);
     }
     t.print(std::cout,
             "E3b: per-phase accounting on K*_2048 (C_k <= k * |T_small(k)|)");
+  }
+  if (!holds) {
+    std::cerr << "E3: Claim 3.1 violated (see the NO rows / C_k above)\n";
+    return 1;
   }
   return 0;
 }

@@ -1,10 +1,11 @@
 // Memoized oracle advice: compute each distinct advice vector once.
 //
 // Experiment sweeps repeat trials over the same (graph, oracle, source)
-// triple — repeats for timing, scheduler ablations, seed sweeps — and the
-// oracle's advise() is the expensive part (light-tree construction is
-// O(m log n); on dense graphs it dwarfs the execution itself). AdviceCache
-// is a thread-safe memo table over
+// triple — repeats for timing, scheduler ablations, seed sweeps — and no
+// repeat needs to pay the oracle's advise() again. On a dense graph one
+// advise costs about as much as a few runs (BENCH_perf_cache.json, the
+// `complete` rows), on a sparse one less than a run. AdviceCache is a
+// thread-safe memo table over
 //
 //     key = (graph identity, oracle name, source)
 //

@@ -137,12 +137,16 @@ PortGraph make_random_tree(std::size_t n, Rng& rng) {
 
 PortGraph make_random_connected(std::size_t n, double p, Rng& rng) {
   PortGraph tree = make_random_tree(n, rng);
-  // Re-add tree edges into a fresh graph, then sprinkle extras.
+  // Re-add tree edges into a fresh graph, then sprinkle extras. When pair
+  // (u, v) comes up, only a tree edge can already join it, so u's tree
+  // neighbors are marked instead of searching u's growing row.
   PortGraph g(n);
   for (const Edge& e : tree.edges()) g.add_edge_auto(e.u, e.v);
+  std::vector<NodeId> tree_neighbor_of(n, kNoNode);
   for (NodeId u = 0; u < n; ++u) {
+    for (const Endpoint& e : tree.neighbors(u)) tree_neighbor_of[e.node] = u;
     for (NodeId v = u + 1; v < n; ++v) {
-      if (g.port_towards(u, v) != kNoPort) continue;
+      if (tree_neighbor_of[v] == u) continue;
       if (rng.chance(p)) g.add_edge_auto(u, v);
     }
   }

@@ -36,7 +36,15 @@ struct LightTreeResult {
   std::uint64_t contribution = 0;  ///< sum of #2(w(e)) over tree edges
 };
 
-/// Runs the Claim 3.1 construction on a connected graph. O(m log n).
+/// Runs the Claim 3.1 construction on a connected graph. In phase k each
+/// small tree picks its minimum outgoing edge by (w(e), g.edges() index).
+/// Edges are grouped into weight buckets, each built on first use at one
+/// visit per node of degree > w; a phase scans whole buckets from weight 0
+/// and stops after the weight at which its last small tree found an edge.
+/// A call costs O(n) per phase and per bucket reached plus the edges it
+/// reads: about O(n) per bucket on dense graphs instead of O(m), and never
+/// more than sorting all m edges and scanning them once per phase.
+/// Throws std::invalid_argument if g is empty or disconnected.
 LightTreeResult light_tree(const PortGraph& g, NodeId root);
 
 }  // namespace oraclesize

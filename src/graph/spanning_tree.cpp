@@ -1,7 +1,6 @@
 #include "graph/spanning_tree.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <stdexcept>
 
@@ -51,8 +50,10 @@ SpanningTree SpanningTree::from_parent_ports(const PortGraph& g,
   t.root_ = root;
   t.parent_ = std::move(parent);
   t.up_port_ = std::move(up_port);
-  t.child_ports_.assign(n, {});
-  t.depth_.assign(n, 0);
+  // Children per parent, summed into end offsets; the fill below walks v
+  // downwards, so each parent's ports come out in ascending child id and
+  // child_begin_[p] ends at p's first slot.
+  t.child_begin_.assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     if (v == root) continue;
     const NodeId p = t.parent_[v];
@@ -63,29 +64,36 @@ SpanningTree SpanningTree::from_parent_ports(const PortGraph& g,
     if (up == kNoPort || !g.has_port(v, up) || g.neighbor(v, up).node != p) {
       throw std::invalid_argument("SpanningTree: parent edge not in graph");
     }
-    t.child_ports_[p].push_back(g.neighbor(v, up).port);
+    ++t.child_begin_[p];
   }
-  // Depths; doubles as an acyclicity/spanning check.
-  std::vector<std::vector<NodeId>> children(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != root) children[t.parent_[v]].push_back(v);
+  std::partial_sum(t.child_begin_.begin(), t.child_begin_.end(),
+                   t.child_begin_.begin());
+  t.child_port_.resize(t.child_begin_[n]);
+  for (NodeId v = static_cast<NodeId>(n); v-- > 0;) {
+    if (v == root) continue;
+    t.child_port_[--t.child_begin_[t.parent_[v]]] =
+        g.neighbors(v)[t.up_port_[v]].port;
   }
+  // Depths; doubles as an acyclicity/spanning check. A child port at v
+  // leads to the child itself.
+  t.depth_.assign(n, 0);
   std::vector<bool> seen(n, false);
-  std::deque<NodeId> queue{root};
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(root);
   seen[root] = true;
-  std::size_t visited = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (NodeId u : children[v]) {
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    const std::span<const Endpoint> row = g.neighbors(v);
+    for (const Port q : t.child_ports(v)) {
+      const NodeId u = row[q].node;
       if (seen[u]) throw std::invalid_argument("SpanningTree: cycle");
       seen[u] = true;
       t.depth_[u] = t.depth_[v] + 1;
-      ++visited;
       queue.push_back(u);
     }
   }
-  if (visited != n) {
+  if (queue.size() != n) {
     throw std::invalid_argument("SpanningTree: parent array does not span");
   }
   return t;
@@ -122,28 +130,38 @@ SpanningTree SpanningTree::from_edges(const PortGraph& g, NodeId root,
     throw std::invalid_argument("SpanningTree::from_edges: wrong edge count");
   }
   // Forest edges carry both port numbers, so the BFS orientation can
-  // record each node's up port as it goes instead of re-deriving it.
+  // record each node's up port as it goes instead of re-deriving it. The
+  // forest adjacency is one array over prefix-summed degrees, filled from
+  // the back so each node lists its edges in input order.
   struct Half {
     NodeId to;
     Port to_port;  // port AT `to` on this edge
   };
-  std::vector<std::vector<Half>> adj(n);
+  std::vector<std::size_t> begin(n + 1, 0);
   for (const Edge& e : edges) {
     if (e.u >= n || e.v >= n) {
       throw std::invalid_argument("SpanningTree::from_edges: bad edge");
     }
-    adj[e.u].push_back(Half{e.v, e.port_v});
-    adj[e.v].push_back(Half{e.u, e.port_u});
+    ++begin[e.u];
+    ++begin[e.v];
+  }
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<Half> adj(2 * edges.size());
+  for (auto e = edges.rbegin(); e != edges.rend(); ++e) {
+    adj[--begin[e->v]] = Half{e->u, e->port_u};
+    adj[--begin[e->u]] = Half{e->v, e->port_v};
   }
   std::vector<NodeId> parent(n, kNoNode);
   std::vector<Port> up_port(n, kNoPort);
   std::vector<bool> seen(n, false);
-  std::deque<NodeId> queue{root};
   seen.at(root) = true;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const Half& h : adj[v]) {
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(root);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    for (std::size_t i = begin[v]; i < begin[v + 1]; ++i) {
+      const Half h = adj[i];
       if (!seen[h.to]) {
         seen[h.to] = true;
         parent[h.to] = v;
@@ -187,15 +205,16 @@ SpanningTree bfs_tree(const PortGraph& g, NodeId root) {
   std::vector<NodeId> parent(n, kNoNode);
   std::vector<Port> up_port(n, kNoPort);
   std::vector<bool> seen(n, false);
-  std::deque<NodeId> queue{root};
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(root);
   seen[root] = true;
   // Once every node is discovered the remaining row scans cannot assign
   // another parent, so the traversal stops early — on dense graphs this
   // turns the O(m) BFS into an O(sum of scanned rows) one.
-  std::size_t found = 1;
-  while (!queue.empty() && found < n) {
-    const NodeId v = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size() && queue.size() < n;
+       ++head) {
+    const NodeId v = queue[head];
     for (const Endpoint& e : g.neighbors(v)) {
       if (e.node == kNoNode) continue;  // vacant slot in a builder-state row
       if (!seen[e.node]) {
@@ -203,7 +222,6 @@ SpanningTree bfs_tree(const PortGraph& g, NodeId root) {
         parent[e.node] = v;
         up_port[e.node] = e.port;  // e.port is at e.node, pointing back to v
         queue.push_back(e.node);
-        ++found;
       }
     }
   }

@@ -9,6 +9,7 @@
 // the Claim 3.1 light tree lives in graph/light_tree.h.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/port_graph.h"
@@ -48,12 +49,15 @@ class SpanningTree {
   /// Port at v leading to its parent. Undefined (kNoPort) for the root.
   Port port_to_parent(NodeId v) const { return up_port_.at(v); }
 
-  /// Ports at v leading to each of its children (construction order).
-  const std::vector<Port>& child_ports(NodeId v) const {
-    return child_ports_.at(v);
+  /// Ports at v leading to each of its children, in ascending child id: a
+  /// view into the tree's flat child-port array, valid as long as the tree.
+  /// Throws std::out_of_range for v >= num_nodes().
+  std::span<const Port> child_ports(NodeId v) const {
+    const std::size_t end = child_begin_.at(std::size_t{v} + 1);
+    return {child_port_.data() + child_begin_[v], end - child_begin_[v]};
   }
-  std::size_t num_children(NodeId v) const { return child_ports_.at(v).size(); }
-  bool is_leaf(NodeId v) const { return child_ports_.at(v).empty(); }
+  std::size_t num_children(NodeId v) const { return child_ports(v).size(); }
+  bool is_leaf(NodeId v) const { return child_ports(v).empty(); }
 
   /// Depth of v (root has depth 0).
   std::uint32_t depth(NodeId v) const { return depth_.at(v); }
@@ -66,7 +70,9 @@ class SpanningTree {
   NodeId root_ = kNoNode;
   std::vector<NodeId> parent_;
   std::vector<Port> up_port_;
-  std::vector<std::vector<Port>> child_ports_;
+  // Children of v: child_port_[child_begin_[v] .. child_begin_[v + 1]).
+  std::vector<std::uint32_t> child_begin_;
+  std::vector<Port> child_port_;
   std::vector<std::uint32_t> depth_;
 };
 

@@ -1,5 +1,6 @@
 #include "oracle/partial_tree_oracle.h"
 
+#include <span>
 #include <sstream>
 
 #include "bitio/codecs.h"
@@ -22,7 +23,7 @@ std::vector<BitString> PartialTreeOracle::advise(const PortGraph& g,
     if (v != source && !rng.chance(fraction_)) continue;
     BitString s;
     s.append_bit(true);  // "advised" flag
-    const std::vector<Port>& ports = tree.child_ports(v);
+    const std::span<const Port> ports = tree.child_ports(v);
     if (!ports.empty()) {
       s.append(encode_port_list(
           std::vector<std::uint64_t>(ports.begin(), ports.end()), width));

@@ -1,6 +1,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ std::vector<BitString> TreeWakeupOracle::advise(const PortGraph& g,
   // Port numbers are below n-1 < n, so ceil(log2 n) bits suffice.
   const int width = std::max(1, ceil_log2(static_cast<std::uint64_t>(n)));
   for (NodeId v = 0; v < n; ++v) {
-    const std::vector<Port>& ports = tree.child_ports(v);
+    const std::span<const Port> ports = tree.child_ports(v);
     if (ports.empty()) continue;  // leaves: empty string, as in the paper
     std::vector<std::uint64_t> wide(ports.begin(), ports.end());
     advice[v] = encode_port_list(wide, width);
