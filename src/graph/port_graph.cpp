@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace oraclesize {
 
@@ -38,6 +39,15 @@ PortGraph::PortGraph(std::size_t num_nodes)
     labels_[v] = static_cast<Label>(v) + 1;  // paper-style labels 1..n
   }
 }
+
+PortGraph::PortGraph(std::vector<std::uint64_t> offsets,
+                     std::vector<Endpoint> endpoints,
+                     std::vector<Label> labels)
+    : frozen_(true),
+      offsets_(std::move(offsets)),
+      endpoints_(std::move(endpoints)),
+      labels_(std::move(labels)),
+      num_edges_(endpoints_.size() / 2) {}
 
 void PortGraph::add_edge(NodeId u, Port pu, NodeId v, Port pv) {
   if (frozen_) throw_frozen("add_edge");

@@ -37,6 +37,8 @@ using NodeId = std::uint32_t;
 using Port = std::uint32_t;
 using Label = std::uint64_t;
 
+struct ParseLimits;  // graph/io.h
+
 inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 inline constexpr Port kNoPort = std::numeric_limits<Port>::max();
 
@@ -176,6 +178,13 @@ class PortGraph {
   std::string summary() const;
 
  private:
+  // The text reader builds the CSR arrays straight from the text, checks
+  // every invariant on them, and hands them over here: no builder state.
+  friend PortGraph from_text(const std::string& text,
+                             const ParseLimits& limits);
+  PortGraph(std::vector<std::uint64_t> offsets,
+            std::vector<Endpoint> endpoints, std::vector<Label> labels);
+
   // Builder state (released by freeze()).
   std::vector<std::vector<Endpoint>> adj_;  // adj_[v][port]
   std::vector<Port> next_free_;             // add_edge_auto scan cursors

@@ -215,6 +215,27 @@ TEST(GraphIo, HostileTextsHaveExactOutcomes) {
       {"hole_checked_before_a_later_label",
        "portgraph 3\nlabel 2 1\nedge 0 1 1 0\n", "", 0,
        "invalid graph: node 0 has a vacant port 0 below degree 2"},
+      // Orders a reader that checks slots after reading every line must
+      // still get right: a line's occupied port before its own trailing
+      // tokens and before any later line, a self-loop before trailing
+      // tokens, the last of two labels, and a parallel edge before a hole
+      // at a higher port of the same node.
+      {"occupied_port_before_own_trailing_tokens",
+       "portgraph 3\nedge 0 0 1 0\nedge 0 0 2 0 x\n", "", 3,
+       "add_edge: port already occupied"},
+      {"self_loop_before_trailing_tokens", "portgraph 2\nedge 1 0 1 1 x\n",
+       "", 2, "add_edge: self-loop"},
+      {"occupied_port_before_a_later_syntax_error",
+       "portgraph 3\nedge 0 0 1 0\nedge 0 0 2 0\nedge 1 x 2 1\n", "", 3,
+       "add_edge: port already occupied"},
+      {"syntax_error_before_a_later_occupied_port",
+       "portgraph 3\nedge 0 0 1 0\nedge 1 x 2 1\nedge 0 0 2 0\n", "", 3,
+       "bad edge port (expected an unsigned integer, got 'x')"},
+      {"last_label_wins", "portgraph 2\nlabel 0 5\nlabel 0 9\nedge 0 0 1 0\n",
+       "portgraph 2\nlabel 0 9\nedge 0 0 1 0\n", 0, ""},
+      {"parallel_edge_before_a_higher_hole",
+       "portgraph 4\nedge 0 0 1 0\nedge 0 1 1 1\nedge 0 3 2 0\n", "", 0,
+       "invalid graph: parallel edge between 0 and 1"},
   };
   for (const TextCase& c : cases) {
     expect_case(c, [&] { return from_text(c.text); }, "from_text");

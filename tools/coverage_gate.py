@@ -79,6 +79,8 @@ def main():
             continue
         per_line = lines_by_file[path]
         n = len(per_line)
+        if n == 0:
+            continue  # gcov lists files with no executable lines, e.g. headers
         h = sum(1 for c in per_line.values() if c > 0)
         total += n
         hit += h
