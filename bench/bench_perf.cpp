@@ -1,20 +1,17 @@
-// Timing microbenchmarks (google-benchmark) for the heavyweight kernels:
-// the light-tree construction, oracle generation, and the execution engine.
-// These are throughput sanity checks, not paper results — the paper's
-// quantities are message counts and bit counts (bench_e1..e9).
+// Wall-clock harness for BatchRunner's batched paths: the advice-cache
+// sweep, and the lockstep executor's seed families, whose identity bits and
+// dedup floors tools/perf_gate.py gates. These are throughput measurements,
+// not paper results: the paper's quantities are message counts and bit
+// counts (bench_e1..e16). The end-to-end and per-layer timings of the
+// engines, the sharded engine and the advice service are perfbench's
+// (perfbench/README.md), which also checks sharded == serial and service ==
+// direct on every run.
 //
-// Modes:
-//   bench_perf [google-benchmark flags]        microbenchmark suite
-//   bench_perf --sweep [--jobs N] [--json F] [--repeat N]
-//              [--no-advice-cache]             batched E1-style sweep via
+// Modes (a bare call prints usage and exits 2):
+//   bench_perf --sweep [--repeat N] [bench harness options: --jobs N,
+//              --json F, --no-advice-cache, ...]
+//                                              batched E1-style sweep via
 //                                              BatchRunner, wall-clock timed
-//   bench_perf --shard-scale [--scale-n N] [--repeat N]
-//              [--json F | --no-json]          sharded engine vs the
-//                                              single-threaded engine on
-//                                              million-node graphs, at shard
-//                                              counts 1/2/4/8, with a
-//                                              bit-identity check per row
-//                                              -> BENCH_perf_shard.json
 //   bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N] [--jobs N]
 //              [--json F | --no-json]          seed-batched lockstep executor
 //                                              vs the scalar BatchRunner path
@@ -34,137 +31,35 @@
 //                                              a report-identity check per
 //                                              lane
 //                                              -> BENCH_perf_schedbatch.json
-//   bench_perf --service [--clients N] [--requests N] [--smoke] [--jobs N]
-//              [--json F | --no-json]          load generator against an
-//                                              in-process oracled service:
-//                                              C client threads hammer a
-//                                              mixed advise/run traffic
-//                                              pattern over the socket, one
-//                                              pass unbounded and one under
-//                                              a tiny LRU budget; reports
-//                                              req/s, p50/p99 latency, cache
-//                                              hit rate, and checks every
-//                                              run response field-identical
-//                                              to a direct BatchRunner
-//                                              execution
-//                                              -> BENCH_perf_service.json
 //
 // With --repeat N >= 2 the sweep duplicates every (graph, oracle, source)
 // trial N times — the shape the advice cache is built for — runs the batch
 // once with the cache and once without, and writes the before/after wall
 // numbers per workload row into BENCH_perf_cache.json (see EXPERIMENTS.md
 // for the field definitions).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "bench_common.h"
-#include "service/advice_service.h"
-#include "service/client.h"
-#include "graph/io.h"
 #include "core/broadcast_b.h"
 #include "core/census.h"
 #include "core/flooding.h"
 #include "core/wakeup.h"
-#include "graph/light_tree.h"
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
-#include "sim/execution_context.h"
-#include "sim/sharded_engine.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace oraclesize;
-
-void BM_LightTreeComplete(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const PortGraph g = make_complete_star(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(light_tree(g, 0).contribution);
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_LightTreeComplete)->Arg(128)->Arg(512)->Arg(1024)->Complexity();
-
-void BM_LightTreeSparse(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const PortGraph g = make_random_connected(n, 8.0 / static_cast<double>(n),
-                                            rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(light_tree(g, 0).contribution);
-  }
-}
-BENCHMARK(BM_LightTreeSparse)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_WakeupOracleAdvise(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const PortGraph g = make_complete_star(n);
-  const TreeWakeupOracle oracle;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.advise(g, 0));
-  }
-}
-BENCHMARK(BM_WakeupOracleAdvise)->Arg(256)->Arg(1024);
-
-void BM_BroadcastOracleAdvise(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const PortGraph g = make_complete_star(n);
-  const LightBroadcastOracle oracle;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.advise(g, 0));
-  }
-}
-BENCHMARK(BM_BroadcastOracleAdvise)->Arg(256)->Arg(1024);
-
-void BM_EngineWakeup(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const PortGraph g = make_random_connected(n, 8.0 / static_cast<double>(n),
-                                            rng);
-  const auto advice = TreeWakeupOracle().advise(g, 0);
-  const WakeupTreeAlgorithm algo;
-  for (auto _ : state) {
-    RunOptions opts;
-    opts.enforce_wakeup = true;
-    benchmark::DoNotOptimize(
-        run_execution(g, 0, advice, algo, opts).metrics.messages_total);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n - 1));
-}
-BENCHMARK(BM_EngineWakeup)->Arg(1024)->Arg(8192);
-
-void BM_EngineBroadcastB(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  const PortGraph g = make_random_connected(n, 8.0 / static_cast<double>(n),
-                                            rng);
-  const auto advice = LightBroadcastOracle().advise(g, 0);
-  const BroadcastBAlgorithm algo;
-  for (auto _ : state) {
-    RunOptions opts;
-    opts.scheduler = SchedulerKind::kAsyncRandom;
-    opts.seed = 9;
-    benchmark::DoNotOptimize(
-        run_execution(g, 0, advice, algo, opts).metrics.messages_total);
-  }
-}
-BENCHMARK(BM_EngineBroadcastB)->Arg(1024)->Arg(8192);
 
 std::uint64_t since_ns(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -362,175 +257,6 @@ int run_sweep(int argc, char** argv) {
   std::cerr << "[bench] wrote cache comparison (" << num_rows
             << " rows) to BENCH_perf_cache.json\n";
   return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --shard-scale: the sharded engine's scaling measurement.
-//
-// Three large sparse families derived from one size parameter N (default
-// 10^6, raise with --scale-n up to ~10^7): a sparse random connected graph,
-// a square grid, and a hypercube. Each runs the wakeup task once per shard
-// count in {1, 2, 4, 8} — shards = 1 is the unmodified single-threaded
-// engine, the measurement baseline — and every sharded run's RunResult is
-// compared against that baseline ("identical" per row; the engine's whole
-// contract). Timing is min-of---repeat (default 1: one run of a million-
-// node graph is already seconds). The JSON header records
-// hardware_concurrency because the speedup column is only meaningful when
-// the host has at least as many cores as shards; tools/perf_gate.py skips
-// scaling-ratio gating otherwise but always enforces the identity bits.
-// ---------------------------------------------------------------------------
-
-int run_shard_scale(int argc, char** argv) {
-  std::size_t scale_n = 1'000'000;
-  std::size_t repeat = 1;
-  std::string json_path = "BENCH_perf_shard.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale-n") == 0 && i + 1 < argc) {
-      scale_n = std::max<std::size_t>(1024, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (shard-scale supports: --scale-n N, --repeat N, "
-                   "--json FILE, --no-json)\n";
-      return 2;
-    }
-  }
-
-  Rng rng(0xbeefcafeULL);
-  std::vector<bench::Workload> loads;
-  loads.push_back(bench::timed_workload(
-      "random-sparse", scale_n, [&] {
-        return make_random_connected_sparse(scale_n, scale_n / 4, rng);
-      }));
-  std::size_t side = 1;
-  while ((side + 1) * (side + 1) <= scale_n) ++side;
-  loads.push_back(bench::timed_workload(
-      "grid", side * side, [&] { return make_grid(side, side); }));
-  int d = 10;
-  while (d < 20 && (std::size_t{1} << (d + 1)) <= scale_n) ++d;
-  loads.push_back(bench::timed_workload(
-      "hypercube", std::size_t{1} << d, [&] { return make_hypercube(d); }));
-
-  struct Row {
-    std::string family;
-    std::size_t n = 0;
-    std::size_t m = 0;
-    std::uint32_t shards = 1;
-    std::uint64_t run_ns = 0;
-    double speedup_vs_1 = 1.0;
-    bool identical = true;
-    bool fell_back = false;
-    std::uint64_t epochs = 0;
-    std::uint64_t cross_shard_messages = 0;
-  };
-
-  const TreeWakeupOracle oracle;
-  const WakeupTreeAlgorithm algorithm;
-  RunOptions opts;
-  opts.enforce_wakeup = true;
-  const std::uint32_t shard_counts[] = {1, 2, 4, 8};
-  std::vector<Row> rows;
-  for (const bench::Workload& w : loads) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<BitString> advice = oracle.advise(w.graph, 0);
-    const std::uint64_t advise_ns = since_ns(t0);
-    std::cerr << "[bench] " << w.family << " n=" << w.graph.num_nodes()
-              << " built in " << static_cast<double>(w.build_ns) / 1e9
-              << " s, advised in " << static_cast<double>(advise_ns) / 1e9
-              << " s\n";
-
-    RunResult baseline;
-    std::uint64_t baseline_ns = 0;
-    for (const std::uint32_t shards : shard_counts) {
-      Row row;
-      row.family = w.family;
-      row.n = w.graph.num_nodes();
-      row.m = w.graph.num_edges();
-      row.shards = shards;
-      RunResult result;
-      row.run_ns = std::numeric_limits<std::uint64_t>::max();
-      if (shards == 1) {
-        ExecutionContext engine;
-        for (std::size_t r = 0; r < repeat; ++r) {
-          const auto t1 = std::chrono::steady_clock::now();
-          result = engine.run(w.graph, 0, advice, algorithm, opts);
-          row.run_ns = std::min(row.run_ns, since_ns(t1));
-        }
-        baseline = result;
-        baseline_ns = row.run_ns;
-      } else {
-        ShardedExecutionContext engine(shards);
-        for (std::size_t r = 0; r < repeat; ++r) {
-          const auto t1 = std::chrono::steady_clock::now();
-          result = engine.run(w.graph, 0, advice, algorithm, opts);
-          row.run_ns = std::min(row.run_ns, since_ns(t1));
-        }
-        row.identical = result == baseline;
-        row.fell_back = engine.last_stats().fell_back;
-        row.epochs = engine.last_stats().epochs;
-        row.cross_shard_messages = engine.last_stats().cross_shard_messages;
-      }
-      row.speedup_vs_1 =
-          row.run_ns > 0 ? static_cast<double>(baseline_ns) /
-                               static_cast<double>(row.run_ns)
-                         : 0.0;
-      rows.push_back(row);
-    }
-  }
-
-  Table t({"family", "n", "shards", "run_ms", "speedup_vs_1", "identical",
-           "epochs", "cross_msgs"});
-  for (const Row& r : rows) {
-    t.row()
-        .cell(r.family)
-        .cell(r.n)
-        .cell(r.shards)
-        .cell(static_cast<double>(r.run_ns) / 1e6, 3)
-        .cell(r.speedup_vs_1, 2)
-        .cell(r.identical ? (r.fell_back ? "fallback" : "yes") : "NO")
-        .cell(r.epochs)
-        .cell(r.cross_shard_messages);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  t.print(std::cout, "sharded engine scaling (wakeup task, min of " +
-                         std::to_string(repeat) + ", host cores = " +
-                         std::to_string(hw) + ")");
-  bool all_identical = true;
-  for (const Row& r : rows) all_identical = all_identical && r.identical;
-  std::cout << "bit-identity vs shards=1: "
-            << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << json_path << "\n";
-    } else {
-      out << "{\n  \"bench\": \"perf_shard\",\n"
-          << "  \"hardware_concurrency\": " << hw << ",\n"
-          << "  \"repeat\": " << repeat << ",\n  \"rows\": [";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << (i == 0 ? "\n" : ",\n") << "    {\"family\": \"" << r.family
-            << "\", \"n\": " << r.n << ", \"m\": " << r.m
-            << ", \"shards\": " << r.shards << ", \"run_ns\": " << r.run_ns
-            << ", \"speedup_vs_1\": " << r.speedup_vs_1
-            << ", \"identical\": " << (r.identical ? "true" : "false")
-            << ", \"fell_back\": " << (r.fell_back ? "true" : "false")
-            << ", \"epochs\": " << r.epochs
-            << ", \"cross_shard_messages\": " << r.cross_shard_messages
-            << "}";
-      }
-      out << "\n  ]\n}\n";
-      std::cerr << "[bench] wrote " << rows.size()
-                << " shard scaling rows to " << json_path << "\n";
-    }
-  }
-  return all_identical ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,378 +797,36 @@ int run_sched_batch(int argc, char** argv) {
   return all_identical ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// --service: the advice-service load generator.
-//
-// Spins up an in-process AdviceService on a throwaway unix socket and
-// hammers it with C client threads, each speaking the real wire protocol
-// through its own ServiceClient — the daemon path end to end, minus only
-// the process boundary. The traffic is a deterministic mixed pattern over
-// a small set of distinct (graph, task, source, scheduler) specs: mostly
-// run requests with advise requests interleaved, the same spec recurring
-// across clients so the advice cache sees the paper's regime (advice
-// computed once, reused per request).
-//
-// Two passes: "unbounded" (budget 0, the legacy cache) and "lru" (budget =
-// a quarter of the bytes the unbounded pass ended at, forcing eviction
-// churn). Each pass reports sustained requests/sec, p50/p99 request
-// latency, and the cache hit rate; tools/perf_gate.py gates the structural
-// facts (identity on every sampled run response, hits on the unbounded
-// pass, evictions on the LRU pass) and records the throughput numbers
-// without regression-gating them — they are wall-clock, machine-dependent.
-//
-// Identity check: every run response collected by every client is compared
-// field-for-field against the same spec executed directly on a
-// BatchRunner — the service may add queueing and caching around the
-// execution, never inside it.
-// ---------------------------------------------------------------------------
-
-int run_service(int argc, char** argv) {
-  using namespace oraclesize::service;
-
-  std::size_t clients = 4;
-  std::size_t requests = 0;  // 0 = mode default (300 full, 60 smoke)
-  std::size_t jobs = 1;
-  bool smoke = false;
-  std::string json_path = "BENCH_perf_service.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      clients = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (service supports: --clients N, --requests N, --smoke, "
-                   "--jobs N, --json FILE, --no-json)\n";
-      return 2;
-    }
-  }
-  if (requests == 0) requests = smoke ? 60 : 300;
-
-  // The workload graphs and the deterministic request mix, shared by both
-  // passes and by the identity check.
-  Rng rng(0x5eedf00dULL);
-  std::vector<PortGraph> graphs;
-  if (smoke) {
-    graphs.push_back(make_grid(8, 8));
-    graphs.push_back(make_random_tree(64, rng));
-  } else {
-    graphs.push_back(make_grid(16, 16));
-    graphs.push_back(make_random_tree(256, rng));
-    graphs.push_back(make_random_connected(128, 8.0 / 128.0, rng));
-  }
-  struct Mix {
-    TaskRequest req;     // digest filled in per pass after upload
-    std::size_t graph;   // index into graphs
-    bool advise_only;
-  };
-  std::vector<Mix> mixes;
-  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-    for (const char* task : {"wakeup", "broadcast", "flooding"}) {
-      Mix advise;
-      advise.graph = gi;
-      advise.advise_only = true;
-      advise.req.task = task;
-      mixes.push_back(advise);
-      for (NodeId source : {NodeId{0}, NodeId{3}}) {
-        for (const char* scheduler : {"sync", "fifo"}) {
-          Mix run;
-          run.graph = gi;
-          run.advise_only = false;
-          run.req.task = task;
-          run.req.source = source;
-          run.req.scheduler = scheduler;
-          run.req.seed = 11;
-          mixes.push_back(run);
-        }
-      }
-    }
-  }
-
-  struct Row {
-    std::string pass;
-    std::uint64_t budget_bytes = 0;
-    std::uint64_t total_requests = 0;
-    std::uint64_t wall_ns = 0;
-    double rps = 0.0;
-    std::uint64_t p50_ns = 0;
-    std::uint64_t p99_ns = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    double hit_rate = 0.0;
-    std::uint64_t evictions = 0;
-    std::uint64_t cache_bytes = 0;
-    bool identical = true;
-  };
-
-  // Reference executions, one per distinct run spec (keyed by mix index,
-  // graph identity included): what the service MUST answer.
-  struct Reference {
-    std::string status;
-    std::uint64_t oracle_bits = 0;
-    std::uint64_t max_advice_bits = 0;
-    std::uint64_t messages_total = 0;
-    std::uint64_t bits_sent = 0;
-    std::uint64_t deliveries = 0;
-    std::uint64_t completion_key = 0;
-    std::uint64_t informed = 0;
-  };
-  std::vector<Reference> reference(mixes.size());
-  {
-    BatchRunner direct(1);
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-      if (mixes[m].advise_only) continue;
-      const TaskBinding binding = bind_task(mixes[m].req);
-      const auto reports = direct.run(
-          {TrialSpec(&graphs[mixes[m].graph], mixes[m].req.source,
-                     binding.oracle.get(), binding.algorithm,
-                     run_options_for(mixes[m].req))});
-      const TaskReport& r = reports.at(0);
-      if (r.failed()) {
-        std::cerr << "error: reference execution failed: " << r.error << "\n";
-        return 2;
-      }
-      reference[m] = {to_string(r.run.status),
-                      r.oracle_bits,
-                      r.max_advice_bits,
-                      r.run.metrics.messages_total,
-                      r.run.metrics.bits_sent,
-                      r.run.metrics.deliveries,
-                      static_cast<std::uint64_t>(r.run.metrics.completion_key),
-                      static_cast<std::uint64_t>(r.run.informed_count())};
-    }
-  }
-
-  // One pass: start a service, drive the mix from `clients` threads,
-  // measure, identity-check, drain.
-  std::uint64_t unbounded_bytes = 0;
-  const auto run_pass = [&](const std::string& name,
-                            std::uint64_t budget) -> Row {
-    Row row;
-    row.pass = name;
-    row.budget_bytes = budget;
-
-    char tmpl[] = "/tmp/oracled_bench_XXXXXX";
-    const char* dir = ::mkdtemp(tmpl);
-    if (dir == nullptr) {
-      std::cerr << "error: mkdtemp failed\n";
-      row.identical = false;
-      return row;
-    }
-    ServiceConfig config;
-    config.socket_path = std::string(dir) + "/s";
-    config.jobs = jobs;
-    config.cache_budget_bytes = budget;
-    config.queue_limit = 1024;
-    AdviceService service(config);
-    service.start();
-
-    // Upload every graph once; the mix then names them by digest.
-    std::vector<std::string> digests(graphs.size());
-    {
-      ServiceClient uploader(config.socket_path);
-      for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-        const auto reply = uploader.upload(to_text(graphs[gi]));
-        digests[gi] = reply.field("digest");
-      }
-    }
-    std::vector<Mix> pass_mixes = mixes;
-    for (Mix& m : pass_mixes) m.req.digest = digests[m.graph];
-
-    struct ClientResult {
-      std::vector<std::uint64_t> latencies_ns;
-      // (mix index, reply) for every run response, for the identity check.
-      std::vector<std::pair<std::size_t, ServiceClient::Reply>> runs;
-      bool failed = false;
-    };
-    std::vector<ClientResult> results(clients);
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::thread> pool;
-      for (std::size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&, c] {
-          ClientResult& out = results[c];
-          out.latencies_ns.reserve(requests);
-          try {
-            ServiceClient client(config.socket_path);
-            for (std::size_t i = 0; i < requests; ++i) {
-              // Deterministic per-client interleaving; every client walks
-              // the whole mix, phase-shifted so the cache sees concurrent
-              // reuse of the same keys.
-              const std::size_t m = (c * 7 + i) % pass_mixes.size();
-              const Mix& mix = pass_mixes[m];
-              const auto s0 = std::chrono::steady_clock::now();
-              const auto reply = mix.advise_only ? client.advise(mix.req)
-                                                 : client.run(mix.req);
-              out.latencies_ns.push_back(since_ns(s0));
-              if (reply.status == kStatusError) out.failed = true;
-              if (!mix.advise_only) out.runs.emplace_back(m, reply);
-            }
-          } catch (const std::exception&) {
-            out.failed = true;
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-    }
-    row.wall_ns = since_ns(t0);
-
-    const auto cache = service.cache_stats();
-    row.hits = cache.hits;
-    row.misses = cache.misses;
-    row.hit_rate = cache.hits + cache.misses > 0
-                       ? static_cast<double>(cache.hits) /
-                             static_cast<double>(cache.hits + cache.misses)
-                       : 0.0;
-    row.evictions = cache.evictions;
-    row.cache_bytes = cache.bytes;
-    service.shutdown();
-    service.wait();
-    ::rmdir(dir);
-
-    std::vector<std::uint64_t> latencies;
-    for (const ClientResult& r : results) {
-      if (r.failed) row.identical = false;
-      latencies.insert(latencies.end(), r.latencies_ns.begin(),
-                       r.latencies_ns.end());
-      for (const auto& [m, reply] : r.runs) {
-        const Reference& want = reference[m];
-        if (reply.field("status") != want.status ||
-            reply.field_u64("oracle_bits") != want.oracle_bits ||
-            reply.field_u64("max_advice_bits") != want.max_advice_bits ||
-            reply.field_u64("messages_total") != want.messages_total ||
-            reply.field_u64("bits_sent") != want.bits_sent ||
-            reply.field_u64("deliveries") != want.deliveries ||
-            reply.field_u64("completion_key") != want.completion_key ||
-            reply.field_u64("informed") != want.informed) {
-          row.identical = false;
-        }
-      }
-    }
-    std::sort(latencies.begin(), latencies.end());
-    row.total_requests = latencies.size();
-    if (!latencies.empty()) {
-      row.p50_ns = latencies[latencies.size() / 2];
-      row.p99_ns = latencies[std::min(latencies.size() - 1,
-                                      latencies.size() * 99 / 100)];
-    }
-    row.rps = row.wall_ns > 0 ? static_cast<double>(row.total_requests) *
-                                    1e9 / static_cast<double>(row.wall_ns)
-                              : 0.0;
-    return row;
-  };
-
-  std::vector<Row> rows;
-  rows.push_back(run_pass("unbounded", 0));
-  unbounded_bytes = rows.back().cache_bytes;
-  // A quarter of the steady-state footprint: plenty of reuse left, but the
-  // cache must evict continuously to stay under it.
-  rows.push_back(run_pass("lru", std::max<std::uint64_t>(
-                                     1, unbounded_bytes / 4)));
-
-  bool all_identical = true;
-  for (const Row& r : rows) all_identical = all_identical && r.identical;
-
-  Table t({"pass", "budget_kb", "requests", "req_per_s", "p50_us", "p99_us",
-           "hit_rate", "evictions", "identical"});
-  for (const Row& r : rows) {
-    t.row()
-        .cell(r.pass)
-        .cell(static_cast<double>(r.budget_bytes) / 1024.0, 1)
-        .cell(r.total_requests)
-        .cell(r.rps, 1)
-        .cell(static_cast<double>(r.p50_ns) / 1e3, 1)
-        .cell(static_cast<double>(r.p99_ns) / 1e3, 1)
-        .cell(r.hit_rate, 3)
-        .cell(r.evictions)
-        .cell(r.identical ? "yes" : "NO");
-  }
-  t.print(std::cout, "oracled load generator (" + std::to_string(clients) +
-                         " clients x " + std::to_string(requests) +
-                         " requests, jobs=" + std::to_string(jobs) + ")");
-  std::cout << "run-response identity service vs direct BatchRunner: "
-            << (all_identical ? "all responses identical" : "MISMATCH")
-            << "\n";
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << json_path << "\n";
-    } else {
-      out << "{\n  \"bench\": \"perf_service\",\n"
-          << "  \"clients\": " << clients
-          << ",\n  \"requests_per_client\": " << requests
-          << ",\n  \"jobs\": " << jobs
-          << ",\n  \"distinct_specs\": " << mixes.size()
-          << ",\n  \"rows\": [";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << (i == 0 ? "\n" : ",\n") << "    {\"pass\": \"" << r.pass
-            << "\", \"budget_bytes\": " << r.budget_bytes
-            << ", \"requests\": " << r.total_requests
-            << ", \"wall_ns\": " << r.wall_ns << ", \"rps\": " << r.rps
-            << ", \"p50_ns\": " << r.p50_ns << ", \"p99_ns\": " << r.p99_ns
-            << ", \"cache_hits\": " << r.hits
-            << ", \"cache_misses\": " << r.misses
-            << ", \"hit_rate\": " << r.hit_rate
-            << ", \"evictions\": " << r.evictions
-            << ", \"cache_bytes\": " << r.cache_bytes
-            << ", \"identical\": " << (r.identical ? "true" : "false")
-            << "}";
-      }
-      out << "\n  ]\n}\n";
-      std::cerr << "[bench] wrote " << rows.size() << " service rows to "
-                << json_path << "\n";
-    }
-  }
-  return all_identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the mode flag; everything else goes to the matching mode's
-  // parser or to google-benchmark (default mode).
+  // Peel off the mode flag; everything else goes to that mode's parser.
   std::vector<char*> rest;
   bool sweep = false;
-  bool shard_scale = false;
   bool seed_batch = false;
   bool sched_batch = false;
-  bool service = false;
   for (int i = 0; i < argc; ++i) {
     if (i > 0 && std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--shard-scale") == 0) {
-      shard_scale = true;
     } else if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
       seed_batch = true;
     } else if (i > 0 && std::strcmp(argv[i], "--sched-batch") == 0) {
       sched_batch = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--service") == 0) {
-      service = true;
     } else {
       rest.push_back(argv[i]);
     }
   }
-  int rest_argc = static_cast<int>(rest.size());
-  if (service) return run_service(rest_argc, rest.data());
+  const int rest_argc = static_cast<int>(rest.size());
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
-  if (shard_scale) return run_shard_scale(rest_argc, rest.data());
   if (sweep) return run_sweep(rest_argc, rest.data());
-  benchmark::Initialize(&rest_argc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::cerr << "usage:\n"
+               "  bench_perf --sweep [--repeat N] [bench harness options]\n"
+               "  bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N] "
+               "[--jobs N]\n"
+               "             [--json FILE | --no-json]\n"
+               "  bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N] "
+               "[--jobs N]\n"
+               "             [--json FILE | --no-json]\n";
+  return 2;
 }

@@ -26,8 +26,9 @@
 // Identity contract: a run answered by the service is field-identical to
 // the same TrialSpec executed directly on a BatchRunner — the dispatcher
 // adds queueing and caching around the execution, never inside it.
-// bench_perf --service samples both sides and the perf_service gate pins
-// the comparison in CI.
+// ServiceRoundTrip.RunMatchesDirectBatchRunner pins it, and perfbench's
+// service_mixed workload compares every run reply it collects with a
+// direct BatchRunner run.
 #pragma once
 
 #include <atomic>

@@ -7,31 +7,10 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "service/protocol.h"
+#include "util/parse_number.h"
 
 namespace oraclesize::service {
 namespace {
-
-std::uint64_t to_u64(const std::string& s, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad " + what + ": '" + s + "'");
-  }
-}
-
-double to_double(const std::string& s, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad " + what + ": '" + s + "'");
-  }
-}
 
 TreeKind parse_tree(const std::string& name) {
   if (name == "bfs") return TreeKind::kBfs;
@@ -62,28 +41,27 @@ TaskRequest parse_task_request(const std::map<std::string, std::string>& kv) {
   if (const auto* v = get("digest")) req.digest = *v;
   if (const auto* v = get("task")) req.task = *v;
   if (const auto* v = get("source")) {
-    req.source = static_cast<NodeId>(to_u64(*v, "source"));
+    req.source = parse_number<NodeId>(*v, "source");
   }
   if (const auto* v = get("tree")) req.tree = *v;
   if (const auto* v = get("fraction")) {
-    req.fraction = to_double(*v, "fraction");
+    req.fraction = parse_probability(*v, "fraction");
   }
   if (const auto* v = get("oracle_seed")) {
-    req.oracle_seed = to_u64(*v, "oracle_seed");
+    req.oracle_seed = parse_number<std::uint64_t>(*v, "oracle_seed");
   }
   if (const auto* v = get("scheduler")) req.scheduler = *v;
-  if (const auto* v = get("seed")) req.seed = to_u64(*v, "seed");
+  if (const auto* v = get("seed")) {
+    req.seed = parse_number<std::uint64_t>(*v, "seed");
+  }
   if (const auto* v = get("fault_drop")) {
-    req.fault_drop = to_double(*v, "fault_drop");
-    if (req.fault_drop < 0.0 || req.fault_drop > 1.0) {
-      throw std::invalid_argument("fault_drop must be in [0, 1]");
-    }
+    req.fault_drop = parse_probability(*v, "fault_drop");
   }
   if (const auto* v = get("fault_seed")) {
-    req.fault_seed = to_u64(*v, "fault_seed");
+    req.fault_seed = parse_number<std::uint64_t>(*v, "fault_seed");
   }
   if (const auto* v = get("deadline_ms")) {
-    req.deadline_ms = to_u64(*v, "deadline_ms");
+    req.deadline_ms = parse_number<std::uint64_t>(*v, "deadline_ms");
   }
   if (req.digest.empty()) throw std::invalid_argument("missing digest");
   return req;

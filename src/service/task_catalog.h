@@ -1,11 +1,11 @@
 // The request surface of the advice service: which tasks it serves and how
 // a wire request becomes (oracle, algorithm, RunOptions).
 //
-// The catalog mirrors the CLI's task table exactly — same task names, same
-// oracle construction, same defaults — so a request answered by `oracled`
-// is field-identical to the same spec run through `oraclesize_cli run` or
-// a direct BatchRunner batch. bench_perf --service and the perf_service
-// gate enforce that identity.
+// The catalog is the CLI's task table: `oraclesize_cli run` fills a
+// TaskRequest from its flags and calls bind_task, so a request answered by
+// `oracled` is field-identical to the same spec run through the CLI or a
+// direct BatchRunner batch. ServiceRoundTrip.RunMatchesDirectBatchRunner
+// and perfbench's service_mixed workload check that identity.
 #pragma once
 
 #include <cstdint>

@@ -54,6 +54,17 @@ fi
 if "$CLI" gen bogus 5 >/dev/null 2>&1; then
   fail "unknown family accepted"
 fi
+# A numeric flag parses to exactly the value it spells or the CLI exits 2
+# with usage: no wrap-around, no NaN, no rate outside [0, 1].
+for flags in "--source 4294967296" "--seed -1" "--jobs +2" \
+    "--fault-rate nan" "--byz-rate nan" "--fraction nan" "--fraction 7"; do
+  set +e
+  # shellcheck disable=SC2086  # $flags is a flag and its value
+  "$CLI" run hybrid $flags < "$TMP/net.txt" >/dev/null 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || fail "run hybrid $flags should exit 2 (got $rc)"
+done
 
 "$CLI" gen torus 5 5 | "$CLI" stats | grep -q "diameter" || fail "stats"
 

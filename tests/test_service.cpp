@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -237,6 +238,20 @@ TEST(ServiceErrors, BadRequestsGetInfrastructureStatus) {
   req.source = 16;  // one past the last node
   reply = client.run(req);
   EXPECT_EQ(reply.status, kStatusError);
+
+  // A numeric field parses to exactly the value it spells or the request
+  // is refused: no field wraps, truncates, or passes a NaN or a rate
+  // outside [0, 1] (util/parse_number.h).
+  for (const char* field :
+       {"source=4294967296", "source=-4294967295", "source=+1", "seed=-1",
+        "seed= 1", "fault_drop=nan", "fraction=nan", "fraction=7"}) {
+    std::string body;
+    append_kv(body, "digest", digest);
+    append_kv(body, "task", "hybrid");
+    body += std::string(field) + "\n";
+    reply = client.request(kOpRun, body);
+    EXPECT_EQ(reply.status, kStatusError) << field << ": " << reply.body;
+  }
 
   // Unparseable upload.
   reply = client.upload("this is not a network\n");
@@ -481,6 +496,59 @@ TEST(ServiceMetrics, LruBudgetEvictsAndCounts) {
   EXPECT_EQ(stats.field_u64("cache_budget_bytes"), 1u);
   EXPECT_GE(stats.field_u64("cache_evictions"), 2u);
   EXPECT_EQ(stats.field_u64("cache_hits"), 0u);
+}
+
+TEST(ServiceMetrics, UnboundedCacheMissesOncePerAdviceKey) {
+  // C clients send R run requests each over K distinct advice keys
+  // (graph, oracle, source). AdviceCache counts a miss only when it inserts
+  // a key, so an unbounded cache misses exactly K times however the
+  // requests interleave, and every other lookup hits.
+  ServiceConfig config;
+  config.jobs = 2;
+  ServiceFixture fx(std::move(config));
+  std::vector<TaskRequest> keys;
+  {
+    ServiceClient client(fx.socket_path());
+    for (const std::string& digest :
+         {upload_grid(client, 5, 5), upload_grid(client, 4, 6)}) {
+      for (const char* task : {"wakeup", "broadcast", "flooding"}) {
+        for (const NodeId source : {NodeId{0}, NodeId{7}}) {
+          TaskRequest req;
+          req.digest = digest;
+          req.task = task;
+          req.source = source;
+          req.scheduler = "fifo";
+          keys.push_back(req);
+        }
+      }
+    }
+  }
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 30;  // >= keys.size(): every key asked
+  std::atomic<std::size_t> errors{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        ServiceClient client(fx.socket_path());
+        for (std::size_t i = 0; i < kRequests; ++i) {
+          // Phase-shifted tours: clients ask for the same keys at once.
+          const auto reply = client.run(keys[(c * 5 + i) % keys.size()]);
+          if (reply.status == kStatusError) ++errors;
+        }
+      } catch (const std::exception&) {
+        ++errors;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(errors.load(), 0u);
+  const AdviceCache::Stats cache = fx.service().cache_stats();
+  EXPECT_EQ(cache.misses, keys.size());
+  EXPECT_EQ(cache.hits, kClients * kRequests - keys.size());
+  EXPECT_EQ(cache.evictions, 0u);
 }
 
 }  // namespace

@@ -100,6 +100,7 @@ TEST(ShardedEngine, MatchesLegacyAcrossSchedulersAndShardCounts) {
   graphs.push_back(make_random_connected(60, 0.12, rng));
   graphs.push_back(make_star(40));
   graphs.push_back(make_random_connected_sparse(90, 60, rng));
+  graphs.push_back(make_hypercube(6));
   const NullOracle null_oracle;
   const FloodingAlgorithm flooding;
   const TreeWakeupOracle wakeup_oracle;

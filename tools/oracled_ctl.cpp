@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "service/client.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -47,25 +48,21 @@ using namespace oraclesize::service;
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& what) {
+/// A numeric flag (util/parse_number.h); a bad one exits 2 with usage.
+template <typename T>
+T number(const std::string& s, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    usage("bad " + what + ": '" + s + "'");
+    return oraclesize::parse_number<T>(s, what);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
-double parse_double(const std::string& s, const std::string& what) {
+double probability(const std::string& s, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    usage("bad " + what + ": '" + s + "'");
+    return oraclesize::parse_probability(s, what);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -87,24 +84,23 @@ int main(int argc, char** argv) {
     } else if (a == "--digest") {
       req.digest = next();
     } else if (a == "--source") {
-      req.source = static_cast<oraclesize::NodeId>(
-          parse_u64(next(), "--source"));
+      req.source = number<oraclesize::NodeId>(next(), "--source");
     } else if (a == "--tree") {
       req.tree = next();
     } else if (a == "--fraction") {
-      req.fraction = parse_double(next(), "--fraction");
+      req.fraction = probability(next(), "--fraction");
     } else if (a == "--oracle-seed") {
-      req.oracle_seed = parse_u64(next(), "--oracle-seed");
+      req.oracle_seed = number<std::uint64_t>(next(), "--oracle-seed");
     } else if (a == "--scheduler") {
       req.scheduler = next();
     } else if (a == "--seed") {
-      req.seed = parse_u64(next(), "--seed");
+      req.seed = number<std::uint64_t>(next(), "--seed");
     } else if (a == "--fault-rate") {
-      req.fault_drop = parse_double(next(), "--fault-rate");
+      req.fault_drop = probability(next(), "--fault-rate");
     } else if (a == "--fault-seed") {
-      req.fault_seed = parse_u64(next(), "--fault-seed");
+      req.fault_seed = number<std::uint64_t>(next(), "--fault-seed");
     } else if (a == "--deadline-ms") {
-      req.deadline_ms = parse_u64(next(), "--deadline-ms");
+      req.deadline_ms = number<std::uint64_t>(next(), "--deadline-ms");
     } else if (a == "--help" || a == "-h") {
       usage();
     } else if (a.rfind("--", 0) == 0) {

@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "service/advice_service.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -49,14 +50,13 @@ void on_signal(int) {
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& what) {
+/// A numeric flag (util/parse_number.h); a bad one exits 2 with usage.
+template <typename T>
+T number(const std::string& s, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    usage("bad " + what + ": '" + s + "'");
+    return oraclesize::parse_number<T>(s, what);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -77,21 +77,21 @@ int main(int argc, char** argv) {
     } else if (a == "--metrics-socket") {
       config.metrics_socket_path = next();
     } else if (a == "--jobs") {
-      config.jobs = static_cast<std::size_t>(parse_u64(next(), "--jobs"));
+      config.jobs = number<std::size_t>(next(), "--jobs");
     } else if (a == "--cache-budget-bytes") {
-      config.cache_budget_bytes = parse_u64(next(), "--cache-budget-bytes");
+      config.cache_budget_bytes =
+          number<std::uint64_t>(next(), "--cache-budget-bytes");
     } else if (a == "--queue-limit") {
-      config.queue_limit =
-          static_cast<std::size_t>(parse_u64(next(), "--queue-limit"));
+      config.queue_limit = number<std::size_t>(next(), "--queue-limit");
     } else if (a == "--max-frame-bytes") {
       config.max_frame_bytes =
-          static_cast<std::uint32_t>(parse_u64(next(), "--max-frame-bytes"));
+          number<std::uint32_t>(next(), "--max-frame-bytes");
     } else if (a == "--max-batch") {
-      config.max_batch =
-          static_cast<std::size_t>(parse_u64(next(), "--max-batch"));
+      config.max_batch = number<std::size_t>(next(), "--max-batch");
       if (config.max_batch == 0) usage("--max-batch must be positive");
     } else if (a == "--default-deadline-ms") {
-      config.default_deadline_ms = parse_u64(next(), "--default-deadline-ms");
+      config.default_deadline_ms =
+          number<std::uint64_t>(next(), "--default-deadline-ms");
     } else if (a == "--help" || a == "-h") {
       usage();
     } else {

@@ -99,6 +99,8 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
+#include "service/task_catalog.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -136,25 +138,22 @@ using namespace oraclesize;
   std::exit(message.empty() ? 0 : 2);
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& what) {
+/// A numeric flag or argument (util/parse_number.h); a bad one prints
+/// usage and exits 2.
+template <typename T>
+T number(const std::string& s, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    usage("bad " + what + ": '" + s + "'");
+    return parse_number<T>(s, what);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
-double parse_double(const std::string& s, const std::string& what) {
+double probability(const std::string& s, const std::string& what) {
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    usage("bad " + what + ": '" + s + "'");
+    return parse_probability(s, what);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -165,7 +164,7 @@ struct Options {
   NodeId root = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   TreeKind tree = TreeKind::kBfs;
-  bool tree_set = false;
+  std::string tree_name;  ///< --tree as given; "" = the task's default
   bool anonymous = false;
   double fraction = 0.5;
   std::string advice_file;
@@ -197,50 +196,43 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
       return args[++i];
     };
     if (a == "--seed") {
-      opts.seed = parse_u64(next(), "--seed");
+      opts.seed = number<std::uint64_t>(next(), "--seed");
     } else if (a == "--source") {
-      opts.source = static_cast<NodeId>(parse_u64(next(), "--source"));
+      opts.source = number<NodeId>(next(), "--source");
     } else if (a == "--root") {
-      opts.root = static_cast<NodeId>(parse_u64(next(), "--root"));
+      opts.root = number<NodeId>(next(), "--root");
     } else if (a == "--anonymous") {
       opts.anonymous = true;
     } else if (a == "--fraction") {
-      opts.fraction = parse_double(next(), "--fraction");
+      opts.fraction = probability(next(), "--fraction");
     } else if (a == "--advice-file") {
       opts.advice_file = next();
     } else if (a == "--jobs") {
-      opts.jobs = static_cast<std::size_t>(parse_u64(next(), "--jobs"));
+      opts.jobs = number<std::size_t>(next(), "--jobs");
     } else if (a == "--shards") {
-      opts.shards = static_cast<std::uint32_t>(parse_u64(next(), "--shards"));
+      opts.shards = number<std::uint32_t>(next(), "--shards");
     } else if (a == "--json") {
       opts.json = true;
     } else if (a == "--all-sources") {
       opts.all_sources = true;
     } else if (a == "--fault-rate") {
-      opts.fault_rate = parse_double(next(), "--fault-rate");
-      if (opts.fault_rate < 0.0 || opts.fault_rate > 1.0) {
-        usage("--fault-rate must be in [0, 1]");
-      }
+      opts.fault_rate = probability(next(), "--fault-rate");
     } else if (a == "--fault-seed") {
-      opts.fault_seed = parse_u64(next(), "--fault-seed");
+      opts.fault_seed = number<std::uint64_t>(next(), "--fault-seed");
     } else if (a == "--deadline-ms") {
-      opts.deadline_ms = parse_u64(next(), "--deadline-ms");
+      opts.deadline_ms = number<std::uint64_t>(next(), "--deadline-ms");
     } else if (a == "--retries") {
-      opts.retries = static_cast<std::uint32_t>(parse_u64(next(), "--retries"));
+      opts.retries = number<std::uint32_t>(next(), "--retries");
     } else if (a == "--seed-sweep") {
-      opts.seed_sweep = parse_u64(next(), "--seed-sweep");
+      opts.seed_sweep = number<std::uint64_t>(next(), "--seed-sweep");
     } else if (a == "--no-seed-batch") {
       opts.no_seed_batch = true;
     } else if (a == "--byz-rate") {
-      opts.byz_rate = parse_double(next(), "--byz-rate");
-      if (opts.byz_rate < 0.0 || opts.byz_rate > 1.0) {
-        usage("--byz-rate must be in [0, 1]");
-      }
+      opts.byz_rate = probability(next(), "--byz-rate");
     } else if (a == "--byz-nodes") {
-      opts.byz_nodes =
-          static_cast<std::uint32_t>(parse_u64(next(), "--byz-nodes"));
+      opts.byz_nodes = number<std::uint32_t>(next(), "--byz-nodes");
     } else if (a == "--byz-seed") {
-      opts.byz_seed = parse_u64(next(), "--byz-seed");
+      opts.byz_seed = number<std::uint64_t>(next(), "--byz-seed");
     } else if (a == "--byz-strategy") {
       const std::string v = next();
       if (v == "random-bits") {
@@ -282,7 +274,7 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
       }
     } else if (a == "--tree") {
       const std::string v = next();
-      opts.tree_set = true;
+      opts.tree_name = v;
       if (v == "bfs") {
         opts.tree = TreeKind::kBfs;
       } else if (v == "dfs") {
@@ -310,105 +302,63 @@ int cmd_gen(const std::vector<std::string>& args, const Options& opts) {
   auto need = [&](std::size_t k) {
     if (args.size() != k + 1) usage("gen " + family + ": wrong arity");
   };
+  auto size = [&](std::size_t i, const char* what) {
+    return number<std::size_t>(args[i], what);
+  };
   PortGraph g;
   if (family == "path") {
     need(1);
-    g = make_path(parse_u64(args[1], "n"));
+    g = make_path(size(1, "n"));
   } else if (family == "cycle") {
     need(1);
-    g = make_cycle(parse_u64(args[1], "n"));
+    g = make_cycle(size(1, "n"));
   } else if (family == "star") {
     need(1);
-    g = make_star(parse_u64(args[1], "n"));
+    g = make_star(size(1, "n"));
   } else if (family == "grid") {
     need(2);
-    g = make_grid(parse_u64(args[1], "rows"), parse_u64(args[2], "cols"));
+    g = make_grid(size(1, "rows"), size(2, "cols"));
   } else if (family == "hypercube") {
     need(1);
-    g = make_hypercube(static_cast<int>(parse_u64(args[1], "d")));
+    g = make_hypercube(number<int>(args[1], "d"));
   } else if (family == "complete") {
     need(1);
-    g = make_complete_star(parse_u64(args[1], "n"));
+    g = make_complete_star(size(1, "n"));
   } else if (family == "tree") {
     need(1);
-    g = make_random_tree(parse_u64(args[1], "n"), rng);
+    g = make_random_tree(size(1, "n"), rng);
   } else if (family == "random") {
     need(2);
-    g = make_random_connected(parse_u64(args[1], "n"),
-                              parse_double(args[2], "p"), rng);
+    g = make_random_connected(size(1, "n"), probability(args[2], "p"), rng);
   } else if (family == "lollipop") {
     need(1);
-    g = make_lollipop(parse_u64(args[1], "n"));
+    g = make_lollipop(size(1, "n"));
   } else if (family == "torus") {
     need(2);
-    g = make_torus(parse_u64(args[1], "rows"), parse_u64(args[2], "cols"));
+    g = make_torus(size(1, "rows"), size(2, "cols"));
   } else if (family == "bipartite") {
     need(2);
-    g = make_complete_bipartite(parse_u64(args[1], "a"),
-                                parse_u64(args[2], "b"));
+    g = make_complete_bipartite(size(1, "a"), size(2, "b"));
   } else if (family == "wheel") {
     need(1);
-    g = make_wheel(parse_u64(args[1], "n"));
+    g = make_wheel(size(1, "n"));
   } else if (family == "caterpillar") {
     need(2);
-    g = make_caterpillar(parse_u64(args[1], "spine"),
-                         parse_u64(args[2], "legs"));
+    g = make_caterpillar(size(1, "spine"), size(2, "legs"));
   } else if (family == "regular") {
     need(2);
-    g = make_random_regular(parse_u64(args[1], "n"),
-                            parse_u64(args[2], "d"), rng);
+    g = make_random_regular(size(1, "n"), size(2, "d"), rng);
   } else if (family == "gns") {
     need(2);
-    g = make_gns(parse_u64(args[1], "n"), parse_u64(args[2], "t"), rng)
-            .graph;
+    g = make_gns(size(1, "n"), size(2, "t"), rng).graph;
   } else if (family == "gnsc") {
     need(2);
-    g = make_random_gnsc(parse_u64(args[1], "n"), parse_u64(args[2], "k"),
-                         rng)
-            .graph;
+    g = make_random_gnsc(size(1, "n"), size(2, "k"), rng).graph;
   } else {
     usage("unknown family '" + family + "'");
   }
   write_port_graph(std::cout, g);
   return 0;
-}
-
-/// The (algorithm, oracle) pair a task name denotes. Algorithms come from
-/// the shared core/replay.h registry — the same one `trace replay` resolves
-/// recorded names against.
-struct TaskSelection {
-  const Algorithm* algorithm = nullptr;
-  std::unique_ptr<Oracle> oracle;
-};
-
-TaskSelection select_task(const std::string& task, const Options& opts) {
-  TaskSelection sel;
-  std::string algorithm_name;
-  if (task == "wakeup") {
-    algorithm_name = "wakeup-tree";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "census") {
-    algorithm_name = "census-echo";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "gossip") {
-    algorithm_name = "gossip-tree";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "broadcast") {
-    algorithm_name = "broadcast-B";
-    sel.oracle = std::make_unique<LightBroadcastOracle>(
-        opts.tree_set ? opts.tree : TreeKind::kLight);
-  } else if (task == "flooding") {
-    algorithm_name = "flooding";
-    sel.oracle = std::make_unique<NullOracle>();
-  } else if (task == "hybrid") {
-    algorithm_name = "hybrid-wakeup";
-    sel.oracle = std::make_unique<PartialTreeOracle>(opts.fraction, opts.seed,
-                                                     opts.tree);
-  } else {
-    usage("unknown task '" + task + "'");
-  }
-  sel.algorithm = algorithm_by_name(algorithm_name);
-  return sel;
 }
 
 int cmd_run(const std::vector<std::string>& args, const Options& opts) {
@@ -428,10 +378,22 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   run_opts.adversary.strategy = opts.byz_strategy;
   run_opts.deadline_ns = opts.deadline_ms * 1'000'000;
 
+  // The task table is the service's (service/task_catalog.h), so a run
+  // here and a run request to oracled bind the same oracle and algorithm.
   const std::string& task = args[0];
-  const TaskSelection sel = select_task(task, opts);
-  const Algorithm* algorithm = sel.algorithm;
-  const Oracle* oracle = sel.oracle.get();
+  service::TaskRequest request;
+  request.task = task;
+  request.tree = opts.tree_name;
+  request.fraction = opts.fraction;
+  request.oracle_seed = opts.seed;
+  service::TaskBinding binding;
+  try {
+    binding = service::bind_task(request);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  const Algorithm* algorithm = binding.algorithm;
+  const Oracle* oracle = binding.oracle.get();
 
   TraceRecorder recorder(opts.trace_level);
   if (!opts.trace_file.empty()) {
@@ -692,7 +654,7 @@ int cmd_advise(const std::vector<std::string>& args, const Options& opts) {
     oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
   } else if (args[0] == "light") {
     oracle = std::make_unique<LightBroadcastOracle>(
-        opts.tree_set ? opts.tree : TreeKind::kLight);
+        opts.tree_name.empty() ? TreeKind::kLight : opts.tree);
   } else if (args[0] == "partial") {
     oracle = std::make_unique<PartialTreeOracle>(opts.fraction, opts.seed,
                                                  opts.tree);
@@ -747,10 +709,10 @@ int cmd_stats() {
 
 int cmd_bounds(const std::vector<std::string>& args) {
   if (args.size() != 4) usage("bounds: wrong arity");
-  const std::uint64_t bits = parse_u64(args[3], "oracle_bits");
+  const std::uint64_t bits = number<std::uint64_t>(args[3], "oracle_bits");
   if (args[0] == "wakeup") {
-    const std::size_t n = parse_u64(args[1], "n");
-    const std::size_t c = parse_u64(args[2], "c");
+    const std::size_t n = number<std::size_t>(args[1], "n");
+    const std::size_t c = number<std::size_t>(args[2], "c");
     std::cout << "G_{n,S} family: n = " << n << ", " << c
               << "n subdivided edges, network size " << (1 + c) * n << "\n"
               << "log2 |family|     = " << log2_wakeup_family(n, c) << "\n"
@@ -760,8 +722,8 @@ int cmd_bounds(const std::vector<std::string>& args) {
               << "guaranteed wakeup messages >= "
               << wakeup_message_lower_bound(n, c, bits) << "\n";
   } else if (args[0] == "broadcast") {
-    const std::size_t n = parse_u64(args[1], "n");
-    const std::size_t k = parse_u64(args[2], "k");
+    const std::size_t n = number<std::size_t>(args[1], "n");
+    const std::size_t k = number<std::size_t>(args[2], "k");
     std::cout << "G_{n,k} family: n = " << n << ", k = " << k
               << ", network size " << 2 * n << "\n"
               << "log2 |family|     = " << log2_broadcast_family(n, k)
@@ -778,8 +740,8 @@ int cmd_bounds(const std::vector<std::string>& args) {
 
 int cmd_game(const std::vector<std::string>& args) {
   if (args.size() != 2) usage("game: wrong arity");
-  const EdgeDiscoveryProblem p{parse_u64(args[0], "N"),
-                               parse_u64(args[1], "m")};
+  const EdgeDiscoveryProblem p{number<std::size_t>(args[0], "N"),
+                               number<std::size_t>(args[1], "m")};
   if (p.num_special > p.num_candidates) usage("game: m > N");
   SequentialStrategy strategy;
   CountingAdversary adversary(p);

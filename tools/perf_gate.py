@@ -3,35 +3,6 @@
 
 Dispatches on the file's "bench" field:
 
-perf_shard  (bench_perf --shard-scale)
-    Two checks, with very different portability:
-     * "identical" — the sharded engine reproduced the single-threaded
-       RunResult bit for bit. Machine-independent; a false on ANY host is
-       a correctness failure and always gates.
-     * speedup_vs_1 — only meaningful when the host has at least as many
-       cores as the row's shard count (the committed baseline may come
-       from a small CI box; a 1-core host runs 8 shards at a slowdown,
-       honestly). Rows where either side's recorded hardware_concurrency
-       is below the shard count are printed and SKIPPED, not gated; the
-       rest fail on a >--max-regression drop vs baseline.
-
-perf_service  (bench_perf --service)
-    Gates the advice-service load generator on its machine-independent
-    facts only:
-     * "identical" — every run response any client collected was
-       field-for-field identical to the same spec executed directly on a
-       BatchRunner. A false on any pass is a correctness failure of the
-       service layer (queueing/caching leaked into execution) and always
-       gates.
-     * the unbounded pass must show a cache hit rate above
-       --min-service-hit-rate — repeated requests for the same spec have
-       to land on the warm advice artifact;
-     * the lru pass must show evictions > 0 — the byte budget must
-       actually bound the cache.
-    Throughput (rps) and latency percentiles are recorded in the JSON for
-    trend reading but NOT regression-gated: they are absolute wall-clock
-    numbers from whatever box ran the bench.
-
 perf_seedbatch  (bench_perf --seed-batch)
     Gates the seed-batched lockstep executor:
      * "identical" — the batched pass reproduced every lane's scalar
@@ -45,9 +16,26 @@ perf_seedbatch  (bench_perf --seed-batch)
        --batch-regression-cap first: past that the replay tail has
        vanished and the ratio is timer noise over microseconds).
 
+perf_schedbatch  (bench_perf --sched-batch)
+    Identity on every fresh row, the --min-sched-speedup floor on rows the
+    bench flags floor=true, shared == lanes on rows it flags full_share,
+    and the clamped regression check on rows shared with the baseline
+    (gate_schedbatch).
+
+e16_byzantine  (bench_e16_byzantine)
+    Byzantine-free cells complete and match the reliable run, completion
+    rates under pinned adversary seeds match the baseline exactly, and the
+    disabled adversary costs nothing (gate_e16).
+
+The sharded engine and the advice service are not gated here:
+perfbench/run.py compares every sharded trial with the serial engine
+(--trace 1) and every service reply with a direct BatchRunner run, and
+tests/test_sharded_engine.cpp and tests/test_service.cpp pin the same
+identities plus the service's cache counts.
+
 Usage:
-    python3 tools/perf_gate.py --fresh BENCH_perf_shard.fresh.json \
-        --baseline BENCH_perf_shard.json
+    python3 tools/perf_gate.py --fresh BENCH_perf_seedbatch.fresh.json \
+        --baseline BENCH_perf_seedbatch.json
 """
 
 import argparse
@@ -57,74 +45,11 @@ import sys
 def load(path):
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("bench") not in ("perf_shard", "perf_seedbatch",
-                                 "perf_schedbatch", "perf_service",
+    if data.get("bench") not in ("perf_seedbatch", "perf_schedbatch",
                                  "e16_byzantine"):
         sys.exit(f"{path}: not a perf_gate-gated bench record "
                  f"(bench = {data.get('bench')!r})")
     return data
-
-
-def gate_shard(fresh_data, base_data, args):
-    fresh = {(r["family"], r["n"], r["shards"]): r
-             for r in fresh_data["rows"]}
-    base = {(r["family"], r["n"], r["shards"]): r
-            for r in base_data["rows"]}
-    fresh_cores = int(fresh_data.get("hardware_concurrency", 0))
-    base_cores = int(base_data.get("hardware_concurrency", 0))
-
-    failures = []
-    # Bit-identity is machine-independent: gate every fresh row, shared or
-    # not — a new row that fails identity must not slip in ungated.
-    for key, row in sorted(fresh.items()):
-        family, n, shards = key
-        if shards > 1 and not row.get("identical", False):
-            failures.append(
-                f"{family} n={n} shards={shards}: sharded run NOT "
-                f"bit-identical to the single-threaded engine")
-
-    # An empty intersection is not an error: CI measures
-    # at a reduced --scale-n, so fresh rows may share no (family, n) with
-    # the committed million-node baseline. The identity check above already
-    # covered every fresh row; only the scaling comparison needs a match.
-    shared = sorted(set(fresh) & set(base))
-    if not shared:
-        print("no (family, n, shards) rows shared with the baseline — "
-              "scaling comparison skipped (identity still gated on "
-              f"{len(fresh)} fresh rows)")
-        if not failures:
-            print("\nshard gate passed: identity-only")
-        return failures
-    print(f"cores: baseline={base_cores} fresh={fresh_cores}")
-    print(f"{'row':>34} | {'base x':>8} | {'fresh x':>8} | gate")
-    skipped = 0
-    gated_rows = 0
-    for key in shared:
-        family, n, shards = key
-        if shards <= 1:
-            continue
-        got = fresh[key]["speedup_vs_1"]
-        ref = base[key]["speedup_vs_1"]
-        label = f"{family} n={n} s={shards}"
-        if min(fresh_cores, base_cores) < shards:
-            print(f"{label:>34} | {ref:8.2f} | {got:8.2f} | skipped "
-                  f"(host has fewer cores than shards)")
-            skipped += 1
-            continue
-        gated_rows += 1
-        regressed = got < ref * (1.0 - args.max_regression)
-        print(f"{label:>34} | {ref:8.2f} | {got:8.2f} "
-              f"| {'FAIL' if regressed else 'ok'}")
-        if regressed:
-            failures.append(
-                f"{family} n={n} shards={shards}: speedup_vs_1 regressed "
-                f"{ref:.2f} -> {got:.2f} (> {args.max_regression:.0%} drop)")
-
-    if not failures:
-        print(f"\nshard gate passed: identity on {len(fresh)} fresh rows, "
-              f"scaling on {gated_rows} gated rows "
-              f"({skipped} skipped for core count)")
-    return failures
 
 
 def gate_seedbatch(fresh_data, base_data, args):
@@ -262,51 +187,6 @@ def gate_schedbatch(fresh_data, base_data, args):
     return failures
 
 
-def gate_service(fresh_data, base_data, args):
-    """Gates bench_perf --service (see the module docstring)."""
-    failures = []
-    fresh = {r["pass"]: r for r in fresh_data["rows"]}
-    base = {r["pass"]: r for r in base_data["rows"]}
-
-    print(f"{'pass':>10} | {'rps':>9} | {'p50_us':>8} | {'p99_us':>8} "
-          f"| {'hit_rate':>8} | {'evict':>6} | gate")
-    for name in sorted(fresh):
-        row = fresh[name]
-        verdicts = []
-        if not row.get("identical", False):
-            verdicts.append("IDENTITY")
-            failures.append(
-                f"{name}: service run responses NOT identical to the "
-                f"direct BatchRunner execution")
-        if name == "unbounded" and row["hit_rate"] < args.min_service_hit_rate:
-            verdicts.append("HITRATE")
-            failures.append(
-                f"{name}: cache hit rate {row['hit_rate']:.3f} below "
-                f"{args.min_service_hit_rate} — repeat requests are not "
-                f"landing on the warm advice artifact")
-        if name == "lru" and row["evictions"] == 0:
-            verdicts.append("NO-EVICT")
-            failures.append(
-                "lru: zero evictions under the reduced byte budget — the "
-                "budget is not bounding the cache")
-        print(f"{name:>10} | {row['rps']:9.1f} | {row['p50_ns'] / 1e3:8.1f} "
-              f"| {row['p99_ns'] / 1e3:8.1f} | {row['hit_rate']:8.3f} "
-              f"| {row['evictions']:6d} "
-              f"| {' '.join(verdicts) if verdicts else 'ok'}")
-
-    for name in ("unbounded", "lru"):
-        if name not in fresh:
-            failures.append(f"fresh record is missing the '{name}' pass")
-        if name not in base:
-            failures.append(f"baseline record is missing the '{name}' pass")
-
-    if not failures:
-        print(f"\nservice gate passed: identity + hit-rate + eviction "
-              f"checks on {len(fresh)} passes (throughput recorded, "
-              f"not gated)")
-    return failures
-
-
 def gate_e16(fresh_data, base_data, args):
     """Gates the Byzantine sweep (bench_e16_byzantine).
 
@@ -399,11 +279,6 @@ def main():
                     help="absolute scalar/batched speedup floor on rows the "
                          "bench flags floor=true — fault-free counter-keyed "
                          "families (perf_schedbatch only)")
-    ap.add_argument("--min-service-hit-rate", type=float, default=0.5,
-                    help="advice-cache hit-rate floor on the unbounded "
-                         "pass (perf_service only; the load pattern "
-                         "revisits every spec many times, so a healthy "
-                         "cache sits far above this)")
     ap.add_argument("--max-neutrality", type=float, default=1.30,
                     help="largest tolerated zeroed-params/untouched-options "
                          "wall-time ratio on the reliable matrix "
@@ -417,14 +292,10 @@ def main():
         sys.exit(f"bench kind mismatch: fresh is {fresh_data['bench']}, "
                  f"baseline is {base_data['bench']}")
 
-    if fresh_data["bench"] == "perf_shard":
-        failures = gate_shard(fresh_data, base_data, args)
-    elif fresh_data["bench"] == "perf_seedbatch":
+    if fresh_data["bench"] == "perf_seedbatch":
         failures = gate_seedbatch(fresh_data, base_data, args)
     elif fresh_data["bench"] == "perf_schedbatch":
         failures = gate_schedbatch(fresh_data, base_data, args)
-    elif fresh_data["bench"] == "perf_service":
-        failures = gate_service(fresh_data, base_data, args)
     else:  # e16_byzantine
         failures = gate_e16(fresh_data, base_data, args)
 
