@@ -1,7 +1,7 @@
 #include "service/advice_service.h"
 
-#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -110,36 +110,36 @@ void AdviceService::start() {
   }
   started_ = true;
   acceptor_ = std::thread(&AdviceService::acceptor_loop, this);
-  dispatcher_ = std::thread(&AdviceService::dispatcher_loop, this);
   exposer_ = std::thread(&AdviceService::exposer_loop, this);
 }
 
 void AdviceService::shutdown() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    return;  // someone else is already draining
-  }
+  if (stopping_.exchange(true)) return;  // someone else is already draining
   if (started_) {
     // Stop accepting: accept() on the acceptor thread fails immediately.
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::shutdown(metrics_fd_, SHUT_RDWR);
     {
-      // Close the queue (new enqueues answer "draining") and release a
-      // paused dispatcher so it drains what is already queued.
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      queue_closed_ = true;
-      paused_ = false;
-      queue_cv_.notify_all();
+      // Close the gate (new requests answer "draining"); it grants even
+      // while paused, so the waiting requests drain.
+      std::lock_guard<std::mutex> lock(gate_mu_);
+      gate_closed_ = true;
+      grant_locked();
     }
     {
       // Unblock idle connection threads. SHUT_RD only: a thread mid-reply
       // still flushes its response before it sees the EOF.
       std::lock_guard<std::mutex> lock(conn_mu_);
-      for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+      for (const Connection& conn : conns_) {
+        if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RD);
+      }
     }
   }
   {
+    // Only now may wait() join: a connection thread it joined before the
+    // SHUT_RD above could stay blocked in read() forever.
     std::lock_guard<std::mutex> lock(stop_mu_);
+    signalled_ = true;
   }
   stop_cv_.notify_all();
 }
@@ -147,22 +147,15 @@ void AdviceService::shutdown() {
 void AdviceService::wait() {
   {
     std::unique_lock<std::mutex> lock(stop_mu_);
-    stop_cv_.wait(lock, [&] { return stopping_.load(); });
+    stop_cv_.wait(lock, [&] { return signalled_; });
   }
   std::lock_guard<std::mutex> lock(join_mu_);
   if (joined_) return;
   joined_ = true;
   if (acceptor_.joinable()) acceptor_.join();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> conn_lock(conn_mu_);
-    conns = std::move(conn_threads_);
-    conn_fds_.clear();
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  // With the acceptor gone nothing adds to or erases from conns_.
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
   if (exposer_.joinable()) exposer_.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (metrics_fd_ >= 0) ::close(metrics_fd_);
@@ -175,19 +168,19 @@ void AdviceService::wait() {
 }
 
 std::size_t AdviceService::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
+  std::lock_guard<std::mutex> lock(gate_mu_);
+  return waiting_.size();
 }
 
 void AdviceService::pause_dispatching() {
-  std::lock_guard<std::mutex> lock(queue_mu_);
+  std::lock_guard<std::mutex> lock(gate_mu_);
   paused_ = true;
 }
 
 void AdviceService::resume_dispatching() {
-  std::lock_guard<std::mutex> lock(queue_mu_);
+  std::lock_guard<std::mutex> lock(gate_mu_);
   paused_ = false;
-  queue_cv_.notify_all();
+  grant_locked();
 }
 
 std::string AdviceService::metrics_text() const {
@@ -220,12 +213,20 @@ void AdviceService::acceptor_loop() {
       ::close(fd);
       return;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(&AdviceService::connection_loop, this, fd);
+    // Join the threads of closed connections, so they do not pile up
+    // until shutdown.
+    conns_.remove_if([](Connection& conn) {
+      if (conn.done) conn.thread.join();
+      return conn.done;
+    });
+    Connection& conn = conns_.emplace_back();
+    conn.fd = fd;
+    conn.thread =
+        std::thread(&AdviceService::connection_loop, this, &conn, fd);
   }
 }
 
-void AdviceService::connection_loop(int fd) {
+void AdviceService::connection_loop(Connection* conn, int fd) {
   std::string payload;
   for (;;) {
     bool got = false;
@@ -278,6 +279,13 @@ void AdviceService::connection_loop(int fd) {
     // The drain starts only after the acknowledgment is on the wire.
     if (opcode == kOpShutdown) shutdown();
   }
+  {
+    // shutdown() signals conn->fd, so it must not name a descriptor
+    // number the process may reuse once this one is closed.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn->fd = -1;
+    conn->done = true;
+  }
   ::close(fd);
 }
 
@@ -314,10 +322,10 @@ ServiceResponse AdviceService::handle_frame(const std::string& payload) {
     }
     case kOpAdvise:
       requests_advise_.add();
-      return enqueue_and_wait(/*is_run=*/false, body);
+      return execute(/*is_run=*/false, body);
     case kOpRun:
       requests_run_.add();
-      return enqueue_and_wait(/*is_run=*/true, body);
+      return execute(/*is_run=*/true, body);
     case kOpMetrics:
       requests_metrics_.add();
       return ServiceResponse{kStatusOk, metrics_text()};
@@ -345,176 +353,136 @@ ServiceResponse AdviceService::handle_frame(const std::string& payload) {
   }
 }
 
-ServiceResponse AdviceService::enqueue_and_wait(bool is_run,
-                                               const std::string& body) {
-  Pending pending;
-  pending.is_run = is_run;
+ServiceResponse AdviceService::execute(bool is_run, const std::string& body) {
+  TaskRequest request;
+  TaskBinding binding;
+  RunOptions options;
   try {
-    pending.request = parse_task_request(parse_kv(body));
-    bind_task(pending.request);  // reject unknown tasks/trees up front
-    if (is_run) run_options_for(pending.request);
+    request = parse_task_request(parse_kv(body));
+    binding = bind_task(request);  // reject unknown tasks/trees up front
+    if (is_run) options = run_options_for(request);
   } catch (const std::invalid_argument& e) {
     return error_response(e.what());
   }
-  pending.graph = store_.find(pending.request.digest);
-  if (!pending.graph) {
-    return error_response("unknown digest " + pending.request.digest);
-  }
-  if (pending.request.source >= pending.graph->num_nodes()) {
+  const std::shared_ptr<const PortGraph> graph = store_.find(request.digest);
+  if (!graph) return error_response("unknown digest " + request.digest);
+  if (request.source >= graph->num_nodes()) {
     return error_response("source out of range");
   }
-  pending.enqueued = Clock::now();
-  const std::uint64_t deadline_ms = pending.request.deadline_ms
-                                        ? pending.request.deadline_ms
-                                        : config_.default_deadline_ms;
-  pending.deadline = deadline_ms
-                         ? pending.enqueued +
-                               std::chrono::milliseconds(deadline_ms)
-                         : Clock::time_point::max();
-  std::future<ServiceResponse> future = pending.promise.get_future();
-  const Clock::time_point enqueued = pending.enqueued;
+
+  SlotWaiter waiter;
+  waiter.admitted = Clock::now();
+  waiter.deadline_ms =
+      request.deadline_ms ? request.deadline_ms : config_.default_deadline_ms;
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_closed_) return error_response("draining");
-    if (queue_.size() >= config_.queue_limit) {
+    std::unique_lock<std::mutex> lock(gate_mu_);
+    if (gate_closed_) return error_response("draining");
+    if (waiting_.size() >= config_.queue_limit) {
       rejected_overload_.add();
       return error_response("overloaded: " +
                             std::to_string(config_.queue_limit) +
                             " requests already queued");
     }
-    queue_.push_back(std::move(pending));
-    queue_cv_.notify_all();
+    waiting_.push_back(&waiter);
+    grant_locked();
+    waiter.cv.wait(lock, [&] { return waiter.woken; });
   }
-  ServiceResponse response = future.get();
-  request_latency_ns_.observe(ns_between(enqueued, Clock::now()));
+
+  ServiceResponse response;
+  if (waiter.expired) {
+    expired_deadline_.add();
+    response = error_response(
+        "deadline expired after " +
+        std::to_string(ns_between(waiter.admitted, waiter.granted) /
+                       1'000'000) +
+        " ms in queue");
+  } else {
+    queue_wait_ns_.observe(ns_between(waiter.admitted, waiter.granted));
+    response = serve(is_run, request, binding, std::move(options), *graph);
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    --slots_held_;
+    grant_locked();
+  }
+  request_latency_ns_.observe(ns_between(waiter.admitted, Clock::now()));
   return response;
 }
 
-void AdviceService::dispatcher_loop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return (queue_closed_ && queue_.empty()) ||
-               (!paused_ && !queue_.empty());
-      });
-      if (queue_closed_ && queue_.empty()) return;
-      const std::size_t n = std::min(queue_.size(), config_.max_batch);
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    execute_batch(std::move(batch));
+void AdviceService::grant_locked() {
+  while (!waiting_.empty() && slots_held_ < runner_.jobs() &&
+         (gate_closed_ || !paused_)) {
+    SlotWaiter& waiter = *waiting_.front();
+    waiting_.pop_front();
+    waiter.granted = Clock::now();
+    // An expired request gives its turn up without taking the slot.
+    waiter.expired = waiter.deadline_ms &&
+                     waiter.granted - waiter.admitted >
+                         std::chrono::milliseconds(waiter.deadline_ms);
+    if (!waiter.expired) batch_lanes_.observe(++slots_held_);
+    // Notify under gate_mu_: once it is released the waiter may see woken,
+    // return, and take its condition variable with it.
+    waiter.woken = true;
+    waiter.cv.notify_one();
   }
 }
 
-void AdviceService::execute_batch(std::vector<Pending> batch) {
-  const Clock::time_point now = Clock::now();
-
-  struct Item {
-    Pending pending;
-    TaskBinding binding;
-    AdviceCache::Lookup lookup;
-  };
-  std::vector<Item> live;
-  live.reserve(batch.size());
-  for (Pending& p : batch) {
-    if (now > p.deadline) {
-      expired_deadline_.add();
-      p.promise.set_value(error_response(
-          "deadline expired after " +
-          std::to_string(ns_between(p.enqueued, now) / 1'000'000) +
-          " ms in queue"));
-      continue;
-    }
-    queue_wait_ns_.observe(ns_between(p.enqueued, now));
-    live.push_back(Item{std::move(p), TaskBinding{}, {}});
+ServiceResponse AdviceService::serve(bool is_run, const TaskRequest& request,
+                                     const TaskBinding& binding,
+                                     RunOptions options,
+                                     const PortGraph& graph) {
+  // The lookup's shared_ptr pins the advice for this request even if a
+  // concurrent lookup evicts the entry.
+  AdviceCache::Lookup lookup;
+  try {
+    lookup = cache_.lookup(graph, *binding.oracle, request.source);
+  } catch (const std::exception& e) {
+    return error_response(std::string("advise failed: ") + e.what());
   }
-  if (live.empty()) return;
-  batch_lanes_.observe(live.size());
-
-  // Resolve advice through the shared LRU cache. The shared_ptr in the
-  // lookup pins the artifact for this batch even if a concurrent
-  // completion (or this very batch's later misses) evicts the entry.
-  std::vector<TrialSpec> specs;
-  std::vector<Item*> run_items;
-  for (Item& item : live) {
-    Pending& p = item.pending;
-    try {
-      item.binding = bind_task(p.request);
-      item.lookup =
-          cache_.lookup(*p.graph, *item.binding.oracle, p.request.source);
-      (item.lookup.hit ? cache_hits_ : cache_misses_).add();
-    } catch (const std::exception& e) {
-      p.promise.set_value(
-          error_response(std::string("advise failed: ") + e.what()));
-      item.binding.oracle.reset();
-      continue;
-    }
-    const std::vector<BitString>& advice = *item.lookup.advice;
-    if (!p.is_run) {
-      std::string out;
-      append_kv(out, "oracle", item.binding.oracle->name());
-      append_kv(out, "algorithm", item.binding.algorithm->name());
-      append_kv(out, "oracle_bits", oracle_size_bits(advice));
-      append_kv(out, "max_advice_bits", max_advice_bits(advice));
-      append_kv(out, "cached", static_cast<std::uint64_t>(item.lookup.hit));
-      append_kv(out, "advise_ns", item.lookup.advise_ns);
-      append_kv(out, "nodes",
-                static_cast<std::uint64_t>(p.graph->num_nodes()));
-      p.promise.set_value(ServiceResponse{kStatusOk, std::move(out)});
-      item.binding.oracle.reset();
-      continue;
-    }
-    specs.emplace_back(p.graph.get(), p.request.source,
-                       item.binding.oracle.get(), item.binding.algorithm,
-                       run_options_for(p.request), item.lookup.advice);
-    run_items.push_back(&item);
+  (lookup.hit ? cache_hits_ : cache_misses_).add();
+  std::string out;
+  if (!is_run) {
+    const std::vector<BitString>& advice = *lookup.advice;
+    append_kv(out, "oracle", binding.oracle->name());
+    append_kv(out, "algorithm", binding.algorithm->name());
+    append_kv(out, "oracle_bits", oracle_size_bits(advice));
+    append_kv(out, "max_advice_bits", max_advice_bits(advice));
+    append_kv(out, "cached", static_cast<std::uint64_t>(lookup.hit));
+    append_kv(out, "advise_ns", lookup.advise_ns);
+    append_kv(out, "nodes", static_cast<std::uint64_t>(graph.num_nodes()));
+    return ServiceResponse{kStatusOk, std::move(out)};
   }
-  if (specs.empty()) return;
 
-  // One BatchRunner pass serves the whole micro-batch; trials are
-  // fault-isolated, so one poisoned request cannot take down its batch.
-  const std::vector<TaskReport> reports = runner_.run(specs);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const TaskReport& report = reports[i];
-    Pending& p = run_items[i]->pending;
-    if (report.failed()) {
-      p.promise.set_value(error_response(report.error));
-      continue;
-    }
-    std::string out;
-    append_kv(out, "status", to_string(report.run.status));
-    append_kv(out, "oracle", report.oracle_name);
-    append_kv(out, "algorithm", report.algorithm_name);
-    append_kv(out, "oracle_bits", report.oracle_bits);
-    append_kv(out, "max_advice_bits", report.max_advice_bits);
-    append_kv(out, "advice_cached",
-              static_cast<std::uint64_t>(report.advice_cached));
-    append_kv(out, "attempts", std::uint64_t{report.attempts});
-    append_kv(out, "messages_total", report.run.metrics.messages_total);
-    append_kv(out, "bits_sent", report.run.metrics.bits_sent);
-    append_kv(out, "deliveries", report.run.metrics.deliveries);
-    append_kv(out, "completion_key",
-              std::to_string(report.run.metrics.completion_key));
-    append_kv(out, "queue_depth_peak", report.run.metrics.queue_depth_peak);
-    append_kv(out, "informed",
-              static_cast<std::uint64_t>(report.run.informed_count()));
-    append_kv(out, "nodes",
-              static_cast<std::uint64_t>(p.graph->num_nodes()));
-    append_kv(out, "all_informed",
-              static_cast<std::uint64_t>(report.run.all_informed));
-    if (!report.run.violation.empty()) {
-      append_kv(out, "violation", report.run.violation);
-    }
-    append_kv(out, "run_ns", report.run_ns);
-    const std::uint8_t status =
-        report.ok() ? kStatusOk : kStatusTaskFailed;
-    p.promise.set_value(ServiceResponse{status, std::move(out)});
+  // BatchRunner runs a one-spec batch inline on this thread, on the same
+  // code path as a direct run, and isolates a trial that throws.
+  const std::vector<TaskReport> reports = runner_.run(
+      {TrialSpec(&graph, request.source, binding.oracle.get(),
+                 binding.algorithm, std::move(options), lookup.advice)});
+  const TaskReport& report = reports.front();
+  if (report.failed()) return error_response(report.error);
+  append_kv(out, "status", to_string(report.run.status));
+  append_kv(out, "oracle", report.oracle_name);
+  append_kv(out, "algorithm", report.algorithm_name);
+  append_kv(out, "oracle_bits", report.oracle_bits);
+  append_kv(out, "max_advice_bits", report.max_advice_bits);
+  append_kv(out, "advice_cached",
+            static_cast<std::uint64_t>(report.advice_cached));
+  append_kv(out, "attempts", std::uint64_t{report.attempts});
+  append_kv(out, "messages_total", report.run.metrics.messages_total);
+  append_kv(out, "bits_sent", report.run.metrics.bits_sent);
+  append_kv(out, "deliveries", report.run.metrics.deliveries);
+  append_kv(out, "completion_key",
+            std::to_string(report.run.metrics.completion_key));
+  append_kv(out, "queue_depth_peak", report.run.metrics.queue_depth_peak);
+  append_kv(out, "informed",
+            static_cast<std::uint64_t>(report.run.informed_count()));
+  append_kv(out, "nodes", static_cast<std::uint64_t>(graph.num_nodes()));
+  append_kv(out, "all_informed",
+            static_cast<std::uint64_t>(report.run.all_informed));
+  if (!report.run.violation.empty()) {
+    append_kv(out, "violation", report.run.violation);
   }
+  append_kv(out, "run_ns", report.run_ns);
+  return ServiceResponse{report.ok() ? kStatusOk : kStatusTaskFailed,
+                         std::move(out)};
 }
 
 void AdviceService::exposer_loop() {

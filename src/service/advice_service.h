@@ -9,23 +9,29 @@
 //
 // Threads:
 //  * an ACCEPTOR listening on a unix stream socket, one CONNECTION thread
-//    per client speaking the service/protocol.h framing;
-//  * a DISPATCHER that pops bounded-queue work in small batches, resolves
-//    advice through the shared AdviceCache (the shared_ptr rides in
-//    TrialSpec::advice, so an entry evicted mid-flight stays alive for its
-//    holders), and executes run requests on the existing BatchRunner pool;
+//    per client speaking the service/protocol.h framing. A connection
+//    thread executes the advise and run requests it decodes itself: it
+//    resolves advice through the shared AdviceCache (the shared_ptr rides
+//    in TrialSpec::advice, so an entry evicted mid-flight stays alive for
+//    its holder) and runs through the shared BatchRunner, which executes a
+//    one-spec batch inline on the calling thread. The acceptor joins the
+//    threads of closed connections before it adds a new one;
 //  * a METRICS EXPOSER answering HTTP GETs on <socket>.metrics with the
 //    Prometheus text rendition of the service's MetricsRegistry.
 //
-// Flow control: the request queue is bounded (a full queue answers
-// "overloaded" immediately — backpressure, not buffering), every queued
-// request may carry a deadline (expired requests are rejected before
-// execution, never run half-heartedly), and shutdown() drains: accepting
-// stops, queued work completes, responses flush, then the threads join.
+// Flow control: an advise or run request executes only while it holds one
+// of `jobs` execution slots. Slots are granted in arrival order, and a
+// freed slot wakes only the thread of the request it is granted to. At
+// most queue_limit requests wait for a slot (the next one is answered
+// "overloaded" immediately — backpressure, not buffering), every request
+// may carry a deadline (checked when its slot is granted: an expired
+// request is rejected, never run half-heartedly), and shutdown() drains:
+// accepting stops, waiting requests are granted and complete, responses
+// flush, then the threads join.
 //
 // Identity contract: a run answered by the service is field-identical to
-// the same TrialSpec executed directly on a BatchRunner — the dispatcher
-// adds queueing and caching around the execution, never inside it.
+// the same TrialSpec executed directly on a BatchRunner — the service adds
+// admission and caching around the execution, never inside it.
 // ServiceRoundTrip.RunMatchesDirectBatchRunner pins it, and perfbench's
 // service_mixed workload compares every run reply it collects with a
 // direct BatchRunner run.
@@ -36,12 +42,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/advice_cache.h"
 #include "core/batch_runner.h"
@@ -56,12 +60,13 @@ struct ServiceConfig {
   std::string socket_path;
   /// Unix socket of the HTTP metrics exposer; "" = socket_path + ".metrics".
   std::string metrics_socket_path;
-  std::size_t jobs = 1;  ///< BatchRunner workers; 0 = hardware concurrency
+  /// Requests that execute at once (execution slots); 0 = hardware
+  /// concurrency.
+  std::size_t jobs = 1;
   /// AdviceCache byte budget; 0 = unbounded (no eviction).
   std::uint64_t cache_budget_bytes = 0;
-  std::size_t queue_limit = 256;  ///< pending advise/run requests
+  std::size_t queue_limit = 256;  ///< advise/run requests waiting for a slot
   std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  std::size_t max_batch = 16;  ///< dispatcher micro-batch size
   /// Applied to requests that carry no deadline_ms of their own; 0 = none.
   std::uint64_t default_deadline_ms = 0;
 };
@@ -106,34 +111,48 @@ class AdviceService {
   /// and queue depth.
   std::string metrics_text() const;
 
-  /// Test/bench seam: holds the dispatcher before its next pop so a
-  /// harness can stage queue contents deterministically (fill to the
-  /// limit for an overload, let a deadline lapse). resume_dispatching()
-  /// releases it. Shutdown also releases a paused dispatcher.
+  /// Test/bench seam: holds slot grants so a harness can stage waiting
+  /// requests deterministically (fill to the limit for an overload, let a
+  /// deadline lapse). resume_dispatching() releases them, and so does
+  /// shutdown().
   void pause_dispatching();
   void resume_dispatching();
 
  private:
-  struct Pending {
-    bool is_run = false;  ///< false = advise-only
-    TaskRequest request;
-    std::shared_ptr<const PortGraph> graph;
-    std::chrono::steady_clock::time_point enqueued;
-    /// Absolute queue deadline; time_point::max() = none.
-    std::chrono::steady_clock::time_point deadline;
-    std::promise<ServiceResponse> promise;
+  /// One accepted client. Its thread sets fd to -1 and done under conn_mu_
+  /// before it closes the descriptor.
+  struct Connection {
+    std::thread thread;
+    int fd = -1;
+    bool done = false;
+  };
+
+  /// An advise/run request waiting for a slot, on its connection thread's
+  /// stack. grant_locked() hands it a slot (or its expiry) and wakes that
+  /// thread alone.
+  struct SlotWaiter {
+    std::condition_variable cv;
+    std::chrono::steady_clock::time_point admitted;
+    std::chrono::steady_clock::time_point granted;
+    std::uint64_t deadline_ms = 0;  ///< 0 = none
+    bool woken = false;
+    bool expired = false;
   };
 
   void acceptor_loop();
-  void connection_loop(int fd);
-  void dispatcher_loop();
+  void connection_loop(Connection* conn, int fd);
   void exposer_loop();
 
-  /// Handles one decoded request frame on a connection thread. Queued
-  /// opcodes (advise/run) block on the dispatcher's response future.
+  /// Handles one decoded request frame on a connection thread.
   ServiceResponse handle_frame(const std::string& payload);
-  ServiceResponse enqueue_and_wait(bool is_run, const std::string& body);
-  void execute_batch(std::vector<Pending> batch);
+  /// Decodes an advise/run request, waits for its slot, and executes it.
+  ServiceResponse execute(bool is_run, const std::string& body);
+  /// Hands the free slots to the waiting requests in arrival order.
+  void grant_locked();
+  /// Resolves a granted request's advice and answers it.
+  ServiceResponse serve(bool is_run, const TaskRequest& request,
+                        const TaskBinding& binding, RunOptions options,
+                        const PortGraph& graph);
   static ServiceResponse error_response(const std::string& message);
 
   ServiceConfig config_;
@@ -170,24 +189,25 @@ class AdviceService {
   int listen_fd_ = -1;
   int metrics_fd_ = -1;
 
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  bool queue_closed_ = false;
+  // The slot gate: the requests waiting for a slot, in arrival order. A
+  // freed slot goes to the front one, and only its thread is woken.
+  mutable std::mutex gate_mu_;
+  std::deque<SlotWaiter*> waiting_;
+  std::size_t slots_held_ = 0;
+  bool gate_closed_ = false;
   bool paused_ = false;
 
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::list<Connection> conns_;
 
   std::thread acceptor_;
-  std::thread dispatcher_;
   std::thread exposer_;
 
   std::mutex join_mu_;
   bool joined_ = false;
-  std::condition_variable stop_cv_;
   std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
+  bool signalled_ = false;  ///< shutdown() has taken its last signalling step
 };
 
 }  // namespace oraclesize::service

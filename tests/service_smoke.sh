@@ -17,6 +17,15 @@ trap '[ -n "$DPID" ] && kill "$DPID" 2>/dev/null; rm -rf "$TMP"' EXIT
 
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
+# Requests are not batched, so there is no --max-batch to size a batch.
+set +e
+"$ORACLED" --socket "$SOCK" --max-batch 4 > "$TMP/usage.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || fail "--max-batch should exit 2 (got $rc)"
+grep -q "unknown option '--max-batch'" "$TMP/usage.txt" \
+  || fail "--max-batch message"
+
 "$ORACLED" --socket "$SOCK" --jobs 1 > "$TMP/daemon.log" 2>&1 &
 DPID=$!
 for _ in $(seq 1 100); do

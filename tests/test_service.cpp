@@ -1,21 +1,27 @@
 // End-to-end tests of the advice service (src/service/): the frame
 // protocol, content-addressed uploads, the run identity contract against a
 // direct BatchRunner, malformed-frame rejection, backpressure, queue
-// deadlines, graceful drain, and the Prometheus exposer. Every test runs
-// an in-process AdviceService on a throwaway unix socket under /tmp (the
-// 108-char sun_path limit rules out deep build trees).
+// deadlines, slot grants, graceful drain, connection reaping, and the
+// Prometheus exposer. Every test runs an in-process AdviceService on a
+// throwaway unix socket under /tmp (the 108-char sun_path limit rules out
+// deep build trees).
 #include "service/advice_service.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +32,7 @@
 #include "graph/io.h"
 #include "service/client.h"
 #include "sim/metrics_registry.h"
+#include "util/rng.h"
 
 namespace oraclesize::service {
 namespace {
@@ -94,6 +101,26 @@ std::string raw_frame(std::uint8_t opcode, const std::string& body) {
   frame.push_back(static_cast<char>((n >> 24) & 0xff));
   frame += payload;
   return frame;
+}
+
+/// The descriptors open in this process (the low 1024 numbers).
+std::set<int> open_fds() {
+  std::set<int> fds;
+  for (int fd = 0; fd < 1024; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) fds.insert(fd);
+  }
+  return fds;
+}
+
+/// This process's virtual size in kB (VmSize in /proc/self/status).
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0;
 }
 
 TEST(ServiceProtocol, DigestAndKvPrimitives) {
@@ -317,7 +344,7 @@ TEST(ServiceFlow, BackpressureRejectsWhenQueueIsFull) {
   TaskRequest req;
   req.digest = digest;
 
-  // Hold the dispatcher, stage one request to fill the queue (raw send —
+  // Hold slot grants, stage one request to fill the queue (raw send —
   // reading the reply now would block), then watch the next one bounce.
   fx.service().pause_dispatching();
   const std::string frame =
@@ -331,7 +358,7 @@ TEST(ServiceFlow, BackpressureRejectsWhenQueueIsFull) {
   EXPECT_NE(reply.field("error").find("overloaded"), std::string::npos)
       << reply.body;
 
-  // Release the dispatcher: the staged request completes normally.
+  // Release the grants: the staged request completes normally.
   fx.service().resume_dispatching();
   ServiceClient::Reply ok_reply;
   ASSERT_TRUE(staged.read_reply(ok_reply));
@@ -374,7 +401,7 @@ TEST(ServiceFlow, GracefulDrainFinishesQueuedWork) {
   req.digest = digest;
   const std::string frame = raw_frame(kOpRun, encode_task_request(req, true));
 
-  // Three queued runs on three connections, dispatcher held.
+  // Three queued runs on three connections, grants held.
   fx.service().pause_dispatching();
   std::vector<std::unique_ptr<ServiceClient>> clients;
   for (int i = 0; i < 3; ++i) {
@@ -404,6 +431,113 @@ TEST(ServiceFlow, ShutdownRequestAnswersThenDrains) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.field_u64("draining"), 1u);
   fx.service().wait();  // returns: the request really did stop the service
+}
+
+TEST(ServiceFlow, AdviseMissDoesNotDelayAnotherRequest) {
+  // A request waits for a slot, never behind another request's work: with
+  // two slots, a run whose advice is cached answers while an advise miss
+  // staged ahead of it is still computing.
+  ServiceConfig config;
+  config.jobs = 2;
+  ServiceFixture fx(std::move(config));
+  ServiceClient slow(fx.socket_path());
+  ServiceClient fast(fx.socket_path());
+
+  Rng rng(17);
+  const PortGraph big =
+      shuffle_ports(make_random_connected_sparse(65536, 32768, rng), rng);
+  const auto up = slow.upload(to_text(big));
+  ASSERT_TRUE(up.ok()) << up.body;
+  TaskRequest miss;
+  miss.digest = up.field("digest");
+  miss.task = "broadcast";
+  TaskRequest run;
+  run.digest = upload_grid(fast, 4, 4);
+  ASSERT_TRUE(fast.advise(run).ok());  // the run's advice is now cached
+
+  fx.service().pause_dispatching();
+  const std::string miss_frame =
+      raw_frame(kOpAdvise, encode_task_request(miss, false));
+  slow.send_raw(miss_frame.data(), miss_frame.size());
+  ASSERT_TRUE(fx.eventually([&] { return fx.service().queue_depth() == 1; }));
+  const std::string run_frame =
+      raw_frame(kOpRun, encode_task_request(run, true));
+  fast.send_raw(run_frame.data(), run_frame.size());
+  ASSERT_TRUE(fx.eventually([&] { return fx.service().queue_depth() == 2; }));
+  fx.service().resume_dispatching();
+
+  ServiceClient::Reply reply;
+  ASSERT_TRUE(fast.read_reply(reply));
+  EXPECT_TRUE(reply.ok()) << reply.body;
+  EXPECT_EQ(reply.field_u64("advice_cached"), 1u);
+  pollfd pfd{slow.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "the run waited for the advise miss";
+
+  ASSERT_TRUE(slow.read_reply(reply));
+  EXPECT_TRUE(reply.ok()) << reply.body;
+  EXPECT_EQ(reply.field_u64("cached"), 0u);
+}
+
+TEST(ServiceFlow, ShutdownLeavesReusedDescriptorsAlone) {
+  // Once a connection closes, its descriptor number is free for reuse; the
+  // drain must not shut down whatever socket holds that number next.
+  ServiceFixture fx;
+  const std::set<int> before = open_fds();
+  int accepted = -1;
+  {
+    ServiceClient client(fx.socket_path());
+    ASSERT_TRUE(client.ping().ok());  // accepted and served by now
+    for (const int fd : open_fds()) {
+      if (before.count(fd) == 0 && fd != client.fd()) accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0);
+  ASSERT_TRUE(fx.eventually([&] { return ::fcntl(accepted, F_GETFD) == -1; }));
+
+  std::vector<std::array<int, 2>> pairs;
+  bool reused = false;
+  while (!reused && pairs.size() < 16) {
+    std::array<int, 2> sv{-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv.data()), 0);
+    pairs.push_back(sv);
+    reused = sv[0] == accepted || sv[1] == accepted;
+  }
+  EXPECT_TRUE(reused) << "descriptor " << accepted << " was not reused";
+
+  fx.service().shutdown();
+  fx.service().wait();
+  for (const auto& [a, b] : pairs) {
+    char byte = 'x';
+    EXPECT_EQ(::send(a, &byte, 1, MSG_NOSIGNAL), 1) << "fd " << a;
+    EXPECT_EQ(::send(b, &byte, 1, MSG_NOSIGNAL), 1) << "fd " << b;
+    EXPECT_EQ(::recv(a, &byte, 1, MSG_DONTWAIT), 1) << "fd " << a;
+    EXPECT_EQ(::recv(b, &byte, 1, MSG_DONTWAIT), 1) << "fd " << b;
+    ::close(a);
+    ::close(b);
+  }
+}
+
+TEST(ServiceFlow, ClosedConnectionsReleaseTheirThreads) {
+  // Every connection thread maps a stack (8 MiB by default). The service
+  // must join the threads of closed connections as it goes, not hold them
+  // until shutdown.
+  ServiceFixture fx;
+  {
+    // Four connections at once first, so the thread stacks and malloc
+    // arenas the sequential ones below reuse already exist.
+    std::vector<std::unique_ptr<ServiceClient>> warm;
+    for (int i = 0; i < 4; ++i) {
+      warm.push_back(std::make_unique<ServiceClient>(fx.socket_path()));
+      ASSERT_TRUE(warm.back()->ping().ok());
+    }
+  }
+  const long before = vm_size_kb();
+  for (int i = 0; i < 64; ++i) {
+    ServiceClient client(fx.socket_path());
+    ASSERT_TRUE(client.ping().ok());
+  }
+  EXPECT_LT(vm_size_kb() - before, 64 * 1024)
+      << "VmSize grew over 64 sequential connections";
 }
 
 TEST(ServiceMetrics, PrometheusTextFormat) {

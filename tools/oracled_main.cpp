@@ -1,14 +1,16 @@
 // oracled — the long-running advice service daemon.
 //
 //   oracled --socket /tmp/oracled.sock [--jobs N] [--cache-budget-bytes B]
-//           [--queue-limit N] [--max-frame-bytes N] [--max-batch N]
+//           [--queue-limit N] [--max-frame-bytes N]
 //           [--metrics-socket PATH] [--default-deadline-ms T]
 //
 // Listens for advice-service protocol frames (src/service/protocol.h) on
 // the unix socket and serves a Prometheus scrape endpoint on
-// <socket>.metrics (or --metrics-socket). Runs until SIGINT/SIGTERM or a
-// Shutdown request, then drains gracefully: accepting stops, queued
-// requests finish, responses flush.
+// <socket>.metrics (or --metrics-socket). Each connection executes its own
+// advise and run requests: --jobs of them at once, with up to
+// --queue-limit more waiting for a slot in arrival order. Runs until
+// SIGINT/SIGTERM or a Shutdown request, then drains gracefully: accepting
+// stops, waiting requests finish, responses flush.
 //
 // Exit code: 0 after a clean drain; 2 on a setup/infrastructure failure
 // (bad flags, socket path unusable) — matching the CLI's exit ladder,
@@ -45,8 +47,9 @@ void on_signal(int) {
   std::cerr << "usage:\n"
             << "  oracled --socket PATH [--jobs N] [--cache-budget-bytes B]\n"
             << "          [--queue-limit N] [--max-frame-bytes N]\n"
-            << "          [--max-batch N] [--metrics-socket PATH]\n"
-            << "          [--default-deadline-ms T]\n";
+            << "          [--metrics-socket PATH] [--default-deadline-ms T]\n"
+            << "  --jobs N         requests executing at once (0 = all cores)\n"
+            << "  --queue-limit N  requests waiting for a slot\n";
   std::exit(2);
 }
 
@@ -86,9 +89,6 @@ int main(int argc, char** argv) {
     } else if (a == "--max-frame-bytes") {
       config.max_frame_bytes =
           number<std::uint32_t>(next(), "--max-frame-bytes");
-    } else if (a == "--max-batch") {
-      config.max_batch = number<std::size_t>(next(), "--max-batch");
-      if (config.max_batch == 0) usage("--max-batch must be positive");
     } else if (a == "--default-deadline-ms") {
       config.default_deadline_ms =
           number<std::uint64_t>(next(), "--default-deadline-ms");
