@@ -25,6 +25,10 @@
 //   --record-metrics    add per-record metric snapshots (deliveries, queue
 //                       depth, status) to the JSON records
 //
+// Numeric flags parse strictly (flag_number, flag_probability): a
+// malformed or out-of-range value exits 2 with a message, before any
+// trial runs.
+//
 // Every BENCH_<id>.json also carries a batch-wide "metrics" object — the
 // MetricsSnapshot aggregated across all run() calls (messages by kind, bits
 // on wire, fault impact, queue-depth / wakeup-latency histograms). The
@@ -32,9 +36,11 @@
 #pragma once
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,9 +49,35 @@
 #include "graph/builders.h"
 #include "graph/complete_star.h"
 #include "graph/port_graph.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 
 namespace oraclesize::bench {
+
+/// A numeric flag value, parsed strictly (util/parse_number.h): digits only
+/// and within T's range for an integer, finite for a real. Anything else
+/// prints "error: bad <flag>: '<text>'" and exits 2.
+template <typename T>
+T flag_number(const std::string& text, const std::string& flag) {
+  try {
+    return parse_number<T>(text, flag);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
+/// A rate flag: a real in [0, 1], else "error: <flag> must be in [0, 1]"
+/// (or the malformed-number message) and exit 2.
+inline double flag_probability(const std::string& text,
+                               const std::string& flag) {
+  try {
+    return parse_probability(text, flag);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 struct Workload {
   std::string family;
@@ -194,7 +226,7 @@ class Harness {
         return argv[++i];
       };
       if (a == "--jobs") {
-        jobs = static_cast<std::size_t>(std::stoull(next()));
+        jobs = flag_number<std::size_t>(next(), a);
       } else if (a == "--json") {
         json_path_ = next();
       } else if (a == "--no-json") {
@@ -203,19 +235,19 @@ class Harness {
       } else if (a == "--no-advice-cache") {
         advice_cache_ = false;
       } else if (a == "--fault-rate") {
-        fault_rate_ = std::stod(next());
+        fault_rate_ = flag_probability(next(), a);
       } else if (a == "--fault-seed") {
-        fault_seed_ = std::stoull(next());
+        fault_seed_ = flag_number<std::uint64_t>(next(), a);
       } else if (a == "--deadline-ms") {
-        deadline_ms_ = std::stoull(next());
+        deadline_ms_ = flag_number<std::uint64_t>(next(), a);
       } else if (a == "--retries") {
-        retries_ = static_cast<std::uint32_t>(std::stoull(next()));
+        retries_ = flag_number<std::uint32_t>(next(), a);
       } else if (a == "--record-metrics") {
         record_metrics_ = true;
       } else if (a == "--shards") {
-        shards_ = static_cast<std::uint32_t>(std::stoull(next()));
+        shards_ = flag_number<std::uint32_t>(next(), a);
       } else if (a == "--shard-min-nodes") {
-        shard_min_nodes_ = static_cast<std::size_t>(std::stoull(next()));
+        shard_min_nodes_ = flag_number<std::size_t>(next(), a);
       } else {
         std::cerr << "error: unknown option '" << a
                   << "' (supported: --jobs N, --json FILE, --no-json, "
@@ -228,8 +260,7 @@ class Harness {
     if (json_enabled_ && json_path_.empty()) {
       json_path_ = "BENCH_" + id_ + ".json";
     }
-    const RetryPolicy retry{retries_, 0x9e3779b97f4a7c15ULL,
-                            /*retry_task_failures=*/fault_rate_ > 0};
+    const RetryPolicy retry{retries_, /*retry_task_failures=*/fault_rate_ > 0};
     // --shards alone (without --shard-min-nodes) shards every graph of at
     // least 2 nodes; --shard-min-nodes alone shards with one worker per
     // hardware thread.

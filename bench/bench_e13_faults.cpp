@@ -18,20 +18,22 @@
 //   --no-json          skip the JSON file
 //   --seeds-per-cell K fault seeds per (family, scheme, mode, rate) cell
 //                      (default 8, smoke 3; --seeds is the legacy spelling)
-//   --no-seed-batch    run every trial scalar instead of collapsing each
-//                      cell's seed family onto the lockstep executor
-//                      (identical results either way; see core/batch_runner.h
-//                      SeedBatchPolicy)
+//   --shards N         shard each run across N workers (0 = hardware);
+//                      with --shard-min-nodes M, only graphs of at least M
+//                      nodes (default 2)
 //   --smoke            tiny graphs, one rate, 3 seeds — the CI configuration
+//
+// Numeric flags parse strictly (bench_common.h flag_number): a malformed
+// value exits 2. Each cell's seeds form one seed family, which BatchRunner
+// runs on the lockstep executor (core/batch_runner.h).
 //
 // Invariants asserted here and by CI: every rate-0 record has
 // completion_rate 1.0 (the fault layer is invisible on the reliable
-// network), and — unless --no-seed-batch or --shards — the async-random
-// families report lockstep_shared > 0 (the counter-keyed scheduler
-// batches; a zero would mean every async lane silently fell back to
-// scalar). With --shards the ShardPolicy claims trials before seed
-// batching (core/batch_runner.h), so no family forms and the check is
-// skipped.
+// network), and — unless --shards — the async-random families report
+// lockstep_shared > 0 (the counter-keyed scheduler batches; a zero would
+// mean every async lane silently fell back to scalar). With --shards the
+// ShardPolicy claims trials before seed batching (core/batch_runner.h),
+// so no family forms and the check is skipped.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/batch_runner.h"
 #include "core/broadcast_b.h"
 #include "core/flooding.h"
@@ -155,9 +158,6 @@ int main(int argc, char** argv) {
   // sharded engine under the full fault matrix — the TSan CI configuration
   // (identical results either way; see core/batch_runner.h ShardPolicy).
   ShardPolicy shard;
-  // Each cell's seeds form one seed family, so by default the sweep rides
-  // the lockstep executor; --no-seed-batch restores the scalar path.
-  SeedBatchPolicy seed_batch;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
@@ -168,27 +168,25 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--jobs") {
-      jobs = static_cast<std::size_t>(std::stoull(next()));
+      jobs = bench::flag_number<std::size_t>(next(), a);
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--no-json") {
       json_enabled = false;
     } else if (a == "--seeds" || a == "--seeds-per-cell") {
-      seeds = static_cast<std::size_t>(std::stoull(next()));
+      seeds = bench::flag_number<std::size_t>(next(), a);
     } else if (a == "--smoke") {
       smoke = true;
-    } else if (a == "--no-seed-batch") {
-      seed_batch.enabled = false;
     } else if (a == "--shards") {
-      shard.shards = static_cast<std::uint32_t>(std::stoull(next()));
+      shard.shards = bench::flag_number<std::uint32_t>(next(), a);
       if (shard.min_nodes == 0) shard.min_nodes = 2;
     } else if (a == "--shard-min-nodes") {
-      shard.min_nodes = static_cast<std::size_t>(std::stoull(next()));
+      shard.min_nodes = bench::flag_number<std::size_t>(next(), a);
     } else {
       std::cerr << "error: unknown option '" << a
                 << "' (supported: --jobs N, --json FILE, --no-json, "
-                   "--seeds-per-cell K, --smoke, --no-seed-batch, "
-                   "--shards N, --shard-min-nodes N)\n";
+                   "--seeds-per-cell K, --smoke, --shards N, "
+                   "--shard-min-nodes N)\n";
       return 2;
     }
   }
@@ -255,12 +253,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0}, shard,
-                         seed_batch);
-  const RetryPolicy retry_policy{2, 0x9e3779b97f4a7c15ULL,
-                                 /*retry_task_failures=*/true};
+  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0}, shard);
+  const RetryPolicy retry_policy{2, /*retry_task_failures=*/true};
   const BatchRunner retrying(jobs, /*advice_cache=*/true, retry_policy,
-                             shard, seed_batch);
+                             shard);
   std::vector<BatchStats> bare_stats(scheds.size());
   std::vector<std::vector<TaskReport>> bare_reports(scheds.size());
   std::vector<std::vector<TaskReport>> retry_reports(scheds.size());
@@ -345,7 +341,7 @@ int main(int argc, char** argv) {
       std::cout << "lockstep check [" << scheds[sc].name
                 << "]: skipped (--shards claims trials before seed "
                    "batching)\n";
-    } else if (seed_batch.enabled) {
+    } else {
       const bool shared = s.lockstep_shared > 0;
       std::cout << "lockstep check [" << scheds[sc].name
                 << "]: lockstep_shared = " << s.lockstep_shared << " ("

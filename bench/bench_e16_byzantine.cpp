@@ -27,7 +27,8 @@
 //                       completion against the SAME adversary cells
 //
 // Flags match E13: --jobs N, --json FILE, --no-json, --seeds-per-cell K
-// (default 6, smoke 3), --no-seed-batch, --smoke.
+// (default 6, smoke 3), --smoke; numeric flags parse strictly (a malformed
+// value exits 2).
 //
 // Invariants asserted by CI: every byz_fraction-0 record has
 // completion_rate 1.0 AND identical=true (field-for-field equal to the
@@ -42,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/batch_runner.h"
 #include "core/broadcast_b.h"
 #include "core/flooding.h"
@@ -178,7 +180,6 @@ int main(int argc, char** argv) {
   bool json_enabled = true;
   bool smoke = false;
   std::size_t seeds = 0;
-  SeedBatchPolicy seed_batch;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
@@ -189,21 +190,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--jobs") {
-      jobs = static_cast<std::size_t>(std::stoull(next()));
+      jobs = bench::flag_number<std::size_t>(next(), a);
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--no-json") {
       json_enabled = false;
     } else if (a == "--seeds" || a == "--seeds-per-cell") {
-      seeds = static_cast<std::size_t>(std::stoull(next()));
+      seeds = bench::flag_number<std::size_t>(next(), a);
     } else if (a == "--smoke") {
       smoke = true;
-    } else if (a == "--no-seed-batch") {
-      seed_batch.enabled = false;
     } else {
       std::cerr << "error: unknown option '" << a
                 << "' (supported: --jobs N, --json FILE, --no-json, "
-                   "--seeds-per-cell K, --smoke, --no-seed-batch)\n";
+                   "--seeds-per-cell K, --smoke)\n";
       return 2;
     }
   }
@@ -311,12 +310,9 @@ int main(int argc, char** argv) {
     zeroed_specs[i].options.adversary.seed = 0xe16b00c5ULL + i;
   }
 
-  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0}, {},
-                         seed_batch);
-  const RetryPolicy retry_policy{2, 0x9e3779b97f4a7c15ULL,
-                                 /*retry_task_failures=*/true};
-  const BatchRunner retrying(jobs, /*advice_cache=*/true, retry_policy, {},
-                             seed_batch);
+  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0});
+  const RetryPolicy retry_policy{2, /*retry_task_failures=*/true};
+  const BatchRunner retrying(jobs, /*advice_cache=*/true, retry_policy);
   BatchStats bare_stats;
   const std::vector<TaskReport> bare_reports = bare.run(specs, &bare_stats);
   const std::vector<TaskReport> retry_reports = retrying.run(specs);
@@ -326,8 +322,7 @@ int main(int argc, char** argv) {
   // untouched options vs with the zeroed-but-seeded params, single
   // threaded, best of a few repetitions (first warm-up pass fills the
   // advice cache for both arms).
-  const BatchRunner timing_runner(1, /*advice_cache=*/true, RetryPolicy{0},
-                                  {}, seed_batch);
+  const BatchRunner timing_runner(1, /*advice_cache=*/true, RetryPolicy{0});
   auto time_pass = [&](const std::vector<TrialSpec>& s) -> std::uint64_t {
     (void)timing_runner.run(s);  // warm up
     std::uint64_t best = ~0ULL;

@@ -12,15 +12,15 @@
 //              --json F, --no-advice-cache, ...]
 //                                              batched E1-style sweep via
 //                                              BatchRunner, wall-clock timed
-//   bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N] [--jobs N]
+//   bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N]
 //              [--json F | --no-json]          seed-batched lockstep executor
-//                                              vs the scalar BatchRunner path
-//                                              on R-seed families, per
+//                                              vs R scalar runs on one
+//                                              engine, on R-seed families, per
 //                                              (workload, scheme, fault mode)
-//                                              row, with a report-identity
+//                                              row, with a result-identity
 //                                              check per lane
 //                                              -> BENCH_perf_seedbatch.json
-//   bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N] [--jobs N]
+//   bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N]
 //              [--json F | --no-json]          counter-keyed seeded
 //                                              schedulers (async-random,
 //                                              async-link-fifo) through the
@@ -28,7 +28,7 @@
 //                                              either the fault seed (one key
 //                                              class) or the scheduler seed
 //                                              (one key class per lane), with
-//                                              a report-identity check per
+//                                              a result-identity check per
 //                                              lane
 //                                              -> BENCH_perf_schedbatch.json
 //
@@ -55,6 +55,8 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
+#include "sim/execution_context.h"
+#include "sim/seed_batch_engine.h"
 #include "util/table.h"
 
 namespace {
@@ -106,7 +108,7 @@ int run_sweep(int argc, char** argv) {
         std::cerr << "error: missing value after --repeat\n";
         return 2;
       }
-      repeat = static_cast<std::size_t>(std::stoull(argv[++i]));
+      repeat = bench::flag_number<std::size_t>(argv[++i], "--repeat");
       if (repeat == 0) repeat = 1;
     } else {
       rest.push_back(argv[i]);
@@ -259,24 +261,87 @@ int run_sweep(int argc, char** argv) {
   return 0;
 }
 
+/// One row's measurement of a seed family (specs identical up to their two
+/// seeds, each carrying its advice and final options, wakeup enforcement
+/// included). Both arms are bare engine calls, timed min-of-`repeat`, and
+/// each builds its engine once per timed call, as a BatchRunner worker does
+/// per run(): the scalar arm plays the R lanes one after another on one
+/// ExecutionContext, the batched arm is one SeedBatchExecutionContext::run
+/// (one lockstep pass plus scalar replays for diverged lanes). An untimed
+/// BatchRunner pass first warms the row's allocations and supplies the
+/// shared/replayed split; it and the batched arm must both reproduce every
+/// lane's scalar RunResult for the row to count as identical.
+struct FamilyTiming {
+  std::uint64_t scalar_ns = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t batched_ns = std::numeric_limits<std::uint64_t>::max();
+  double speedup = 0.0;
+  bool identical = true;
+  std::size_t shared = 0;
+  std::size_t replayed = 0;
+};
+
+FamilyTiming time_family(const std::vector<TrialSpec>& specs,
+                         std::size_t repeat) {
+  const TrialSpec& proto = specs.front();
+  std::vector<SeedBatchExecutionContext::Lane> lanes;
+  lanes.reserve(specs.size());
+  for (const TrialSpec& s : specs) {
+    lanes.push_back({s.options.seed, s.options.fault.seed});
+  }
+  BatchStats stats;
+  const std::vector<TaskReport> reports = BatchRunner(1).run(specs, &stats);
+
+  FamilyTiming t;
+  std::vector<RunResult> scalar_runs(specs.size());
+  std::vector<RunResult> batched_runs;
+  for (std::size_t r = 0; r < repeat; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ExecutionContext scalar;
+    for (std::size_t l = 0; l < specs.size(); ++l) {
+      const TrialSpec& s = specs[l];
+      scalar_runs[l] = scalar.run(*s.graph, s.source, *s.advice,
+                                  *s.algorithm, s.options);
+    }
+    t.scalar_ns = std::min(t.scalar_ns, since_ns(t0));
+    const auto t1 = std::chrono::steady_clock::now();
+    SeedBatchExecutionContext batched;
+    batched_runs = batched.run(*proto.graph, proto.source, *proto.advice,
+                               *proto.algorithm, proto.options, lanes);
+    t.batched_ns = std::min(t.batched_ns, since_ns(t1));
+  }
+  t.shared = stats.lockstep_shared;
+  t.replayed = stats.batched_lanes - t.shared;
+  for (std::size_t l = 0; l < specs.size(); ++l) {
+    const TaskReport& report = reports[l];
+    t.identical = t.identical && batched_runs[l] == scalar_runs[l] &&
+                  report.error.empty() && report.attempts == 1 &&
+                  report.run == scalar_runs[l];
+  }
+  t.speedup = t.batched_ns > 0 ? static_cast<double>(t.scalar_ns) /
+                                     static_cast<double>(t.batched_ns)
+                               : 0.0;
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // --seed-batch: the seed-batched lockstep executor's measurement.
 //
 // Every row is one seed FAMILY: R trials identical up to their fault seed,
-// over one (workload, scheme, fault mode) cell. The scalar pass runs the
-// family through BatchRunner with SeedBatchPolicy disabled (R independent
-// engine runs); the batched pass re-runs the same specs with the policy on
-// (one lockstep pass + scalar replays for diverged lanes). Advice is
-// precomputed per (workload, scheme) and attached via TrialSpec::advice,
+// over one (workload, scheme, fault mode) cell, timed by time_family: the
+// scalar pass runs the R lanes one after another on one ExecutionContext
+// (R independent engine runs); the batched pass is one
+// SeedBatchExecutionContext::run (one lockstep pass + scalar replays for
+// diverged lanes), the engine call a BatchRunner family unit makes. Advice
+// is precomputed per (workload, scheme) and attached via TrialSpec::advice,
 // outside the timed region — the E13 regime the executor targets, where
 // the advice artifact is computed once per cell and reused across every
 // seed — so the timed quantity is run-execution throughput, not advise.
-// Both passes use the same jobs count (default 1), so the measured ratio
+// Both passes are bare engine calls on one thread, so the measured ratio
 // is pure deduplication, not parallelism — machine-independent, which is
 // what lets tools/perf_gate.py hold the committed baseline to an absolute
-// >= 10x floor on the fault-free rows. Every lane's TaskReport is compared
-// across the passes (RunResult bit-identity + attempt/advice fields);
-// "identical" is false on any mismatch and the binary exits 1.
+// >= 10x floor on the fault-free rows. Every lane's RunResult is compared
+// across the passes and against an untimed BatchRunner pass; "identical"
+// is false on any mismatch and the binary exits 1.
 //
 // The fault modes ladder the divergence probability: "none" shares every
 // lane (the headline row), the drop/delay/crash/advice-flip rows document
@@ -291,16 +356,15 @@ int run_seed_batch(int argc, char** argv) {
   // use.)
   std::size_t lanes = 64;
   std::size_t repeat = 3;
-  std::size_t jobs = 1;
   bool smoke = false;
   std::string json_path = "BENCH_perf_seedbatch.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::max<std::size_t>(2, std::stoull(argv[++i]));
+      lanes = std::max<std::size_t>(
+          2, bench::flag_number<std::size_t>(argv[++i], "--lanes"));
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::max<std::size_t>(1, std::stoull(argv[++i]));
+      repeat = std::max<std::size_t>(
+          1, bench::flag_number<std::size_t>(argv[++i], "--repeat"));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -310,7 +374,7 @@ int run_seed_batch(int argc, char** argv) {
     } else {
       std::cerr << "error: unknown option '" << argv[i]
                 << "' (seed-batch supports: --lanes R, --smoke, --repeat N, "
-                   "--jobs N, --json FILE, --no-json)\n";
+                   "--json FILE, --no-json)\n";
       return 2;
     }
   }
@@ -371,21 +435,13 @@ int run_seed_batch(int argc, char** argv) {
       {"advice-flip", 1e-3, FaultKind::kAdviceFlip},
   };
 
-  const BatchRunner scalar_runner(jobs, true, {}, {}, SeedBatchPolicy{false});
-  const BatchRunner batched_runner(jobs, true, {}, {}, SeedBatchPolicy{true});
-
   struct Row {
     std::string family;
     std::size_t n = 0;
     std::string scheme;
     std::string mode;
     double rate = 0.0;
-    std::uint64_t scalar_ns = 0;
-    std::uint64_t batched_ns = 0;
-    double speedup = 0.0;
-    bool identical = true;
-    std::size_t shared = 0;
-    std::size_t replayed = 0;
+    FamilyTiming t;
   };
 
   std::vector<Row> rows;
@@ -423,49 +479,9 @@ int run_seed_batch(int argc, char** argv) {
                              advice);
         }
 
-        Row row;
-        row.family = w.family;
-        row.n = w.graph.num_nodes();
-        row.scheme = s.name;
-        row.mode = m.name;
-        row.rate = m.rate;
-        row.scalar_ns = std::numeric_limits<std::uint64_t>::max();
-        row.batched_ns = std::numeric_limits<std::uint64_t>::max();
-        // One untimed batched run first: warms every allocation on the
-        // row's path and collects the shared/replayed split (deterministic,
-        // so reading it outside the timed runs changes nothing). The timed
-        // runs then pass no BatchStats — metric recording is keyed off the
-        // out-param, and it must not bias either side.
-        BatchStats batched_stats;
-        std::vector<TaskReport> batched_reports =
-            batched_runner.run(specs, &batched_stats);
-        std::vector<TaskReport> scalar_reports;
-        for (std::size_t r = 0; r < repeat; ++r) {
-          const auto t0 = std::chrono::steady_clock::now();
-          scalar_reports = scalar_runner.run(specs);
-          row.scalar_ns = std::min(row.scalar_ns, since_ns(t0));
-          const auto t1 = std::chrono::steady_clock::now();
-          batched_reports = batched_runner.run(specs);
-          row.batched_ns = std::min(row.batched_ns, since_ns(t1));
-        }
-        row.shared = batched_stats.lockstep_shared;
-        row.replayed = batched_stats.batched_lanes >= row.shared
-                           ? batched_stats.batched_lanes - row.shared
-                           : 0;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const TaskReport& a = scalar_reports[l];
-          const TaskReport& b = batched_reports[l];
-          if (!(a.run == b.run) || a.attempts != b.attempts ||
-              a.error != b.error || a.oracle_bits != b.oracle_bits ||
-              a.advice_cached != b.advice_cached) {
-            row.identical = false;
-          }
-        }
-        row.speedup = row.batched_ns > 0
-                          ? static_cast<double>(row.scalar_ns) /
-                                static_cast<double>(row.batched_ns)
-                          : 0.0;
-        all_identical = all_identical && row.identical;
+        const Row row{w.family, w.graph.num_nodes(), s.name, m.name,
+                      m.rate, time_family(specs, repeat)};
+        all_identical = all_identical && row.t.identical;
         rows.push_back(row);
       }
     }
@@ -480,17 +496,16 @@ int run_seed_batch(int argc, char** argv) {
         .cell(r.scheme)
         .cell(r.mode)
         .cell(r.rate, 4)
-        .cell(static_cast<double>(r.scalar_ns) / 1e6, 3)
-        .cell(static_cast<double>(r.batched_ns) / 1e6, 3)
-        .cell(r.speedup, 2)
-        .cell(r.shared)
-        .cell(r.replayed)
-        .cell(r.identical ? "yes" : "NO");
+        .cell(static_cast<double>(r.t.scalar_ns) / 1e6, 3)
+        .cell(static_cast<double>(r.t.batched_ns) / 1e6, 3)
+        .cell(r.t.speedup, 2)
+        .cell(r.t.shared)
+        .cell(r.t.replayed)
+        .cell(r.t.identical ? "yes" : "NO");
   }
-  t.print(std::cout, "seed-batched lockstep vs scalar BatchRunner (" +
+  t.print(std::cout, "seed-batched lockstep vs scalar engine (" +
                          std::to_string(lanes) + " lanes, min of " +
-                         std::to_string(repeat) + ", jobs=" +
-                         std::to_string(jobs) + ")");
+                         std::to_string(repeat) + ")");
   std::cout << "report identity batched vs scalar: "
             << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
 
@@ -500,20 +515,20 @@ int run_seed_batch(int argc, char** argv) {
       std::cerr << "warning: cannot write " << json_path << "\n";
     } else {
       out << "{\n  \"bench\": \"perf_seedbatch\",\n"
-          << "  \"lanes\": " << lanes << ",\n  \"jobs\": " << jobs
-          << ",\n  \"repeat\": " << repeat << ",\n  \"rows\": [";
+          << "  \"lanes\": " << lanes << ",\n  \"repeat\": " << repeat
+          << ",\n  \"rows\": [";
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         out << (i == 0 ? "\n" : ",\n") << "    {\"family\": \"" << r.family
             << "\", \"n\": " << r.n << ", \"scheme\": \"" << r.scheme
             << "\", \"mode\": \"" << r.mode << "\", \"rate\": " << r.rate
             << ", \"lanes\": " << lanes
-            << ", \"scalar_ns\": " << r.scalar_ns
-            << ", \"batched_ns\": " << r.batched_ns
-            << ", \"speedup\": " << r.speedup
-            << ", \"shared\": " << r.shared
-            << ", \"replayed\": " << r.replayed << ", \"identical\": "
-            << (r.identical ? "true" : "false") << "}";
+            << ", \"scalar_ns\": " << r.t.scalar_ns
+            << ", \"batched_ns\": " << r.t.batched_ns
+            << ", \"speedup\": " << r.t.speedup
+            << ", \"shared\": " << r.t.shared
+            << ", \"replayed\": " << r.t.replayed << ", \"identical\": "
+            << (r.t.identical ? "true" : "false") << "}";
       }
       out << "\n  ]\n}\n";
       std::cerr << "[bench] wrote " << rows.size()
@@ -547,25 +562,25 @@ int run_seed_batch(int argc, char** argv) {
 //    on the first fan-out and retire to scalar replay, so it is
 //    identity-gated only.
 //
-// Methodology matches --seed-batch: same jobs on both sides (ratio is pure
-// deduplication), advice precomputed outside the timed region, min-of-
-// repeat, per-lane TaskReport identity between the scalar and batched
-// passes, exit 1 on any mismatch.
+// Methodology matches --seed-batch (time_family): bare engine calls on one
+// thread (ratio is pure deduplication), advice precomputed outside the
+// timed region, min-of-repeat, per-lane RunResult identity between the
+// scalar pass, the batched pass and an untimed BatchRunner pass, exit 1 on
+// any mismatch.
 // ---------------------------------------------------------------------------
 
 int run_sched_batch(int argc, char** argv) {
   std::size_t lanes = 64;
   std::size_t repeat = 3;
-  std::size_t jobs = 1;
   bool smoke = false;
   std::string json_path = "BENCH_perf_schedbatch.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::max<std::size_t>(2, std::stoull(argv[++i]));
+      lanes = std::max<std::size_t>(
+          2, bench::flag_number<std::size_t>(argv[++i], "--lanes"));
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::max<std::size_t>(1, std::stoull(argv[++i]));
+      repeat = std::max<std::size_t>(
+          1, bench::flag_number<std::size_t>(argv[++i], "--repeat"));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -575,7 +590,7 @@ int run_sched_batch(int argc, char** argv) {
     } else {
       std::cerr << "error: unknown option '" << argv[i]
                 << "' (sched-batch supports: --lanes R, --smoke, --repeat N, "
-                   "--jobs N, --json FILE, --no-json)\n";
+                   "--json FILE, --no-json)\n";
       return 2;
     }
   }
@@ -643,18 +658,10 @@ int run_sched_batch(int argc, char** argv) {
                      false});
   }
 
-  const BatchRunner scalar_runner(jobs, true, {}, {}, SeedBatchPolicy{false});
-  const BatchRunner batched_runner(jobs, true, {}, {}, SeedBatchPolicy{true});
-
   struct Row {
     const Cell* cell;
     std::size_t n = 0;
-    std::uint64_t scalar_ns = 0;
-    std::uint64_t batched_ns = 0;
-    double speedup = 0.0;
-    bool identical = true;
-    std::size_t shared = 0;
-    std::size_t replayed = 0;
+    FamilyTiming t;
   };
 
   std::map<std::pair<const void*, const void*>, AdvicePtr> advice_cache;
@@ -697,44 +704,9 @@ int run_sched_batch(int argc, char** argv) {
                          advice);
     }
 
-    Row row;
-    row.cell = &c;
-    row.n = c.load->graph.num_nodes();
-    row.scalar_ns = std::numeric_limits<std::uint64_t>::max();
-    row.batched_ns = std::numeric_limits<std::uint64_t>::max();
-    // Untimed warm-up pass collects the shared/replayed split (see
-    // --seed-batch for the rationale).
-    BatchStats batched_stats;
-    std::vector<TaskReport> batched_reports =
-        batched_runner.run(specs, &batched_stats);
-    std::vector<TaskReport> scalar_reports;
-    for (std::size_t r = 0; r < repeat; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      scalar_reports = scalar_runner.run(specs);
-      row.scalar_ns = std::min(row.scalar_ns, since_ns(t0));
-      const auto t1 = std::chrono::steady_clock::now();
-      batched_reports = batched_runner.run(specs);
-      row.batched_ns = std::min(row.batched_ns, since_ns(t1));
-    }
-    row.shared = batched_stats.lockstep_shared;
-    row.replayed = batched_stats.batched_lanes >= row.shared
-                       ? batched_stats.batched_lanes - row.shared
-                       : 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const TaskReport& a = scalar_reports[l];
-      const TaskReport& b = batched_reports[l];
-      if (!(a.run == b.run) || a.attempts != b.attempts ||
-          a.error != b.error || a.oracle_bits != b.oracle_bits ||
-          a.advice_cached != b.advice_cached) {
-        row.identical = false;
-      }
-    }
-    if (c.full_share && row.shared != lanes) row.identical = false;
-    row.speedup = row.batched_ns > 0
-                      ? static_cast<double>(row.scalar_ns) /
-                            static_cast<double>(row.batched_ns)
-                      : 0.0;
-    all_identical = all_identical && row.identical;
+    Row row{&c, c.load->graph.num_nodes(), time_family(specs, repeat)};
+    if (c.full_share && row.t.shared != lanes) row.t.identical = false;
+    all_identical = all_identical && row.t.identical;
     rows.push_back(row);
   }
 
@@ -748,18 +720,17 @@ int run_sched_batch(int argc, char** argv) {
         .cell(to_string(r.cell->scheduler))
         .cell(r.cell->axis)
         .cell(r.cell->mode)
-        .cell(static_cast<double>(r.scalar_ns) / 1e6, 3)
-        .cell(static_cast<double>(r.batched_ns) / 1e6, 3)
-        .cell(r.speedup, 2)
-        .cell(r.shared)
-        .cell(r.replayed)
-        .cell(r.identical ? "yes" : "NO");
+        .cell(static_cast<double>(r.t.scalar_ns) / 1e6, 3)
+        .cell(static_cast<double>(r.t.batched_ns) / 1e6, 3)
+        .cell(r.t.speedup, 2)
+        .cell(r.t.shared)
+        .cell(r.t.replayed)
+        .cell(r.t.identical ? "yes" : "NO");
   }
   t.print(std::cout,
           "counter-keyed schedulers through the lockstep executor (" +
               std::to_string(lanes) + " lanes, min of " +
-              std::to_string(repeat) + ", jobs=" + std::to_string(jobs) +
-              ")");
+              std::to_string(repeat) + ")");
   std::cout << "report identity batched vs scalar: "
             << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
 
@@ -769,8 +740,8 @@ int run_sched_batch(int argc, char** argv) {
       std::cerr << "warning: cannot write " << json_path << "\n";
     } else {
       out << "{\n  \"bench\": \"perf_schedbatch\",\n"
-          << "  \"lanes\": " << lanes << ",\n  \"jobs\": " << jobs
-          << ",\n  \"repeat\": " << repeat << ",\n  \"rows\": [";
+          << "  \"lanes\": " << lanes << ",\n  \"repeat\": " << repeat
+          << ",\n  \"rows\": [";
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         const Cell& c = *r.cell;
@@ -779,14 +750,14 @@ int run_sched_batch(int argc, char** argv) {
             << c.scheme << "\", \"scheduler\": \"" << to_string(c.scheduler)
             << "\", \"axis\": \"" << c.axis << "\", \"mode\": \"" << c.mode
             << "\", \"rate\": " << c.rate << ", \"lanes\": " << lanes
-            << ", \"scalar_ns\": " << r.scalar_ns
-            << ", \"batched_ns\": " << r.batched_ns
-            << ", \"speedup\": " << r.speedup
-            << ", \"shared\": " << r.shared
-            << ", \"replayed\": " << r.replayed
+            << ", \"scalar_ns\": " << r.t.scalar_ns
+            << ", \"batched_ns\": " << r.t.batched_ns
+            << ", \"speedup\": " << r.t.speedup
+            << ", \"shared\": " << r.t.shared
+            << ", \"replayed\": " << r.t.replayed
             << ", \"floor\": " << (c.floor ? "true" : "false")
             << ", \"full_share\": " << (c.full_share ? "true" : "false")
-            << ", \"identical\": " << (r.identical ? "true" : "false")
+            << ", \"identical\": " << (r.t.identical ? "true" : "false")
             << "}";
       }
       out << "\n  ]\n}\n";
@@ -822,11 +793,9 @@ int main(int argc, char** argv) {
   if (sweep) return run_sweep(rest_argc, rest.data());
   std::cerr << "usage:\n"
                "  bench_perf --sweep [--repeat N] [bench harness options]\n"
-               "  bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N] "
-               "[--jobs N]\n"
+               "  bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N]\n"
                "             [--json FILE | --no-json]\n"
-               "  bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N] "
-               "[--jobs N]\n"
+               "  bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N]\n"
                "             [--json FILE | --no-json]\n";
   return 2;
 }

@@ -18,38 +18,14 @@
 namespace oraclesize {
 
 SeedFamilyKey seed_family_key(const TrialSpec& spec) {
-  SeedFamilyKey key;
-  key.graph = spec.graph;
-  key.source = spec.source;
-  if (spec.oracle != nullptr) key.oracle = spec.oracle->name();
-  key.algorithm = spec.algorithm;
-  key.advice = spec.advice.get();
-  const RunOptions& o = spec.options;
-  key.scheduler = o.scheduler;
-  key.max_delay = o.max_delay;
-  key.max_messages = o.max_messages;
-  key.enforce_wakeup = o.enforce_wakeup;
-  key.anonymous = o.anonymous;
-  key.deadline_ns = o.deadline_ns;
-  key.max_events = o.max_events;
-  key.trace_sink = o.trace_sink;
-  key.fault_drop = o.fault.drop;
-  key.fault_duplicate = o.fault.duplicate;
-  key.fault_delay = o.fault.delay;
-  key.fault_max_extra_delay = o.fault.max_extra_delay;
-  key.fault_crash = o.fault.crash;
-  key.fault_max_crash_key = o.fault.max_crash_key;
-  key.fault_crash_source = o.fault.crash_source;
-  key.fault_advice_flip = o.fault.advice_flip;
-  key.adv_seed = o.adversary.seed;
-  key.adv_rate = o.adversary.byz_rate;
-  key.adv_nodes = o.adversary.byz_nodes;
-  key.adv_source = o.adversary.byz_source;
-  key.adv_strategy = o.adversary.strategy;
-  key.adv_forge = o.adversary.forge;
-  key.adv_equivocate = o.adversary.equivocate;
-  key.adv_advice_lie = o.adversary.advice_lie;
-  key.adv_replay_window = o.adversary.replay_window;
+  SeedFamilyKey key{spec.graph,
+                    spec.source,
+                    spec.oracle != nullptr ? spec.oracle->name() : "",
+                    spec.algorithm,
+                    spec.advice.get(),
+                    spec.options};
+  key.options.seed = 0;
+  key.options.fault.seed = 0;
   return key;
 }
 
@@ -253,16 +229,42 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
   return report;
 }
 
+/// A retry shifts both seeds by the 64-bit golden-ratio constant.
+constexpr std::uint64_t kReseedStride = 0x9e3779b97f4a7c15ULL;
+
+/// Per-worker state of a pool that needs none.
+struct Stateless {};
+
+/// Runs body(k, state) for every k in [0, count), claimed off one atomic
+/// counter by min(workers, count) threads (inline when that is one). Each
+/// thread owns one default-constructed State for all of its calls.
+template <typename State, typename Body>
+void run_pool(std::size_t count, std::size_t workers, const Body& body) {
+  if (count == 0) return;
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    State state;
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < count; k = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(k, state);
+    }
+  };
+  const std::size_t threads = std::min(workers, count);
+  if (threads <= 1) {
+    drain();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t w = 0; w < threads; ++w) pool.emplace_back(drain);
+  for (std::thread& t : pool) t.join();
+}
+
 }  // namespace
 
 BatchRunner::BatchRunner(std::size_t jobs, bool advice_cache,
-                         RetryPolicy retry, ShardPolicy shard,
-                         SeedBatchPolicy seed_batch)
-    : jobs_(jobs),
-      advice_cache_(advice_cache),
-      retry_(retry),
-      shard_(shard),
-      seed_batch_(seed_batch) {
+                         RetryPolicy retry, ShardPolicy shard)
+    : jobs_(jobs), advice_cache_(advice_cache), retry_(retry), shard_(shard) {
   if (jobs_ == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     jobs_ = hw == 0 ? 1 : hw;
@@ -299,8 +301,6 @@ std::vector<TaskReport> BatchRunner::run_impl(
   std::vector<PreparedAdvice> prepared(specs.size());
   std::vector<std::exception_ptr> errors(specs.size());
   BatchStats batch_stats;
-  const std::size_t workers =
-      specs.size() < jobs_ ? (specs.empty() ? 1 : specs.size()) : jobs_;
 
   // Specs carrying their own advice never hit the oracle.
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -337,7 +337,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
                      });
 
     AdviceCache cache;
-    auto compute_group = [&](const std::vector<std::size_t>& indices) {
+    run_pool<Stateless>(work.size(), jobs_, [&](std::size_t k, Stateless&) {
+      const std::vector<std::size_t>& indices = *work[k];
       const std::size_t owner = indices.front();
       const TrialSpec& spec = specs[owner];
       try {
@@ -356,27 +357,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
           errors[idx] = std::current_exception();
         }
       }
-    };
-
-    if (workers <= 1 || work.size() <= 1) {
-      for (const auto* indices : work) compute_group(*indices);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(workers < work.size() ? workers : work.size());
-      for (std::size_t w = 0;
-           w < (workers < work.size() ? workers : work.size()); ++w) {
-        pool.emplace_back([&]() {
-          while (true) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= work.size()) break;
-            compute_group(*work[i]);
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-    }
+    });
 
     const AdviceCache::Stats cache_stats = cache.stats();
     batch_stats.unique_advice = cache_stats.misses;
@@ -393,203 +374,173 @@ std::vector<TaskReport> BatchRunner::run_impl(
   std::optional<TrialMetrics> trial_metrics;
   if (stats != nullptr) trial_metrics.emplace(registry);
 
-  // Fault-isolated trial execution with bounded, deterministically
-  // re-seeded retry. Only the worker that claimed trial i touches
-  // errors[i]/results[i], so no synchronization beyond the join is needed.
-  auto run_one = [&](std::size_t i, ExecutionContext* context,
-                     ShardedExecutionContext* sharded) {
-    if (errors[i]) {
-      // The advise() pre-pass already failed this spec; advise failures
-      // are deterministic in the spec, so retrying cannot help.
-      results[i] = error_report(specs[i], what_of(errors[i]));
-      return;
-    }
-    TrialSpec spec = specs[i];
-    std::uint32_t attempt = 0;
-    while (true) {
-      TaskReport report;
-      try {
-        report = run_trial(spec, prepared[i], context, sharded);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        report = error_report(specs[i], what_of(errors[i]));
-      }
-      report.attempts = attempt + 1;
-      const bool transient =
-          report.failed() || report.run.status == RunStatus::kTimeout ||
-          report.run.status == RunStatus::kBudgetExhausted ||
-          (retry_.retry_task_failures &&
-           report.run.status == RunStatus::kTaskFailed);
-      if (!transient || attempt >= retry_.max_retries) {
-        if (!report.failed()) errors[i] = nullptr;  // a retry recovered
-        results[i] = std::move(report);
-        return;
-      }
-      ++attempt;
-      // Re-seed both randomness domains so the next attempt explores a
-      // different schedule/fault draw yet stays a pure function of the
-      // spec and the attempt number.
-      spec.options.seed += retry_.reseed_stride;
-      spec.options.fault.seed += retry_.reseed_stride;
-    }
-  };
-
-  // Each trial is observed exactly once, by the worker that claimed it,
-  // after its LAST attempt settled.
-  auto run_and_observe = [&](std::size_t i, ExecutionContext* context,
-                             ShardedExecutionContext* sharded) {
-    run_one(i, context, sharded);
-    if (trial_metrics) trial_metrics->observe(results[i]);
-  };
-
-  // Split off trials big enough for intra-run sharding. They run one at a
-  // time BEFORE the trial pool starts — the sharded engine wants every
-  // core to itself — and largest first (stable by spec index, mirroring
-  // the advise pre-pass), so the most expensive run is never the one the
-  // batch tail waits on. Result slots are fixed by spec index, so the
-  // reordering is invisible in the returned vector.
-  //
-  // What the shard split leaves is grouped by seed family: specs identical
-  // up to their seeds whose advice is already resolved (shared advice is
-  // what the lockstep pass amortizes — with the cache off every trial
-  // stays scalar, keeping the measurement baseline pure) and whose options
-  // the lockstep engine can honor become one FAMILY unit; everything else
-  // pools as scalar singles. Family membership is a pure function of the
-  // specs, so the unit list — like every result — is jobs-invariant.
-  std::vector<std::size_t> pool_work;
-  pool_work.reserve(specs.size());
+  // Units. Trials big enough for intra-run sharding are split off first.
+  // Of the rest, two or more lockstep-eligible specs with equal family keys
+  // and resolved advice (shared advice is what a lockstep pass amortizes,
+  // so with the cache off every trial stays single) form one family unit;
+  // every other spec is a single unit. Units are a pure function of the
+  // specs, so they — like every result — are jobs-invariant. Families come
+  // first (the batch's biggest chunks: one landing on the pool last would
+  // serialize the tail behind one worker), then singles in spec order.
   std::vector<std::size_t> sharded_work;
-  std::vector<std::vector<std::size_t>> family_work;
+  std::vector<std::vector<std::size_t>> units;
   {
-    std::vector<char> claimed(specs.size(), 0);
     std::map<SeedFamilyKey, std::vector<std::size_t>> families;
+    std::vector<std::size_t> singles;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (shard_.enabled() &&
           specs[i].graph->num_nodes() >= shard_.min_nodes) {
         sharded_work.push_back(i);
-        claimed[i] = 1;
+      } else if (prepared[i].advice && !errors[i] &&
+                 SeedBatchExecutionContext::lockstep_eligible(
+                     specs[i].options)) {
+        families[seed_family_key(specs[i])].push_back(i);
+      } else {
+        singles.push_back(i);
+      }
+    }
+    for (auto& [key, members] : families) {
+      if (members.size() < 2) {
+        singles.push_back(members.front());
         continue;
       }
-      if (seed_batch_.enabled && prepared[i].advice && !errors[i] &&
-          SeedBatchExecutionContext::lockstep_eligible(specs[i].options)) {
-        families[seed_family_key(specs[i])].push_back(i);
-      }
+      ++batch_stats.seed_families;
+      batch_stats.batched_lanes += members.size();
+      units.push_back(std::move(members));
     }
-    for (auto& [key, indices] : families) {
-      if (!seed_batch_.enabled_for(indices.size())) continue;
-      for (const std::size_t i : indices) claimed[i] = 1;
-      family_work.push_back(std::move(indices));
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (!claimed[i]) pool_work.push_back(i);
-    }
+    std::sort(singles.begin(), singles.end());
+    for (const std::size_t i : singles) units.push_back({i});
   }
 
-  // Per-unit count of trials whose FINAL attempt was served by a shared
-  // lockstep pass. Written only by the worker that owns the unit, summed
-  // serially after the join.
-  std::vector<std::size_t> family_shared(family_work.size(), 0);
+  // Per spec: its final attempt was served by a shared lockstep pass.
+  std::vector<char> shared_final(specs.size(), 0);
 
-  // Executes one family unit: repeated lockstep passes over the lanes
-  // still pending, with the same per-trial retry/fault-isolation semantics
-  // as run_one. Retries shift only the two seeds, so every pass stays one
-  // family; lanes retire from `pending` as their attempts settle — shared
-  // lanes take the pass's RunResult, diverged lanes replay scalar on this
-  // worker's context, reproducing run_one report for report.
-  auto run_family = [&](std::size_t u, ExecutionContext* context,
-                        SeedBatchExecutionContext* batched) {
-    const std::vector<std::size_t>& members = family_work[u];
-    const TrialSpec& proto = specs[members.front()];
-    const AdvicePtr advice = prepared[members.front()].advice;
-    RunOptions base = proto.options;
-    if (proto.algorithm->is_wakeup()) base.enforce_wakeup = true;
-
-    struct LaneState {
+  // The one unit loop, fault-isolated with bounded, deterministically
+  // re-seeded retry. Each round a family takes one lockstep pass over its
+  // pending lanes; every lane the pass does not serve (and every lane of a
+  // single) runs run_trial on the worker's engine, or on `sharded` for
+  // ShardPolicy trials. A transient outcome re-seeds its lane and queues
+  // it for the next round. Only the worker that owns a unit touches its
+  // members' slots, so nothing beyond the join synchronizes them.
+  auto run_unit = [&](const std::vector<std::size_t>& members,
+                      SeedBatchExecutionContext* engine,
+                      ShardedExecutionContext* sharded) {
+    struct Lane {
       std::size_t spec;
+      std::uint32_t attempt;
       std::uint64_t seed;
       std::uint64_t fault_seed;
-      std::uint32_t attempt;
     };
-    std::vector<LaneState> pending;
+    std::vector<Lane> pending;
     pending.reserve(members.size());
     for (const std::size_t i : members) {
+      if (errors[i]) {
+        // The advise() pre-pass already failed this spec; advise failures
+        // are deterministic in the spec, so retrying cannot help.
+        results[i] = error_report(specs[i], what_of(errors[i]));
+        if (trial_metrics) trial_metrics->observe(results[i]);
+        continue;
+      }
       pending.push_back(
-          {i, specs[i].options.seed, specs[i].options.fault.seed, 0});
+          {i, 0, specs[i].options.seed, specs[i].options.fault.seed});
     }
+    const bool family = members.size() > 1;
+    const TrialSpec& proto = specs[members.front()];
     std::vector<SeedBatchExecutionContext::Lane> lanes;
     std::vector<SeedBatchExecutionContext::LaneDisposition> disp;
-    std::vector<LaneState> still_pending;
+    std::vector<Lane> next;
     while (!pending.empty()) {
-      lanes.clear();
-      for (const LaneState& ls : pending) {
-        lanes.push_back({ls.seed, ls.fault_seed});
+      std::uint64_t shared_ns = 0;
+      if (family) {
+        lanes.clear();
+        for (const Lane& lane : pending) {
+          lanes.push_back({lane.seed, lane.fault_seed});
+        }
+        RunOptions base = proto.options;
+        if (proto.algorithm->is_wakeup()) base.enforce_wakeup = true;
+        const auto started = std::chrono::steady_clock::now();
+        try {
+          engine->run_lockstep(*proto.graph, proto.source,
+                               *prepared[members.front()].advice,
+                               *proto.algorithm, base, lanes, disp);
+        } catch (const std::invalid_argument&) {
+          // A precondition error (advice size, source range): every lane
+          // replays and reports it exactly as a single would.
+          disp.assign(pending.size(),
+                      SeedBatchExecutionContext::LaneDisposition::kReplay);
+        }
+        const std::size_t shared_count = static_cast<std::size_t>(
+            std::count(disp.begin(), disp.end(),
+                       SeedBatchExecutionContext::LaneDisposition::kShared));
+        // Shared lanes split the pass's wall clock evenly — timing is the
+        // one field outside the bit-identity contract, and an even split
+        // keeps batch totals comparable with the scalar path.
+        if (shared_count > 0) shared_ns = elapsed_ns(started) / shared_count;
       }
-      const auto started = std::chrono::steady_clock::now();
-      batched->run_lockstep(*proto.graph, proto.source, *advice,
-                            *proto.algorithm, base, lanes, disp);
-      const std::uint64_t lockstep_ns = elapsed_ns(started);
-      std::size_t shared_count = 0;
-      for (const auto d : disp) {
-        shared_count +=
-            d == SeedBatchExecutionContext::LaneDisposition::kShared;
-      }
-      // Shared lanes split the pass's wall clock evenly — timing is the
-      // one field outside the bit-identity contract, and an even split
-      // keeps batch totals comparable with the scalar path.
-      const std::uint64_t shared_ns =
-          shared_count ? lockstep_ns / shared_count : 0;
-      still_pending.clear();
+      next.clear();
       for (std::size_t j = 0; j < pending.size(); ++j) {
-        const std::size_t i = pending[j].spec;
+        const Lane& lane = pending[j];
+        const std::size_t i = lane.spec;
         const bool lane_shared =
+            family &&
             disp[j] == SeedBatchExecutionContext::LaneDisposition::kShared;
         TaskReport report;
         if (lane_shared) {
+          const std::vector<BitString>& advice = *prepared[i].advice;
           report.oracle_name = specs[i].oracle->name();
           report.algorithm_name = specs[i].algorithm->name();
           report.advise_ns = prepared[i].advise_ns;
           report.advice_cached = prepared[i].cached;
-          report.oracle_bits = oracle_size_bits(*advice);
-          report.max_advice_bits = max_advice_bits(*advice);
+          report.oracle_bits = oracle_size_bits(advice);
+          report.max_advice_bits = max_advice_bits(advice);
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared
           // result.
-          report.run = batched->lane_result(j);
+          report.run = engine->lane_result(j);
           report.run_ns = shared_ns;
           report.wall_ns = report.advise_ns + report.run_ns;
         } else {
           TrialSpec attempt_spec = specs[i];
-          attempt_spec.options.seed = pending[j].seed;
-          attempt_spec.options.fault.seed = pending[j].fault_seed;
+          attempt_spec.options.seed = lane.seed;
+          attempt_spec.options.fault.seed = lane.fault_seed;
           try {
-            report = run_trial(attempt_spec, prepared[i], context, nullptr);
+            report = run_trial(attempt_spec, prepared[i],
+                               engine != nullptr ? &engine->scalar() : nullptr,
+                               sharded);
           } catch (...) {
             errors[i] = std::current_exception();
             report = error_report(specs[i], what_of(errors[i]));
           }
         }
-        report.attempts = pending[j].attempt + 1;
+        report.attempts = lane.attempt + 1;
         const bool transient =
             report.failed() || report.run.status == RunStatus::kTimeout ||
             report.run.status == RunStatus::kBudgetExhausted ||
             (retry_.retry_task_failures &&
              report.run.status == RunStatus::kTaskFailed);
-        if (!transient || pending[j].attempt >= retry_.max_retries) {
-          if (!report.failed()) errors[i] = nullptr;
-          if (lane_shared) ++family_shared[u];
-          results[i] = std::move(report);
-          if (trial_metrics) trial_metrics->observe(results[i]);
-        } else {
-          still_pending.push_back(
-              {i, pending[j].seed + retry_.reseed_stride,
-               pending[j].fault_seed + retry_.reseed_stride,
-               pending[j].attempt + 1});
+        if (transient && lane.attempt < retry_.max_retries) {
+          // Re-seed both randomness domains so the next attempt explores a
+          // different schedule/fault draw yet stays a pure function of the
+          // spec and the attempt number.
+          next.push_back({i, lane.attempt + 1, lane.seed + kReseedStride,
+                          lane.fault_seed + kReseedStride});
+          continue;
         }
+        if (!report.failed()) errors[i] = nullptr;  // a retry recovered
+        shared_final[i] = lane_shared;
+        results[i] = std::move(report);
+        if (trial_metrics) trial_metrics->observe(results[i]);
       }
-      pending.swap(still_pending);
+      pending.swap(next);
     }
   };
+
+  // Sharded trials run one at a time BEFORE the pool starts — the sharded
+  // engine wants every core to itself — and largest first (stable by spec
+  // index, mirroring the advise pre-pass), so the most expensive run is
+  // never the one the batch tail waits on. Result slots are fixed by spec
+  // index, so the reordering is invisible in the returned vector.
   if (!sharded_work.empty()) {
     std::stable_sort(sharded_work.begin(), sharded_work.end(),
                      [&](std::size_t a, std::size_t b) {
@@ -597,77 +548,20 @@ std::vector<TaskReport> BatchRunner::run_impl(
                               specs[b].graph->num_edges();
                      });
     ShardedExecutionContext sharded(shard_.shards);
-    for (const std::size_t i : sharded_work) {
-      run_and_observe(i, nullptr, &sharded);
-    }
+    for (const std::size_t i : sharded_work) run_unit({i}, nullptr, &sharded);
   }
-
-  // One heterogeneous work list for the pool: family units first (they are
-  // the batch's biggest chunks — a unit landing on the pool last would
-  // serialize the tail behind one worker), then scalar singles in spec
-  // order. Scheduling order affects wall clock only; every result slot is
-  // fixed by spec index.
-  struct WorkItem {
-    bool family;
-    std::size_t index;  ///< family_work index or spec index
-  };
-  std::vector<WorkItem> items;
-  items.reserve(family_work.size() + pool_work.size());
-  for (std::size_t u = 0; u < family_work.size(); ++u) {
-    items.push_back({true, u});
-  }
-  for (const std::size_t i : pool_work) items.push_back({false, i});
-
-  const std::size_t pool_workers =
-      items.size() < workers ? items.size() : workers;
-  if (pool_workers <= 1) {
-    ExecutionContext context;
-    SeedBatchExecutionContext batched;
-    for (const WorkItem& item : items) {
-      if (item.family) {
-        run_family(item.index, &context, &batched);
-      } else {
-        run_and_observe(item.index, &context, nullptr);
-      }
-    }
-  } else {
-    // Work-stealing by atomic counter: trial i's RESULT slot is fixed by
-    // i, so results are in spec order no matter which worker claims which
-    // item (a family unit is claimed — and its members' slots written — by
-    // exactly one worker).
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(pool_workers);
-    for (std::size_t w = 0; w < pool_workers; ++w) {
-      pool.emplace_back([&]() {
-        ExecutionContext context;
-        SeedBatchExecutionContext batched;
-        while (true) {
-          const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= items.size()) break;
-          if (items[k].family) {
-            run_family(items[k].index, &context, &batched);
-          } else {
-            run_and_observe(items[k].index, &context, nullptr);
-          }
-        }
+  run_pool<SeedBatchExecutionContext>(
+      units.size(), jobs_,
+      [&](std::size_t u, SeedBatchExecutionContext& engine) {
+        run_unit(units[u], &engine, nullptr);
       });
-    }
-    for (std::thread& t : pool) t.join();
-  }
 
   // All remaining accounting reads final per-trial reports, so it can run
   // serially after the join (no atomics needed).
-  batch_stats.seed_families = family_work.size();
-  for (const std::vector<std::size_t>& members : family_work) {
-    batch_stats.batched_lanes += members.size();
-  }
-  for (const std::size_t s : family_shared) {
-    batch_stats.lockstep_shared += s;
-  }
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (results[i].failed()) ++batch_stats.failed;
     batch_stats.retries += results[i].attempts - 1;
+    batch_stats.lockstep_shared += shared_final[i];
     if (!advice_cache_ && !specs[i].advice && !results[i].failed()) {
       // Per-trial advise: fold the (last attempt's) cost into the batch
       // accounting so cache on/off totals stay comparable.

@@ -3,7 +3,8 @@
 // A TrialSpec names everything one execution needs — network, source,
 // oracle, algorithm, run options — without owning any of it. BatchRunner
 // takes a vector of specs and plays them on a pool of worker threads, one
-// reusable ExecutionContext per worker (sim/execution_context.h), so a
+// reusable engine per worker (a SeedBatchExecutionContext, whose scalar()
+// ExecutionContext runs every trial a lockstep pass does not serve), so a
 // sweep of thousands of trials performs no per-trial setup allocation
 // beyond what the trials themselves demand.
 //
@@ -15,12 +16,16 @@
 // `advice_cache = false` to restore per-trial advise() (the measurement
 // baseline for bench_perf --no-advice-cache).
 //
-// Seed-family collapsing: specs identical up to their two randomness seeds
-// (seed_family_key) are additionally grouped into FAMILY units and executed
-// by the seed-batched lockstep engine (sim/seed_batch_engine.h) — one clean
-// pass serves every lane whose fault decisions stay benign, divergent lanes
-// replay scalar inside the unit, and retries re-batch. SeedBatchPolicy
-// turns this off (bench_perf's scalar measurement arm does).
+// Units: the specs alone decide how each trial runs. Two or more
+// lockstep-eligible specs with equal seed_family_key and resolved shared
+// advice form one FAMILY unit; every other spec is a single unit, so a
+// one-spec batch (run_task, an oracled request) never forms a family. Each
+// round a family takes one lockstep pass (sim/seed_batch_engine.h) over its
+// pending lanes; every other lane (a lane the pass could not serve, or a
+// single) runs scalar on its worker's engine, or on the sharded engine
+// when ShardPolicy claims the trial. A transient outcome re-seeds its lane
+// and queues it for the next round, so retries re-batch. Both routes give
+// bit-identical reports, so nothing switches families off.
 //
 // Determinism contract: every trial is an independent, deterministic
 // function of its spec, and results are returned IN SPEC ORDER. The
@@ -36,7 +41,6 @@
 
 #include <cstddef>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -75,71 +79,27 @@ struct TrialSpec {
 
 /// Everything that must match for two TrialSpecs to be seed-family peers:
 /// the full spec identity minus the two randomness seeds (options.seed and
-/// options.fault.seed). Two specs with equal keys run the same (graph,
-/// source, oracle, algorithm, advice, options) and differ at most in which
-/// seeds they draw — exactly the shape the seed-batched lockstep executor
-/// (sim/seed_batch_engine.h) collapses into one pass. Identity is by
-/// pointer for the graph/algorithm/advice (keys are meaningful within one
-/// batch, not across processes) and by name for the oracle, matching the
-/// advise pre-pass key so family peers always share one cached advice
-/// artifact.
+/// options.fault.seed, zeroed in `options`). Two specs with equal keys run
+/// the same (graph, source, oracle, algorithm, advice, options) and differ
+/// at most in which seeds they draw: exactly the shape the seed-batched
+/// lockstep executor (sim/seed_batch_engine.h) collapses into one pass.
+/// Identity is by pointer for the graph/algorithm/advice (keys are
+/// meaningful within one batch, not across processes) and by name for the
+/// oracle, matching the advise pre-pass key so family peers always share
+/// one cached advice artifact. The adversary seed stays in the key: lanes
+/// with different adversary seeds face different colluding sets.
 struct SeedFamilyKey {
   const PortGraph* graph = nullptr;
   NodeId source = 0;
   std::string oracle;
   const Algorithm* algorithm = nullptr;
   const void* advice = nullptr;  ///< TrialSpec::advice identity (may be null)
-  SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  std::uint32_t max_delay = 0;
-  std::uint64_t max_messages = 0;
-  bool enforce_wakeup = false;
-  bool anonymous = false;
-  std::uint64_t deadline_ns = 0;
-  std::uint64_t max_events = 0;
-  const void* trace_sink = nullptr;
-  /// FaultPlanParams minus its seed.
-  double fault_drop = 0.0;
-  double fault_duplicate = 0.0;
-  double fault_delay = 0.0;
-  std::uint32_t fault_max_extra_delay = 0;
-  double fault_crash = 0.0;
-  std::uint32_t fault_max_crash_key = 0;
-  bool fault_crash_source = false;
-  double fault_advice_flip = 0.0;
-  /// AdversaryPlanParams INCLUDING its seed: the Byzantine regime is part
-  /// of the family identity (lanes with different adversary seeds face
-  /// different colluding sets, which the lockstep executor cannot share —
-  /// and Byzantine families are ineligible anyway, so keeping the seed in
-  /// the key just keeps the grouping honest).
-  std::uint64_t adv_seed = 0;
-  double adv_rate = 0.0;
-  std::uint32_t adv_nodes = 0;
-  bool adv_source = false;
-  ByzantineStrategy adv_strategy = ByzantineStrategy::kRandomBits;
-  double adv_forge = 0.0;
-  double adv_equivocate = 0.0;
-  double adv_advice_lie = 0.0;
-  std::uint32_t adv_replay_window = 0;
+  RunOptions options;            ///< with seed and fault.seed zeroed
 
   friend bool operator==(const SeedFamilyKey&,
                          const SeedFamilyKey&) = default;
-
- private:
-  auto tie() const {
-    return std::tie(graph, source, oracle, algorithm, advice, scheduler,
-                    max_delay, max_messages, enforce_wakeup, anonymous,
-                    deadline_ns, max_events, trace_sink, fault_drop,
-                    fault_duplicate, fault_delay, fault_max_extra_delay,
-                    fault_crash, fault_max_crash_key, fault_crash_source,
-                    fault_advice_flip, adv_seed, adv_rate, adv_nodes,
-                    adv_source, adv_strategy, adv_forge, adv_equivocate,
-                    adv_advice_lie, adv_replay_window);
-  }
-
- public:
-  friend bool operator<(const SeedFamilyKey& a, const SeedFamilyKey& b) {
-    return a.tie() < b.tie();
-  }
+  friend auto operator<=>(const SeedFamilyKey&,
+                          const SeedFamilyKey&) = default;
 };
 
 /// The spec's seed-family identity. Pure in the spec; see SeedFamilyKey.
@@ -176,14 +136,13 @@ struct BatchStats {
 /// exhausted a budget — and, with `retry_task_failures`, when the scheme
 /// failed the task (useful under fault injection, where a different fault
 /// seed can succeed). Each retry RE-SEEDS deterministically: attempt `a`
-/// runs with scheduler and fault seeds shifted by `a * reseed_stride`, so
-/// a retried batch is still a pure function of its specs. Because only the
-/// two seeds shift, a retried attempt stays in its spec's seed family
-/// (seed_family_key is seed-blind) — family units re-batch their pending
-/// retries into fresh lockstep passes instead of degrading to scalar.
+/// runs with scheduler and fault seeds shifted by `a` times the 64-bit
+/// golden-ratio constant, so a retried batch is still a pure function of
+/// its specs. Because only the two seeds shift, a retried attempt stays in
+/// its spec's seed family (seed_family_key is seed-blind): family units
+/// re-batch their pending retries into fresh lockstep passes.
 struct RetryPolicy {
   std::uint32_t max_retries = 0;  ///< 0 = retry disabled
-  std::uint64_t reseed_stride = 0x9e3779b97f4a7c15ULL;
   bool retry_task_failures = false;
 };
 
@@ -202,42 +161,19 @@ struct ShardPolicy {
   bool enabled() const noexcept { return min_nodes > 0 && shards != 1; }
 };
 
-/// Automatic seed-family collapsing (ON by default). Specs identical up to
-/// their seeds (seed_family_key) are grouped and routed through one
-/// seed-batched lockstep context (sim/seed_batch_engine.h) as a single
-/// work unit; per-trial TaskReports are fanned back out bit-identical to
-/// the scalar path, so the policy — like ShardPolicy — is purely a
-/// wall-clock decision. Families only form over resolved shared advice:
-/// with the advice cache off (the measurement baseline) every trial stays
-/// scalar. Trials claimed by ShardPolicy are never batched.
-struct SeedBatchPolicy {
-  bool enabled = true;
-  /// Smallest family routed through the batched context; families below it
-  /// (and every spec without family peers) run scalar. Minimum meaningful
-  /// value is 2.
-  std::size_t min_lanes = 2;
-
-  bool enabled_for(std::size_t lanes) const noexcept {
-    return enabled && lanes >= (min_lanes < 2 ? 2 : min_lanes);
-  }
-};
-
 class BatchRunner {
  public:
   /// `jobs` = number of worker threads; 0 picks the hardware concurrency.
   /// `advice_cache` toggles the batch-wide advice memoization pre-pass.
   /// `retry` bounds re-execution of transient trial failures.
   /// `shard` routes oversized trials through the sharded intra-run engine.
-  /// `seed_batch` collapses seed families onto the lockstep executor.
   explicit BatchRunner(std::size_t jobs = 0, bool advice_cache = true,
-                       RetryPolicy retry = {}, ShardPolicy shard = {},
-                       SeedBatchPolicy seed_batch = {});
+                       RetryPolicy retry = {}, ShardPolicy shard = {});
 
   std::size_t jobs() const noexcept { return jobs_; }
   bool advice_cache() const noexcept { return advice_cache_; }
   const RetryPolicy& retry() const noexcept { return retry_; }
   const ShardPolicy& shard() const noexcept { return shard_; }
-  const SeedBatchPolicy& seed_batch() const noexcept { return seed_batch_; }
 
   /// Executes every spec and returns one TaskReport per spec, in spec
   /// order. Throws std::invalid_argument on a null graph/oracle/algorithm
@@ -266,7 +202,6 @@ class BatchRunner {
   bool advice_cache_;
   RetryPolicy retry_;
   ShardPolicy shard_;
-  SeedBatchPolicy seed_batch_;
 };
 
 }  // namespace oraclesize

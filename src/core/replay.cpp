@@ -66,20 +66,18 @@ TraceDiff diff_traces(const RecordedTrace& a, const RecordedTrace& b) {
   note_if(out, "header.algorithm", a.header.algorithm, b.header.algorithm);
   note_if(out, "header.oracle", a.header.oracle, b.header.oracle);
   note_if(out, "header.source", a.header.source, b.header.source);
-  note_if(out, "header.scheduler", std::string(to_string(a.header.scheduler)),
-          std::string(to_string(b.header.scheduler)));
-  note_if(out, "header.seed", a.header.seed, b.header.seed);
-  note_if(out, "header.max_delay", a.header.max_delay, b.header.max_delay);
-  note_if(out, "header.max_messages", a.header.max_messages,
-          b.header.max_messages);
-  note_if(out, "header.max_events", a.header.max_events, b.header.max_events);
-  note_if(out, "header.enforce_wakeup", a.header.enforce_wakeup,
-          b.header.enforce_wakeup);
-  note_if(out, "header.anonymous", a.header.anonymous, b.header.anonymous);
-  if (!(a.header.fault == b.header.fault)) {
-    out.push_back("header.fault: params differ");
-  }
-  if (!(a.header.adversary == b.header.adversary)) {
+  const RunOptions& ao = a.header.options;
+  const RunOptions& bo = b.header.options;
+  note_if(out, "header.scheduler", std::string(to_string(ao.scheduler)),
+          std::string(to_string(bo.scheduler)));
+  note_if(out, "header.seed", ao.seed, bo.seed);
+  note_if(out, "header.max_delay", ao.max_delay, bo.max_delay);
+  note_if(out, "header.max_messages", ao.max_messages, bo.max_messages);
+  note_if(out, "header.max_events", ao.max_events, bo.max_events);
+  note_if(out, "header.enforce_wakeup", ao.enforce_wakeup, bo.enforce_wakeup);
+  note_if(out, "header.anonymous", ao.anonymous, bo.anonymous);
+  if (!(ao.fault == bo.fault)) out.push_back("header.fault: params differ");
+  if (!(ao.adversary == bo.adversary)) {
     out.push_back("header.adversary: params differ");
   }
   note_if(out, "header.level", std::string(to_string(a.header.level)),
@@ -162,7 +160,7 @@ ReplayReport replay_trace(const RecordedTrace& trace) {
                              std::to_string(g.num_nodes()) + " nodes");
   }
 
-  RunOptions options = trace.header.to_run_options();
+  RunOptions options = trace.header.options;
   TraceRecorder recorder(trace.header.level);
   options.trace_sink = &recorder;
   ExecutionContext context;

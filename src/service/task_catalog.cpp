@@ -10,7 +10,6 @@
 #include "util/parse_number.h"
 
 namespace oraclesize::service {
-namespace {
 
 TreeKind parse_tree(const std::string& name) {
   if (name == "bfs") return TreeKind::kBfs;
@@ -29,8 +28,6 @@ SchedulerKind parse_scheduler(const std::string& name) {
   if (name == "adversarial") return SchedulerKind::kAsyncAdversarial;
   throw std::invalid_argument("unknown scheduler '" + name + "'");
 }
-
-}  // namespace
 
 TaskRequest parse_task_request(const std::map<std::string, std::string>& kv) {
   TaskRequest req;

@@ -15,6 +15,7 @@
 
 #include "core/replay.h"
 #include "oracle/oracle.h"
+#include "oracle/tree_wakeup_oracle.h"
 #include "sim/engine.h"
 
 namespace oraclesize::service {
@@ -45,6 +46,14 @@ struct TaskBinding {
   std::unique_ptr<Oracle> oracle;
   const Algorithm* algorithm = nullptr;
 };
+
+/// The tree and scheduler name tables shared by requests and the CLI's
+/// --tree / `tree <kind>` / --scheduler: bfs|dfs|kruskal|light and
+/// sync|random|fifo|lifo|linkfifo|adversarial. An unknown name throws
+/// std::invalid_argument("unknown tree '<name>'") or
+/// ("unknown scheduler '<name>'").
+TreeKind parse_tree(const std::string& name);
+SchedulerKind parse_scheduler(const std::string& name);
 
 /// Decodes wire fields into a TaskRequest. Unknown keys are ignored;
 /// malformed values throw std::invalid_argument.

@@ -1,5 +1,7 @@
 #include "sim/adversary_plan.h"
 
+#include <stdexcept>
+
 #include "util/rng.h"
 
 namespace oraclesize {
@@ -33,6 +35,13 @@ const char* to_string(ByzantineStrategy strategy) {
       return "structured-lie";
   }
   return "unknown";
+}
+
+ByzantineStrategy parse_byzantine_strategy(const std::string& name) {
+  if (name == "random-bits") return ByzantineStrategy::kRandomBits;
+  if (name == "replay") return ByzantineStrategy::kReplay;
+  if (name == "structured-lie") return ByzantineStrategy::kStructuredLie;
+  throw std::invalid_argument("unknown byzantine strategy '" + name + "'");
 }
 
 void AdversaryPlan::arm(const AdversaryPlanParams& params,

@@ -46,7 +46,9 @@
 // ZeroAdversaryPlanIsInvisible and tests/test_zero_alloc.cpp).
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/port_graph.h"
@@ -62,6 +64,10 @@ enum class ByzantineStrategy : std::uint8_t {
 };
 
 const char* to_string(ByzantineStrategy strategy);
+
+/// The inverse of to_string: random-bits|replay|structured-lie. An unknown
+/// name throws std::invalid_argument("unknown byzantine strategy '<name>'").
+ByzantineStrategy parse_byzantine_strategy(const std::string& name);
 
 /// The (seed, colluding set, lie mechanism) tuple describing one Byzantine
 /// regime. The zero plan (no rate, no node count) is the honest network.
@@ -93,6 +99,8 @@ struct AdversaryPlanParams {
 
   friend bool operator==(const AdversaryPlanParams&,
                          const AdversaryPlanParams&) = default;
+  friend auto operator<=>(const AdversaryPlanParams&,
+                          const AdversaryPlanParams&) = default;
 };
 
 /// What the adversary did to one run — reported next to FaultCounters so

@@ -10,6 +10,7 @@
 // informed.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -83,6 +84,11 @@ struct RunOptions {
   /// path pays one branch per event group and allocates nothing.
   /// Non-owning; the sink must outlive the run.
   TraceSink* trace_sink = nullptr;
+
+  /// Field-wise, every field: BatchRunner's seed families key on whole
+  /// options (seeds zeroed), so a field added here joins the key unasked.
+  friend bool operator==(const RunOptions&, const RunOptions&) = default;
+  friend auto operator<=>(const RunOptions&, const RunOptions&) = default;
 };
 
 struct RunResult {

@@ -74,10 +74,11 @@ SchedulerKind scheduler_from_string(const std::string& s, std::size_t line) {
 
 ByzantineStrategy strategy_from_string(const std::string& s,
                                        std::size_t line) {
-  if (s == "random-bits") return ByzantineStrategy::kRandomBits;
-  if (s == "replay") return ByzantineStrategy::kReplay;
-  if (s == "structured-lie") return ByzantineStrategy::kStructuredLie;
-  parse_fail(line, "unknown byzantine strategy '" + s + "'");
+  try {
+    return parse_byzantine_strategy(s);
+  } catch (const std::invalid_argument& e) {
+    parse_fail(line, e.what());
+  }
 }
 
 TraceEventKind event_kind_from_string(const std::string& s,
@@ -183,20 +184,6 @@ std::string to_string(const TraceEvent& e) {
   return os.str();
 }
 
-RunOptions TraceHeader::to_run_options() const {
-  RunOptions o;
-  o.scheduler = scheduler;
-  o.seed = seed;
-  o.max_delay = max_delay;
-  o.max_messages = max_messages;
-  o.max_events = max_events;
-  o.enforce_wakeup = enforce_wakeup;
-  o.anonymous = anonymous;
-  o.fault = fault;
-  o.adversary = adversary;
-  return o;
-}
-
 std::uint64_t RecordedTrace::digest() const {
   std::uint64_t h = kFnvOffset;
   for (const TraceEvent& e : events) {
@@ -241,20 +228,21 @@ std::uint64_t RecordedTrace::digest() const {
 }
 
 void save_trace(std::ostream& os, const RecordedTrace& t) {
+  const RunOptions& o = t.header.options;
   os << "oracletrace 1\n";
   os << "algorithm " << t.header.algorithm << "\n";
   if (!t.header.oracle.empty()) os << "oracle " << t.header.oracle << "\n";
   os << "source " << t.header.source << "\n"
-     << "scheduler " << to_string(t.header.scheduler) << "\n"
+     << "scheduler " << to_string(o.scheduler) << "\n"
      << "keying counter\n"
-     << "seed " << t.header.seed << "\n"
-     << "max_delay " << t.header.max_delay << "\n"
-     << "max_messages " << t.header.max_messages << "\n"
-     << "max_events " << t.header.max_events << "\n"
-     << "enforce_wakeup " << (t.header.enforce_wakeup ? 1 : 0) << "\n"
-     << "anonymous " << (t.header.anonymous ? 1 : 0) << "\n"
+     << "seed " << o.seed << "\n"
+     << "max_delay " << o.max_delay << "\n"
+     << "max_messages " << o.max_messages << "\n"
+     << "max_events " << o.max_events << "\n"
+     << "enforce_wakeup " << (o.enforce_wakeup ? 1 : 0) << "\n"
+     << "anonymous " << (o.anonymous ? 1 : 0) << "\n"
      << "level " << to_string(t.header.level) << "\n";
-  const FaultPlanParams& f = t.header.fault;
+  const FaultPlanParams& f = o.fault;
   os << "fault " << f.seed << " ";
   write_double(os, f.drop);
   os << " ";
@@ -268,8 +256,8 @@ void save_trace(std::ostream& os, const RecordedTrace& t) {
   os << "\n";
   // The adversary line exists only on Byzantine traces: older readers (and
   // older files) never see or miss it.
-  if (t.header.adversary.enabled()) {
-    const AdversaryPlanParams& a = t.header.adversary;
+  if (o.adversary.enabled()) {
+    const AdversaryPlanParams& a = o.adversary;
     os << "adversary " << a.seed << " ";
     write_double(os, a.byz_rate);
     os << " " << a.byz_nodes << " " << (a.byz_source ? 1 : 0) << " "
@@ -351,7 +339,7 @@ RecordedTrace load_trace(std::istream& is) {
     } else if (tag == "source") {
       t.header.source = static_cast<NodeId>(tok_u64(in, lineno, "source"));
     } else if (tag == "scheduler") {
-      t.header.scheduler =
+      t.header.options.scheduler =
           scheduler_from_string(tok_word(in, lineno, "scheduler"), lineno);
     } else if (tag == "keying") {
       const std::string keying = tok_word(in, lineno, "keying");
@@ -361,22 +349,23 @@ RecordedTrace load_trace(std::istream& is) {
       }
       have_keying = true;
     } else if (tag == "seed") {
-      t.header.seed = tok_u64(in, lineno, "seed");
+      t.header.options.seed = tok_u64(in, lineno, "seed");
     } else if (tag == "max_delay") {
-      t.header.max_delay =
+      t.header.options.max_delay =
           static_cast<std::uint32_t>(tok_u64(in, lineno, "max_delay"));
     } else if (tag == "max_messages") {
-      t.header.max_messages = tok_u64(in, lineno, "max_messages");
+      t.header.options.max_messages = tok_u64(in, lineno, "max_messages");
     } else if (tag == "max_events") {
-      t.header.max_events = tok_u64(in, lineno, "max_events");
+      t.header.options.max_events = tok_u64(in, lineno, "max_events");
     } else if (tag == "enforce_wakeup") {
-      t.header.enforce_wakeup = tok_u64(in, lineno, "enforce_wakeup") != 0;
+      t.header.options.enforce_wakeup =
+          tok_u64(in, lineno, "enforce_wakeup") != 0;
     } else if (tag == "anonymous") {
-      t.header.anonymous = tok_u64(in, lineno, "anonymous") != 0;
+      t.header.options.anonymous = tok_u64(in, lineno, "anonymous") != 0;
     } else if (tag == "level") {
       t.header.level = level_from_string(tok_word(in, lineno, "level"), lineno);
     } else if (tag == "fault") {
-      FaultPlanParams& f = t.header.fault;
+      FaultPlanParams& f = t.header.options.fault;
       f.seed = tok_u64(in, lineno, "fault seed");
       f.drop = tok_double(in, lineno, "drop");
       f.duplicate = tok_double(in, lineno, "duplicate");
@@ -389,7 +378,7 @@ RecordedTrace load_trace(std::istream& is) {
       f.crash_source = tok_u64(in, lineno, "crash_source") != 0;
       f.advice_flip = tok_double(in, lineno, "advice_flip");
     } else if (tag == "adversary") {
-      AdversaryPlanParams& a = t.header.adversary;
+      AdversaryPlanParams& a = t.header.options.adversary;
       a.seed = tok_u64(in, lineno, "adversary seed");
       a.byz_rate = tok_double(in, lineno, "byz_rate");
       a.byz_nodes =
@@ -502,7 +491,7 @@ void write_chrome_trace(std::ostream& os, const RecordedTrace& t) {
   os << "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
         "\"args\":{\"name\":\""
      << json_escape(t.header.algorithm) << " ("
-     << to_string(t.header.scheduler) << ")\"}}";
+     << to_string(t.header.options.scheduler) << ")\"}}";
   for (const TraceEvent& e : t.events) {
     // Message events render as 1-unit slices on the acting node's track;
     // state events as instants. ts is the scheduler's logical clock.
@@ -530,16 +519,9 @@ void TraceRecorder::begin_run(const TraceRunInfo& info) {
   trace_.header.source = info.source;
   trace_.header.level = level_;
   if (info.options != nullptr) {
-    const RunOptions& o = *info.options;
-    trace_.header.scheduler = o.scheduler;
-    trace_.header.seed = o.seed;
-    trace_.header.max_delay = o.max_delay;
-    trace_.header.max_messages = o.max_messages;
-    trace_.header.max_events = o.max_events;
-    trace_.header.enforce_wakeup = o.enforce_wakeup;
-    trace_.header.anonymous = o.anonymous;
-    trace_.header.fault = o.fault;
-    trace_.header.adversary = o.adversary;
+    trace_.header.options = *info.options;
+    trace_.header.options.deadline_ns = 0;
+    trace_.header.options.trace_sink = nullptr;
   }
   trace_.graph_text.clear();
   if (info.graph != nullptr) trace_.graph_text = to_text(*info.graph);

@@ -83,28 +83,19 @@ struct TraceEvent {
 std::string to_string(const TraceEvent& event);
 
 /// The run configuration a trace was recorded under — everything replay
-/// needs besides the graph and the advice. deadline_ns is deliberately NOT
-/// carried: it is the one machine-dependent RunOptions knob, and replay
-/// only promises bit-identity for deterministic runs.
+/// needs besides the graph and the advice.
 struct TraceHeader {
   std::string algorithm;  ///< Algorithm::name(), resolved by core/replay.h
   std::string oracle;     ///< informational; empty when unknown
   NodeId source = 0;
-  SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  std::uint64_t seed = 1;
-  std::uint32_t max_delay = 16;
-  std::uint64_t max_messages = 50'000'000;
-  std::uint64_t max_events = 0;
-  bool enforce_wakeup = false;
-  bool anonymous = false;
-  FaultPlanParams fault;
-  /// Byzantine regime the run was recorded under. Serialized only when
-  /// enabled(), so pre-adversary trace files load unchanged.
-  AdversaryPlanParams adversary;
+  /// The recorded run's options, less the two fields a trace never
+  /// carries: deadline_ns is 0 (the one machine-dependent knob; replay
+  /// only promises bit-identity for deterministic runs) and trace_sink is
+  /// null. The adversary line is serialized only when
+  /// options.adversary.enabled(), so pre-adversary trace files load
+  /// unchanged.
+  RunOptions options;
   TraceLevel level = TraceLevel::kFull;
-
-  /// Rebuilds the RunOptions this header describes (no sink attached).
-  RunOptions to_run_options() const;
 
   friend bool operator==(const TraceHeader&, const TraceHeader&) = default;
 };

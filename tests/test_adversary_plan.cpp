@@ -318,7 +318,7 @@ TEST(ByzantineTrace, RecordSaveLoadReplayDiffRoundTrip) {
   EXPECT_EQ(r.run.status, RunStatus::kByzantineDetected);
   RecordedTrace t = recorder.take();
   t.header.oracle = LightBroadcastOracle().name();
-  EXPECT_EQ(t.header.adversary, opts.adversary);
+  EXPECT_EQ(t.header.options.adversary, opts.adversary);
   EXPECT_GT(t.adversary.forged, 0u);
 
   // The artifact round trip preserves the adversary header and counters.
@@ -326,7 +326,7 @@ TEST(ByzantineTrace, RecordSaveLoadReplayDiffRoundTrip) {
   save_trace(ss, t);
   const RecordedTrace loaded = load_trace(ss);
   EXPECT_TRUE(diff_traces(t, loaded).equal);
-  EXPECT_EQ(loaded.header.adversary, t.header.adversary);
+  EXPECT_EQ(loaded.header.options.adversary, t.header.options.adversary);
   EXPECT_EQ(loaded.adversary, t.adversary);
   EXPECT_EQ(loaded.digest(), t.digest());
 

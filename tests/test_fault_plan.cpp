@@ -112,7 +112,7 @@ TEST(FaultPlan, ResultsIndependentOfJobsUnderFaults) {
         TrialSpec{&g, static_cast<NodeId>(s % 5), &tree, &wakeup, opts});
   }
 
-  const RetryPolicy retry{2, 0x9e3779b97f4a7c15ULL, true};
+  const RetryPolicy retry{2, true};
   const auto one = BatchRunner(1, true, retry).run(specs);
   const auto eight = BatchRunner(8, true, retry).run(specs);
   ASSERT_EQ(one.size(), eight.size());
@@ -310,7 +310,7 @@ TEST(FaultPlan, RetryTaskFailuresOnlyWhenAsked) {
   EXPECT_EQ(reports[0].attempts, 1u);  // kTaskFailed is final by default
   EXPECT_EQ(stats.retries, 0u);
 
-  reports = BatchRunner(1, true, RetryPolicy{3, 0x9e3779b97f4a7c15ULL, true})
+  reports = BatchRunner(1, true, RetryPolicy{3, true})
                 .run(specs, &stats);
   EXPECT_EQ(reports[0].attempts, 4u);  // retried, every fault seed drops all
   EXPECT_EQ(reports[0].run.status, RunStatus::kTaskFailed);

@@ -11,18 +11,19 @@
 //    all-but-one die, all die), key-class order-split retirement,
 //    eligibility fallbacks, budget statuses, and the behavior-exception
 //    split.
-//  * SeedFamily.*           — seed_family_key: seed-blind, everything-else
-//    sensitive.
-//  * SeedBatchRunner.*      — BatchRunner's family collapsing: batched
-//    batches reproduce scalar batches report for report (including retried
-//    attempts — the RetryPolicy re-seeding fix), stats account for lanes,
-//    and the cache-off/sharded paths stay scalar.
+//  * SeedFamily.*           — seed_family_key: blind to the two seeds,
+//    sensitive to every other RunOptions field, each changed in turn.
+//  * SeedBatchRunner.*      — BatchRunner's family collapsing: families
+//    reproduce one-spec batches report for report (including retried
+//    attempts), stats account for lanes, a batch mixing every unit kind is
+//    jobs-invariant, and the cache-off/sharded paths stay scalar.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch_runner.h"
@@ -588,6 +589,71 @@ TEST(SeedBatchEngine, CrashAndAdviceFlipLanesRetireAtArm) {
   }
 }
 
+/// Stands in for any value of an aggregate member during field counting.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // never defined: used in unevaluated contexts only
+};
+
+/// The number of members of aggregate T: the longest AnyField list that
+/// brace-initializes it.
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+/// Calls visit(leaf) on every leaf field of a RunOptions, descending into
+/// its FaultPlanParams and AdversaryPlanParams. The structured bindings
+/// follow field_count, so a field added to any of the three structs is
+/// visited without touching this function (or, past 12 members, fails to
+/// compile until an arm is added).
+template <typename T, typename Visit>
+void for_each_leaf(T& value, Visit& visit) {
+  if constexpr (std::is_same_v<T, RunOptions> ||
+                std::is_same_v<T, FaultPlanParams> ||
+                std::is_same_v<T, AdversaryPlanParams>) {
+    auto each = [&visit](auto&... fields) {
+      (for_each_leaf(fields, visit), ...);
+    };
+    constexpr std::size_t n = field_count<T>();
+    static_assert(n >= 9 && n <= 12, "add a binding arm for this size");
+    if constexpr (n == 9) {
+      auto& [a, b, c, d, e, f, g, h, i] = value;
+      each(a, b, c, d, e, f, g, h, i);
+    } else if constexpr (n == 10) {
+      auto& [a, b, c, d, e, f, g, h, i, j] = value;
+      each(a, b, c, d, e, f, g, h, i, j);
+    } else if constexpr (n == 11) {
+      auto& [a, b, c, d, e, f, g, h, i, j, k] = value;
+      each(a, b, c, d, e, f, g, h, i, j, k);
+    } else {
+      auto& [a, b, c, d, e, f, g, h, i, j, k, l] = value;
+      each(a, b, c, d, e, f, g, h, i, j, k, l);
+    }
+  } else {
+    visit(value);
+  }
+}
+
+/// Gives one leaf field a different value of its type.
+template <typename T>
+void change(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else if constexpr (std::is_enum_v<T>) {
+    field = static_cast<T>(static_cast<std::underlying_type_t<T>>(field) + 1);
+  } else if constexpr (std::is_pointer_v<T>) {
+    static TraceRecorder sink;
+    field = &sink;
+  } else {
+    field = field + 1;
+  }
+}
+
 TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   const PortGraph g = fuzz_graph();
   Rng rng(7);
@@ -605,12 +671,35 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   EXPECT_FALSE(seed_family_key(a) < seed_family_key(b));
   EXPECT_FALSE(seed_family_key(b) < seed_family_key(a));
 
-  TrialSpec c = a;
-  c.options.fault.drop = 0.5;
-  EXPECT_NE(seed_family_key(a), seed_family_key(c));
-  TrialSpec d = a;
-  d.options.scheduler = SchedulerKind::kAsyncLifo;
-  EXPECT_NE(seed_family_key(a), seed_family_key(d));
+  // Every RunOptions leaf field, changed alone: the two randomness seeds
+  // leave the key alone; every other field changes it, the adversary seed
+  // included (different adversary seeds face different colluding sets).
+  std::size_t leaves = 0;
+  auto count = [&leaves](auto&) { ++leaves; };
+  for_each_leaf(a.options, count);
+  EXPECT_GE(leaves, 27u);  // when written: 25 fields and the two seeds
+  for (std::size_t k = 0; k < leaves; ++k) {
+    TrialSpec c = a;
+    std::size_t at = 0;
+    bool seed = false;
+    auto change_kth = [&](auto& field) {
+      if (at++ != k) return;
+      change(field);
+      const void* where = &field;
+      seed = where == &c.options.seed || where == &c.options.fault.seed;
+    };
+    for_each_leaf(c.options, change_kth);
+    ASSERT_FALSE(c.options == a.options) << "leaf " << k << " did not change";
+    if (seed) {
+      EXPECT_EQ(seed_family_key(a), seed_family_key(c)) << "leaf " << k;
+    } else {
+      EXPECT_NE(seed_family_key(a), seed_family_key(c)) << "leaf " << k;
+      EXPECT_TRUE(seed_family_key(a) < seed_family_key(c) ||
+                  seed_family_key(c) < seed_family_key(a))
+          << "leaf " << k;
+    }
+  }
+
   TrialSpec e = a;
   e.graph = &h;
   EXPECT_NE(seed_family_key(a), seed_family_key(e));
@@ -623,29 +712,10 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   TrialSpec j = a;
   j.algorithm = flooding;
   EXPECT_NE(seed_family_key(a), seed_family_key(j));
-  TrialSpec k = a;
-  k.options.max_events = 123;
-  EXPECT_NE(seed_family_key(a), seed_family_key(k));
   TrialSpec l = a;
   l.advice = std::make_shared<const std::vector<BitString>>(
       oracle.advise(g, 3));
   EXPECT_NE(seed_family_key(a), seed_family_key(l));
-
-  // The Byzantine regime is part of the family identity — INCLUDING its
-  // seed (different adversary seeds mean different colluding sets, which
-  // lockstep could never share even if Byzantine families were eligible).
-  TrialSpec m = a;
-  m.options.adversary.byz_rate = 0.1;
-  EXPECT_NE(seed_family_key(a), seed_family_key(m));
-  TrialSpec n = m;
-  n.options.adversary.seed = 1;
-  EXPECT_NE(seed_family_key(m), seed_family_key(n));
-  TrialSpec o = m;
-  o.options.adversary.strategy = ByzantineStrategy::kStructuredLie;
-  EXPECT_NE(seed_family_key(m), seed_family_key(o));
-  TrialSpec p = m;
-  p.options.adversary.byz_nodes = 3;
-  EXPECT_NE(seed_family_key(m), seed_family_key(p));
 }
 
 /// Everything deterministic in a TaskReport (the timing fields are the
@@ -663,33 +733,51 @@ void expect_reports_equal(const TaskReport& a, const TaskReport& b,
   EXPECT_EQ(a.shards, b.shards) << label;
 }
 
+/// `lanes` specs differing only in their fault seed. With `advice` set,
+/// every spec carries it, so a family and its one-spec references both
+/// report a precomputed (cached) advice rather than differing in who paid
+/// for advise().
 std::vector<TrialSpec> family_specs(const PortGraph& g, const Oracle& oracle,
                                     const Algorithm& algorithm,
-                                    std::size_t lanes, double drop) {
+                                    std::size_t lanes, double drop,
+                                    AdvicePtr advice = nullptr) {
   std::vector<TrialSpec> specs;
   for (std::size_t l = 0; l < lanes; ++l) {
     RunOptions options;
     options.fault.drop = drop;
     options.fault.seed = 1000 + 17 * l;
-    specs.emplace_back(&g, 3, &oracle, &algorithm, options);
+    specs.emplace_back(&g, 3, &oracle, &algorithm, options, advice);
   }
   return specs;
+}
+
+/// The scalar reference: every spec as a one-spec batch, which never
+/// forms a family.
+std::vector<TaskReport> one_spec_batches(const BatchRunner& runner,
+                                         const std::vector<TrialSpec>& specs) {
+  std::vector<TaskReport> reports;
+  for (const TrialSpec& spec : specs) {
+    BatchStats stats;
+    reports.push_back(runner.run({spec}, &stats).front());
+    EXPECT_EQ(stats.seed_families, 0u);
+    EXPECT_EQ(stats.batched_lanes, 0u);
+  }
+  return reports;
 }
 
 TEST(SeedBatchRunner, BatchedFamilyReproducesScalarBatch) {
   const PortGraph g = fuzz_graph();
   const TreeWakeupOracle oracle;
   const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
-  const std::vector<TrialSpec> specs =
-      family_specs(g, oracle, *wakeup, 16, 0.02);
+  const std::vector<TrialSpec> specs = family_specs(
+      g, oracle, *wakeup, 16, 0.02,
+      std::make_shared<const std::vector<BitString>>(oracle.advise(g, 3)));
 
   BatchStats batched_stats;
   const std::vector<TaskReport> batched =
       BatchRunner(2).run(specs, &batched_stats);
-  BatchStats scalar_stats;
   const std::vector<TaskReport> scalar =
-      BatchRunner(2, true, {}, {}, SeedBatchPolicy{false, 2})
-          .run(specs, &scalar_stats);
+      one_spec_batches(BatchRunner(2), specs);
 
   ASSERT_EQ(batched.size(), scalar.size());
   std::size_t fault_free_lanes = 0;
@@ -704,8 +792,6 @@ TEST(SeedBatchRunner, BatchedFamilyReproducesScalarBatch) {
   EXPECT_EQ(batched_stats.lockstep_shared, fault_free_lanes);
   EXPECT_GT(fault_free_lanes, 0u);
   EXPECT_LT(fault_free_lanes, specs.size());
-  EXPECT_EQ(scalar_stats.seed_families, 0u);
-  EXPECT_EQ(scalar_stats.batched_lanes, 0u);
   // The new accounting reaches the metrics snapshot as plain counters.
   EXPECT_EQ(batched_stats.metrics.counters.at("seed_families"), 1u);
   EXPECT_EQ(batched_stats.metrics.counters.at("batched_lanes"),
@@ -719,8 +805,9 @@ TEST(SeedBatchRunner, RetriedAttemptsStayInFamilyAndMatchScalar) {
   const TreeWakeupOracle oracle;
   const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
   // A drop rate high enough that several lanes fail the task and retry.
-  const std::vector<TrialSpec> specs =
-      family_specs(g, oracle, *wakeup, 12, 0.15);
+  const std::vector<TrialSpec> specs = family_specs(
+      g, oracle, *wakeup, 12, 0.15,
+      std::make_shared<const std::vector<BitString>>(oracle.advise(g, 3)));
   RetryPolicy retry;
   retry.max_retries = 2;
   retry.retry_task_failures = true;
@@ -729,7 +816,7 @@ TEST(SeedBatchRunner, RetriedAttemptsStayInFamilyAndMatchScalar) {
   const std::vector<TaskReport> batched =
       BatchRunner(2, true, retry).run(specs, &batched_stats);
   const std::vector<TaskReport> scalar =
-      BatchRunner(2, true, retry, {}, SeedBatchPolicy{false, 2}).run(specs);
+      one_spec_batches(BatchRunner(2, true, retry), specs);
 
   bool any_retried = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -771,6 +858,93 @@ TEST(SeedBatchRunner, MixedBatchIsJobsInvariant) {
   EXPECT_EQ(stats1.batched_lanes, 10u);
 }
 
+/// An oracle whose advise() always throws.
+class ThrowingOracle final : public Oracle {
+ public:
+  std::vector<BitString> advise(const PortGraph&, NodeId) const override {
+    throw std::runtime_error("throwing-oracle: no advice");
+  }
+  std::string name() const override { return "throwing"; }
+};
+
+TEST(SeedBatchRunner, EveryUnitKindInOneBatchIsJobsInvariant) {
+  const PortGraph g = fuzz_graph();
+  const PortGraph big = make_grid(12, 12);  // claimed by the ShardPolicy
+  const TreeWakeupOracle oracle;
+  const NullOracle null_oracle;
+  const ThrowingOracle throwing;
+  const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
+  const Algorithm* flooding = algorithm_by_name("flooding");
+
+  // A drop-fault family: some lanes share the pass, some replay and retry.
+  const std::size_t family_lanes = 8;
+  std::vector<TrialSpec> specs =
+      family_specs(g, oracle, *wakeup, family_lanes, 0.02);
+  // Singles: another algorithm, another source.
+  specs.emplace_back(&g, 3, &null_oracle, flooding);
+  specs.emplace_back(&g, 5, &oracle, wakeup);
+  // A trial big enough for the ShardPolicy.
+  const std::size_t sharded = specs.size();
+  specs.emplace_back(&big, 0, &oracle, wakeup);
+  // advise() throws in the pre-pass: the lowest-index exception.
+  const std::size_t throws = specs.size();
+  specs.emplace_back(&g, 3, &throwing, wakeup);
+  // A two-lane family whose lockstep pass throws (advice sized for another
+  // graph): each lane reports the engine's error, as a one-spec batch does.
+  const std::size_t misfit = specs.size();
+  const AdvicePtr misfit_advice =
+      std::make_shared<const std::vector<BitString>>(oracle.advise(big, 0));
+  for (std::uint64_t s = 1; s <= 2; ++s) {
+    RunOptions options;
+    options.fault.seed = s;
+    specs.emplace_back(&g, 3, &oracle, wakeup, options, misfit_advice);
+  }
+
+  RetryPolicy retry;
+  retry.max_retries = 2;
+  retry.retry_task_failures = true;
+  ShardPolicy shard;
+  shard.shards = 2;
+  shard.min_nodes = 100;
+  BatchStats stats1, stats4;
+  const std::vector<TaskReport> at1 =
+      BatchRunner(1, true, retry, shard).run(specs, &stats1);
+  const std::vector<TaskReport> at4 =
+      BatchRunner(4, true, retry, shard).run(specs, &stats4);
+  ASSERT_EQ(at1.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    expect_reports_equal(at1[i], at4[i], "spec " + std::to_string(i));
+  }
+  EXPECT_EQ(stats1.metrics.counters, stats4.metrics.counters);
+  EXPECT_EQ(stats1.seed_families, 2u);
+  EXPECT_EQ(stats1.batched_lanes, 10u);
+  EXPECT_EQ(stats1.lockstep_shared, stats4.lockstep_shared);
+  EXPECT_GT(stats1.lockstep_shared, 0u);
+  bool family_retried = false;
+  for (std::size_t i = 0; i < family_lanes; ++i) {
+    family_retried |= at1[i].attempts > 1;
+  }
+  EXPECT_TRUE(family_retried) << "no family lane retried";
+  EXPECT_EQ(at1[sharded].shards, 2u);
+  EXPECT_EQ(at1[throws].error, "throwing-oracle: no advice");
+  EXPECT_EQ(at1[throws].attempts, 1u);  // advise failures never retry
+  const std::vector<TaskReport> misfit_ref = one_spec_batches(
+      BatchRunner(1, true, retry, shard),
+      {specs.begin() + static_cast<std::ptrdiff_t>(misfit), specs.end()});
+  for (std::size_t k = 0; k < misfit_ref.size(); ++k) {
+    EXPECT_TRUE(at1[misfit + k].failed());
+    expect_reports_equal(at1[misfit + k], misfit_ref[k],
+                         "misfit lane " + std::to_string(k));
+  }
+
+  try {
+    BatchRunner(4, true, retry, shard).run_rethrow(specs);
+    ADD_FAILURE() << "run_rethrow did not throw";
+  } catch (const std::exception& e) {
+    EXPECT_STREQ(e.what(), "throwing-oracle: no advice");
+  }
+}
+
 TEST(SeedBatchRunner, CacheOffAndShardedTrialsStayScalar) {
   const PortGraph g = fuzz_graph();
   const TreeWakeupOracle oracle;
@@ -788,12 +962,6 @@ TEST(SeedBatchRunner, CacheOffAndShardedTrialsStayScalar) {
   BatchStats sharded_stats;
   BatchRunner(1, true, {}, shard).run(specs, &sharded_stats);
   EXPECT_EQ(sharded_stats.seed_families, 0u);
-
-  SeedBatchPolicy min_lanes;
-  min_lanes.min_lanes = 7;  // family of 6 stays below the routing floor
-  BatchStats floor_stats;
-  BatchRunner(1, true, {}, {}, min_lanes).run(specs, &floor_stats);
-  EXPECT_EQ(floor_stats.seed_families, 0u);
 }
 
 }  // namespace

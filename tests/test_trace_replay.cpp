@@ -114,7 +114,7 @@ TEST(TraceReplay, DivergenceIsLocalizedNotJustDetected) {
   RecordedTrace t = recorder.take();
   t.header.oracle = oracle.name();
 
-  t.header.seed = 43;  // forge a different schedule
+  t.header.options.seed = 43;  // forge a different schedule
   const ReplayReport report = replay_trace(t);
   EXPECT_FALSE(report.match);
   ASSERT_FALSE(report.mismatches.empty());

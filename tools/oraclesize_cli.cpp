@@ -11,7 +11,7 @@
 //       [--tree bfs|dfs|kruskal|light] [--seed S] [--anonymous]
 //       [--advice-file F] [--all-sources] [--jobs N] [--shards N] [--json]
 //       [--fault-rate P] [--fault-seed S] [--deadline-ms T] [--retries K]
-//       [--seed-sweep K] [--no-seed-batch]
+//       [--seed-sweep K]
 //       [--byz-rate P] [--byz-nodes K] [--byz-seed S] [--byz-strategy X]
 //       Read a network from stdin and run a task:
 //         wakeup | broadcast | flooding | census | gossip | hybrid
@@ -32,8 +32,8 @@
 //       --fault-seed .. --fault-seed+K-1. The K specs differ only in that
 //       seed, so the batch runner collapses them into one seed family and
 //       serves the benign lanes from a single lockstep pass
-//       (sim/seed_batch_engine.h); --no-seed-batch forces the scalar path
-//       (results are bit-identical either way).
+//       (sim/seed_batch_engine.h); each seed's report is bit-identical to
+//       a single run with that --fault-seed.
 //       --byz-rate P / --byz-nodes K seed a Byzantine colluding set whose
 //       outgoing messages are forged by --byz-strategy
 //       (random-bits | replay | structured-lie), keyed by --byz-seed
@@ -119,7 +119,7 @@ using namespace oraclesize;
       "[--json]\n"
       "      [--fault-rate P] [--fault-seed S] [--deadline-ms T] "
       "[--retries K]\n"
-      "      [--seed-sweep K] [--no-seed-batch]\n"
+      "      [--seed-sweep K]\n"
       "      [--byz-rate P] [--byz-nodes K] [--byz-seed S]\n"
       "      [--byz-strategy random-bits|replay|structured-lie]\n"
       "      [--trace-file F] [--trace-level messages|full]\n"
@@ -157,6 +157,18 @@ double probability(const std::string& s, const std::string& what) {
   }
 }
 
+/// A name from one of the shared name tables (`parse` throws
+/// std::invalid_argument("unknown <table> '<name>'")); an unknown one
+/// prints usage and exits 2.
+template <typename Parse>
+auto named(Parse parse, const std::string& name) {
+  try {
+    return parse(name);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+}
+
 /// Pulls "--flag value" / "--flag" options out of args, returning the rest.
 struct Options {
   std::uint64_t seed = 1;
@@ -177,7 +189,6 @@ struct Options {
   std::uint64_t deadline_ms = 0;
   std::uint32_t retries = 0;
   std::uint64_t seed_sweep = 0;  ///< 0 = no sweep (one fault seed)
-  bool no_seed_batch = false;
   double byz_rate = 0.0;
   std::uint32_t byz_nodes = 0;
   std::uint64_t byz_seed = 0;
@@ -225,8 +236,6 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
       opts.retries = number<std::uint32_t>(next(), "--retries");
     } else if (a == "--seed-sweep") {
       opts.seed_sweep = number<std::uint64_t>(next(), "--seed-sweep");
-    } else if (a == "--no-seed-batch") {
-      opts.no_seed_batch = true;
     } else if (a == "--byz-rate") {
       opts.byz_rate = probability(next(), "--byz-rate");
     } else if (a == "--byz-nodes") {
@@ -234,16 +243,7 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
     } else if (a == "--byz-seed") {
       opts.byz_seed = number<std::uint64_t>(next(), "--byz-seed");
     } else if (a == "--byz-strategy") {
-      const std::string v = next();
-      if (v == "random-bits") {
-        opts.byz_strategy = ByzantineStrategy::kRandomBits;
-      } else if (v == "replay") {
-        opts.byz_strategy = ByzantineStrategy::kReplay;
-      } else if (v == "structured-lie") {
-        opts.byz_strategy = ByzantineStrategy::kStructuredLie;
-      } else {
-        usage("unknown byzantine strategy '" + v + "'");
-      }
+      opts.byz_strategy = named(parse_byzantine_strategy, next());
     } else if (a == "--trace-file") {
       opts.trace_file = next();
     } else if (a == "--trace-level") {
@@ -256,36 +256,10 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
         usage("unknown trace level '" + v + "'");
       }
     } else if (a == "--scheduler") {
-      const std::string v = next();
-      if (v == "sync") {
-        opts.scheduler = SchedulerKind::kSynchronous;
-      } else if (v == "random") {
-        opts.scheduler = SchedulerKind::kAsyncRandom;
-      } else if (v == "fifo") {
-        opts.scheduler = SchedulerKind::kAsyncFifo;
-      } else if (v == "lifo") {
-        opts.scheduler = SchedulerKind::kAsyncLifo;
-      } else if (v == "linkfifo") {
-        opts.scheduler = SchedulerKind::kAsyncLinkFifo;
-      } else if (v == "adversarial") {
-        opts.scheduler = SchedulerKind::kAsyncAdversarial;
-      } else {
-        usage("unknown scheduler '" + v + "'");
-      }
+      opts.scheduler = named(service::parse_scheduler, next());
     } else if (a == "--tree") {
-      const std::string v = next();
-      opts.tree_name = v;
-      if (v == "bfs") {
-        opts.tree = TreeKind::kBfs;
-      } else if (v == "dfs") {
-        opts.tree = TreeKind::kDfs;
-      } else if (v == "kruskal") {
-        opts.tree = TreeKind::kKruskal;
-      } else if (v == "light") {
-        opts.tree = TreeKind::kLight;
-      } else {
-        usage("unknown tree '" + v + "'");
-      }
+      opts.tree_name = next();
+      opts.tree = named(service::parse_tree, opts.tree_name);
     } else if (a.rfind("--", 0) == 0) {
       usage("unknown option '" + a + "'");
     } else {
@@ -432,7 +406,7 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   // Under faults, a task failure is often transient in the fault seed —
   // retrying with a re-seeded schedule is meaningful. Without faults the
   // run is deterministic, so only infrastructure outcomes are retried.
-  const RetryPolicy retry{opts.retries, 0x9e3779b97f4a7c15ULL,
+  const RetryPolicy retry{opts.retries,
                           /*retry_task_failures=*/opts.fault_rate > 0};
   // --shards N runs every trial's execution through the sharded intra-run
   // engine (bit-identical results; sim/sharded_engine.h).
@@ -441,10 +415,7 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
     shard.shards = opts.shards;
     shard.min_nodes = 2;
   }
-  SeedBatchPolicy seed_batch;
-  seed_batch.enabled = !opts.no_seed_batch;
-  const BatchRunner runner(opts.jobs, /*advice_cache=*/true, retry, shard,
-                           seed_batch);
+  const BatchRunner runner(opts.jobs, /*advice_cache=*/true, retry, shard);
 
   // One spec per (source, sweep seed); without --seed-sweep this is the
   // single-seed spec list the CLI always built.
@@ -674,15 +645,9 @@ int cmd_advise(const std::vector<std::string>& args, const Options& opts) {
 int cmd_tree(const std::vector<std::string>& args, const Options& opts) {
   if (args.size() != 1) usage("tree: expected exactly one kind");
   TreeKind kind;
-  if (args[0] == "bfs") {
-    kind = TreeKind::kBfs;
-  } else if (args[0] == "dfs") {
-    kind = TreeKind::kDfs;
-  } else if (args[0] == "kruskal") {
-    kind = TreeKind::kKruskal;
-  } else if (args[0] == "light") {
-    kind = TreeKind::kLight;
-  } else {
+  try {
+    kind = service::parse_tree(args[0]);
+  } catch (const std::invalid_argument&) {
     usage("unknown tree kind '" + args[0] + "'");
   }
   const PortGraph g = read_port_graph(std::cin);

@@ -6,9 +6,9 @@ Dispatches on the file's "bench" field:
 perf_seedbatch  (bench_perf --seed-batch)
     Gates the seed-batched lockstep executor:
      * "identical" — the batched pass reproduced every lane's scalar
-       TaskReport. Machine-independent, gated on every fresh row.
-     * speedup — the scalar/batched wall ratio. Both passes run on the
-       same host with the same jobs count, so the ratio measures
+       RunResult. Machine-independent, gated on every fresh row.
+     * speedup — the scalar/batched wall ratio. Both passes run on one
+       thread of the same host, so the ratio measures
        deduplication (shared lockstep passes), not parallelism, and
        ports across machines: fault-free ("none") rows are held to the
        absolute --min-batch-speedup floor, and rows shared with the
@@ -67,9 +67,9 @@ def gate_seedbatch(fresh_data, base_data, args):
         if not row.get("identical", False):
             failures.append(
                 f"{family} n={n} {scheme} {mode}@{rate}: batched reports "
-                f"NOT identical to the scalar BatchRunner")
+                f"NOT identical to the scalar engine")
 
-    # The dedup ratio is also portable (same host, same jobs on both sides
+    # The dedup ratio is also portable (same host, one thread on both sides
     # of each row), so the fault-free rows carry an absolute floor: a clean
     # R-lane family must run at least --min-batch-speedup times faster than
     # R scalar runs. Faulty rows have an honestly divergence-dependent
@@ -115,7 +115,7 @@ def gate_schedbatch(fresh_data, base_data, args):
     Every row carries three machine-independent facts, and those are what
     gate:
      * "identical" — the batched pass reproduced every lane's scalar
-       TaskReport bit for bit (and, on full_share rows, shared the pass
+       RunResult bit for bit (and, on full_share rows, shared the pass
        across ALL lanes while doing so). Gated on every fresh row.
      * rows flagged floor=true by the bench (fault-free counter-keyed
        families whose delivery order provably agrees across lanes) must
@@ -151,7 +151,7 @@ def gate_schedbatch(fresh_data, base_data, args):
             verdicts.append("IDENTITY")
             failures.append(
                 f"{label}: batched reports NOT identical to the scalar "
-                f"BatchRunner")
+                f"engine")
         if row.get("floor", False):
             floor_rows += 1
             if got < args.min_sched_speedup:
