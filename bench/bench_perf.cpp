@@ -263,22 +263,30 @@ int run_sweep(int argc, char** argv) {
 
 /// One row's measurement of a seed family (specs identical up to their two
 /// seeds, each carrying its advice and final options, wakeup enforcement
-/// included). Both arms are bare engine calls, timed min-of-`repeat`, and
-/// each builds its engine once per timed call, as a BatchRunner worker does
-/// per run(): the scalar arm plays the R lanes one after another on one
-/// ExecutionContext, the batched arm is one SeedBatchExecutionContext::run
-/// (one lockstep pass plus scalar replays for diverged lanes). An untimed
-/// BatchRunner pass first warms the row's allocations and supplies the
-/// shared/replayed split; it and the batched arm must both reproduce every
-/// lane's scalar RunResult for the row to count as identical.
+/// included). Both arms are bare engine calls, and each builds its engine
+/// once per timed call, as a BatchRunner worker does per run(): the scalar
+/// arm plays the R lanes one after another on one ExecutionContext, the
+/// batched arm is one SeedBatchExecutionContext::run (one lockstep pass
+/// plus scalar replays for diverged lanes). Each of the `repeat` rounds
+/// times the two arms back to back; `speedup` is the median of the rounds'
+/// scalar/batched ratios, so a host that slows down or speeds up between
+/// rounds moves the arms' times, not the row's ratio. `scalar_ns` and
+/// `batched_ns` are each arm's minimum, for reading. An untimed
+/// BatchRunner pass supplies the shared/replayed split, and kWarmRounds
+/// untimed rounds of both arms come first: the first calls of a process
+/// pay for fresh heap pages (a 0.13 ms batched arm read 3.9 ms, then
+/// 0.40 ms). The BatchRunner pass and the batched arm must both reproduce
+/// every lane's scalar RunResult for the row to count as identical.
 struct FamilyTiming {
   std::uint64_t scalar_ns = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t batched_ns = std::numeric_limits<std::uint64_t>::max();
-  double speedup = 0.0;
+  double speedup = 0.0;  ///< median of the paired per-round ratios
   bool identical = true;
   std::size_t shared = 0;
   std::size_t replayed = 0;
 };
+
+constexpr std::size_t kWarmRounds = 2;
 
 FamilyTiming time_family(const std::vector<TrialSpec>& specs,
                          std::size_t repeat) {
@@ -294,7 +302,8 @@ FamilyTiming time_family(const std::vector<TrialSpec>& specs,
   FamilyTiming t;
   std::vector<RunResult> scalar_runs(specs.size());
   std::vector<RunResult> batched_runs;
-  for (std::size_t r = 0; r < repeat; ++r) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < kWarmRounds + repeat; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     ExecutionContext scalar;
     for (std::size_t l = 0; l < specs.size(); ++l) {
@@ -302,12 +311,17 @@ FamilyTiming time_family(const std::vector<TrialSpec>& specs,
       scalar_runs[l] = scalar.run(*s.graph, s.source, *s.advice,
                                   *s.algorithm, s.options);
     }
-    t.scalar_ns = std::min(t.scalar_ns, since_ns(t0));
+    const std::uint64_t scalar_ns = since_ns(t0);
     const auto t1 = std::chrono::steady_clock::now();
     SeedBatchExecutionContext batched;
     batched_runs = batched.run(*proto.graph, proto.source, *proto.advice,
                                *proto.algorithm, proto.options, lanes);
-    t.batched_ns = std::min(t.batched_ns, since_ns(t1));
+    const std::uint64_t batched_ns = std::max<std::uint64_t>(since_ns(t1), 1);
+    if (r < kWarmRounds) continue;
+    t.scalar_ns = std::min(t.scalar_ns, scalar_ns);
+    t.batched_ns = std::min(t.batched_ns, batched_ns);
+    ratios.push_back(static_cast<double>(scalar_ns) /
+                     static_cast<double>(batched_ns));
   }
   t.shared = stats.lockstep_shared;
   t.replayed = stats.batched_lanes - t.shared;
@@ -317,9 +331,10 @@ FamilyTiming time_family(const std::vector<TrialSpec>& specs,
                   report.error.empty() && report.attempts == 1 &&
                   report.run == scalar_runs[l];
   }
-  t.speedup = t.batched_ns > 0 ? static_cast<double>(t.scalar_ns) /
-                                     static_cast<double>(t.batched_ns)
-                               : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  t.speedup = ratios.size() % 2 == 1 ? ratios[mid]
+                                     : (ratios[mid - 1] + ratios[mid]) / 2;
   return t;
 }
 
@@ -504,8 +519,8 @@ int run_seed_batch(int argc, char** argv) {
         .cell(r.t.identical ? "yes" : "NO");
   }
   t.print(std::cout, "seed-batched lockstep vs scalar engine (" +
-                         std::to_string(lanes) + " lanes, min of " +
-                         std::to_string(repeat) + ")");
+                         std::to_string(lanes) + " lanes, median ratio of " +
+                         std::to_string(repeat) + " paired rounds)");
   std::cout << "report identity batched vs scalar: "
             << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
 
@@ -564,9 +579,9 @@ int run_seed_batch(int argc, char** argv) {
 //
 // Methodology matches --seed-batch (time_family): bare engine calls on one
 // thread (ratio is pure deduplication), advice precomputed outside the
-// timed region, min-of-repeat, per-lane RunResult identity between the
-// scalar pass, the batched pass and an untimed BatchRunner pass, exit 1 on
-// any mismatch.
+// timed region, the median of the paired per-round ratios, per-lane
+// RunResult identity between the scalar pass, the batched pass and an
+// untimed BatchRunner pass, exit 1 on any mismatch.
 // ---------------------------------------------------------------------------
 
 int run_sched_batch(int argc, char** argv) {
@@ -729,8 +744,8 @@ int run_sched_batch(int argc, char** argv) {
   }
   t.print(std::cout,
           "counter-keyed schedulers through the lockstep executor (" +
-              std::to_string(lanes) + " lanes, min of " +
-              std::to_string(repeat) + ")");
+              std::to_string(lanes) + " lanes, median ratio of " +
+              std::to_string(repeat) + " paired rounds)");
   std::cout << "report identity batched vs scalar: "
             << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
 

@@ -53,7 +53,8 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
   const Endpoint* const endpoints = g.csr_endpoints();
   scheduler_.reset(options.scheduler, options.seed, options.max_delay,
                    offsets[n]);
-  events_.clear();
+  events_.clear(Scheduler::delivery_order(options.scheduler, options.max_delay,
+                                         options.fault));
 
   SubmitState st(g, options, result);
   if (faulty && faults.message_faults()) st.faults = &faults;

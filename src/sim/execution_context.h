@@ -10,9 +10,10 @@
 //
 //  * per-node tables (`NodeInput`, behavior slots — the RunPlane of
 //    sim/run_plane.h) are resized, not reallocated;
-//  * pending events live in a flat pool with a free list; the priority
-//    queue is an index heap over the pool, so heap sifts move 8-byte
-//    indices instead of events;
+//  * pending events live in a flat pool with a free list; the order queue
+//    over the pool moves 24-byte index entries instead of events, as a
+//    FIFO, a stack, a bucket ring or a heap, whichever the run's scheduler
+//    and fault plan allow (Scheduler::delivery_order);
 //  * the scheduler's per-link FIFO clock is a flat vector indexed by the
 //    frozen graph's CSR offsets, reset (not rebuilt) per run;
 //  * behavior objects are pooled: when consecutive runs use algorithms
@@ -55,7 +56,7 @@ class ExecutionContext {
   AdversaryPlan adversary_plan_;
   RunPlane plane_;
   std::vector<Send> sends_;  ///< scratch sink, recycled per event
-  /// Pending events: slot pool + (key, seq) index heap (sim/event_heap.h).
+  /// Pending events: slot pool + (key, seq) order queue (sim/event_heap.h).
   EventHeap events_;
 };
 

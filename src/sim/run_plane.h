@@ -2,7 +2,7 @@
 //
 // The three engines — ExecutionContext (scalar), ShardedExecutionContext
 // (epoch barriers) and SeedBatchExecutionContext (lockstep lanes) — differ
-// only in how they step: a heap pop, an epoch barrier, or a lane mask over
+// only in how they step: a queue pop, an epoch barrier, or a lane mask over
 // key classes. Everything else about a run lives here, once:
 //
 //  * RunPlane owns the per-run node state: the input table, the behavior
@@ -15,7 +15,7 @@
 //    port check, budget-before-count, link id, Byzantine forge, counting,
 //    sink send event, fault decision with its sink events and counters,
 //    and finally hands every surviving copy to the caller's placement step
-//    (the scalar heap, a destination shard's heap, the lockstep lane mask,
+//    (the scalar queue, a destination shard's heap, the lockstep lane mask,
 //    or nothing for the sharded fast path). The loop never asks which
 //    engine called it; what differs is the placement and which optional
 //    planes (faults, adversary, sink) the SubmitState points at.

@@ -1,8 +1,10 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "lowerbound/counting_adversary.h"
+#include "sim/fault_plan.h"
 
 namespace oraclesize {
 
@@ -22,6 +24,30 @@ const char* to_string(SchedulerKind kind) {
       return "async-adversarial";
   }
   return "unknown";
+}
+
+DeliveryOrder Scheduler::delivery_order(SchedulerKind kind,
+                                        std::uint32_t max_delay,
+                                        const FaultPlanParams& fault) noexcept {
+  const std::uint64_t extra =
+      fault.delay > 0 ? std::max<std::uint32_t>(fault.max_extra_delay, 1) : 0;
+  std::uint64_t width = 0;  // distinct keys pending, the last popped included
+  switch (kind) {
+    case SchedulerKind::kSynchronous:
+      if (extra == 0) return DeliveryOrder::kFifo;
+      width = extra + 2;
+      break;
+    case SchedulerKind::kAsyncFifo:
+      return extra == 0 ? DeliveryOrder::kFifo : DeliveryOrder::kHeap;
+    case SchedulerKind::kAsyncLifo:
+      return extra == 0 ? DeliveryOrder::kStack : DeliveryOrder::kHeap;
+    case SchedulerKind::kAsyncRandom:
+      width = std::max<std::uint32_t>(max_delay, 1) + extra + 1;
+      break;
+    default:
+      return DeliveryOrder::kHeap;
+  }
+  return width <= kRingKeys ? DeliveryOrder::kRing : DeliveryOrder::kHeap;
 }
 
 Scheduler::Scheduler(SchedulerKind kind, std::uint64_t seed,

@@ -40,6 +40,7 @@
 namespace oraclesize {
 
 class CountingAdversary;  // lowerbound/counting_adversary.h
+struct FaultPlanParams;   // sim/fault_plan.h
 
 enum class SchedulerKind {
   kSynchronous,
@@ -51,6 +52,20 @@ enum class SchedulerKind {
 };
 
 const char* to_string(SchedulerKind kind);
+
+/// How a run's pending events are kept so that they pop in (key, seq)
+/// order (sim/event_heap.h). Every discipline pops the same sequence; the
+/// cheaper ones rely on what the scheduler promises about its keys.
+enum class DeliveryOrder : std::uint8_t {
+  kFifo,   ///< keys never fall in push order: pop in insertion order
+  kStack,  ///< keys fall with every push: pop the newest entry first
+  kRing,   ///< keys stay within kRingKeys of the last popped key
+  kHeap,   ///< no usable bound: a binary min-heap
+};
+
+/// The widest key window a kRing queue holds: one bucket per key, found
+/// through a 64-bit occupancy mask.
+inline constexpr std::uint64_t kRingKeys = 64;
 
 /// Computes the priority key under which a message becomes deliverable.
 /// Lower keys deliver first; ties broken by sequence number (FIFO).
@@ -123,6 +138,23 @@ class Scheduler {
            kind == SchedulerKind::kAsyncFifo ||
            kind == SchedulerKind::kAsyncLifo;
   }
+
+  /// The order discipline of a run under `kind`, `max_delay` and `fault`,
+  /// both delays clamped to at least 1 as the constructor and
+  /// FaultPlan::arm clamp them. A pushed key is the scheduler's key plus
+  /// an extra delay in [1, max_extra_delay] when fault.delay > 0:
+  ///  * kSynchronous (now + 1) and kAsyncFifo (seq) never fall in push
+  ///    order: kFifo;
+  ///  * kAsyncLifo (-seq) falls with every push: kStack;
+  ///  * kAsyncRandom keys lie in [now + 1, now + max_delay + extra], so the
+  ///    pending keys span at most max_delay + extra + 1 values counting the
+  ///    last popped one, and sync under extra delay at most extra + 2: kRing
+  ///    while that width is at most kRingKeys;
+  ///  * kAsyncLinkFifo and kAsyncAdversarial (keys depend on earlier sends),
+  ///    fifo and lifo under extra delay, and any wider window: kHeap.
+  static DeliveryOrder delivery_order(SchedulerKind kind,
+                                      std::uint32_t max_delay,
+                                      const FaultPlanParams& fault) noexcept;
 
   /// The key a pure scheduler assigns — the one copy of that switch, used
   /// by delivery_key, the seed-batch pass and the sharded engine's

@@ -75,13 +75,17 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   const Endpoint* const endpoints = g.csr_endpoints();
 
   // Counter-keyed seeded schedulers: group the surviving lanes into key
-  // classes by scheduler seed. Each class gets its own heap / clocks /
+  // classes by scheduler seed. Each class gets its own queue / clocks /
   // key-valued outputs; everything else in the pass is shared. The
   // seed-independent schedulers skip all of this (keyed_ stays false) and
-  // run the single-heap pass unchanged.
+  // run the single-queue pass unchanged. The pass never adds an extra
+  // delay (a lane whose message draws one retires), so its queues order
+  // keys as a fault-free run's do.
   const SchedulerKind kind = base.scheduler;
   const bool link_fifo = kind == SchedulerKind::kAsyncLinkFifo;
   keyed_ = kind == SchedulerKind::kAsyncRandom || link_fifo;
+  const DeliveryOrder order =
+      Scheduler::delivery_order(kind, base.max_delay, FaultPlanParams{});
   if (keyed_) {
     std::size_t used = 0;
     for (std::uint32_t l = 0; l < lanes.size(); ++l) {
@@ -94,7 +98,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         c.seed = lanes[l].seed;
         c.active = true;
         c.live = 0;
-        c.heap.clear();
+        c.queue.reset(order);
         c.now = 0;
         c.completion_key = 0;
         if (link_fifo) {
@@ -142,14 +146,14 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
     return result_;
   }
 
-  events_.clear();
+  events_.clear(order);
   SubmitState st(g, base, result_);
   bool budget_hit = false;
   auto fail = [&](std::string what) {
     if (result_.violation.empty()) result_.violation = std::move(what);
   };
-  // Keyed mode bypasses events_'s own heap (classes carry their own), so
-  // the pending count and its peak — the scalar engine's heap-size
+  // Keyed mode bypasses events_'s own queue (classes carry their own), so
+  // the pending count and its peak — the scalar engine's queue-size
   // trajectory — are tracked by hand.
   std::size_t pending = 0;
   std::size_t pending_peak = 0;
@@ -229,7 +233,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       if (link_fifo) {
         key = Scheduler::link_fifo_clamp(kc.link_clock[c.link], key);
       }
-      EventHeap::heap_push(kc.heap, {key, c.seq, slot});
+      kc.queue.push({key, c.seq, slot});
     }
     if (++pending > pending_peak) pending_peak = pending;
     return true;
@@ -287,18 +291,20 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       std::size_t di = 0;
       while (di < classes_.size() && !classes_[di].active) ++di;
       KeyClass& d = classes_[di];
-      top = EventHeap::heap_pop(d.heap);
+      top = d.queue.pop();
       d.now = top.key;
       if (top.key > d.completion_key) d.completion_key = top.key;
       for (std::size_t ci = di + 1; ci < classes_.size(); ++ci) {
         KeyClass& c = classes_[ci];
         if (!c.active) continue;
-        if (c.heap.front().slot != top.slot) {
+        // A retiring class's queue is never read again this run, so it
+        // may pop before it compares.
+        const EventHeap::Entry e = c.queue.pop();
+        if (e.slot != top.slot) {
           retire_class(ci);
           if (aborted) break;
           continue;
         }
-        const EventHeap::Entry e = EventHeap::heap_pop(c.heap);
         c.now = e.key;
         if (e.key > c.completion_key) c.completion_key = e.key;
       }

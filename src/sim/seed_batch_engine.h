@@ -4,7 +4,7 @@
 // policies, tradeoff repeats) replays the same (graph, source, advice,
 // algorithm, options) spec with only RunOptions::seed / fault.seed varying.
 // ExecutionContext charges each of those R trials the full per-run price —
-// event-heap traffic, behavior arming, per-node bookkeeping — even though
+// event-queue traffic, behavior arming, per-node bookkeeping — even though
 // under the deterministic fault keying most lanes take *exactly the same
 // execution*. SeedBatchExecutionContext exploits that:
 //
@@ -19,7 +19,7 @@
 //    assign keys that are pure in
 //    (options.seed, seq, link), so `options.seed` becomes a lane axis too:
 //    lanes are grouped into KEY CLASSES by scheduler seed, each class
-//    carries its own tiny index heap (plus link clocks and key-valued
+//    carries its own tiny order queue (plus link clocks and key-valued
 //    outputs: completion_key, informed_at) over ONE shared slot pool and
 //    ONE shared behavior plane. Each pop, the driver class's minimum
 //    defines the delivery; every other class's minimum must name the same
@@ -53,7 +53,7 @@
 // deadlines, the adversarial scheduler, Byzantine plans) — are REPLAYED on
 // the scalar ExecutionContext, which is the definition of correct. The
 // pass itself is the engines' one submit loop (sim/run_plane.h) with the
-// R-wide mask and the key-class heaps as its placement step.
+// R-wide mask and the key-class queues as its placement step.
 //
 // Determinism contract: for every lane, the result handed back (the shared
 // clean-run RunResult for lanes that stayed benign, the scalar replay
@@ -68,10 +68,10 @@
 // honestly degrading toward 1× as the per-message fault rate times the
 // message count approaches 1. The ratio is algorithmic (deduplication, not
 // parallelism), so it holds on any host. In keyed mode the pass also pays
-// one heap push/pop and one mix per ACTIVE KEY CLASS per message — free
+// one queue push/pop and one mix per ACTIVE KEY CLASS per message — free
 // when every lane shares one scheduler seed (the e13 regime), and still a
 // large win when classes are many but the pending set is shallow (each
-// class's heap is then trivially small); deep pending sets under many
+// class's queue is then trivially small); deep pending sets under many
 // classes decay gracefully toward scalar via order-disagreement
 // retirement.
 #pragma once
@@ -193,17 +193,17 @@ class SeedBatchExecutionContext {
   std::vector<std::uint32_t> active_mask_lanes_;
 
   /// One scheduler-seed class for the counter-keyed seeded schedulers: the
-  /// lanes sharing `seed`, a private index min-heap over the shared slot
+  /// lanes sharing `seed`, a private order queue over the shared slot
   /// pool, the class's logical clock / link clocks, and the key-valued
   /// result fields the classes disagree on. SoA keys per class — the SoA
-  /// storage the per-lane heaps collapse into.
+  /// storage the per-lane queues collapse into.
   struct KeyClass {
     std::uint64_t seed = 0;
     bool active = false;       ///< still agreeing with the driver's order
     std::uint32_t live = 0;    ///< kShared lanes still mapped to this class
-    std::vector<EventHeap::Entry> heap;
     std::int64_t now = 0;              ///< key of the class's last pop
     std::int64_t completion_key = 0;
+    OrderQueue queue;
     std::vector<std::int64_t> link_clock;   ///< kAsyncLinkFifo only
     std::vector<std::int64_t> informed_at;  ///< per node
   };

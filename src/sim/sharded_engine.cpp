@@ -239,7 +239,9 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
     Shard& sh = shards_state_[s];
     sh.begin = part.begin(s);
     sh.end = part.end(s);
-    sh.events.clear();
+    // Heaps, whatever the scheduler: the fast finalizer drains outboxes
+    // part by part, so a shard's pushes do not arrive in seq order.
+    sh.events.clear(DeliveryOrder::kHeap);
     sh.outbox.resize(S);
     sh.dropped = 0;
     sh.delayed = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/broadcast_b.h"
 #include "core/census.h"
 #include "core/flooding.h"
@@ -32,28 +34,39 @@ TEST(ExecutionContext, ReuseAcrossGraphsMatchesFreshContexts) {
   const auto advice_a = oracle.advise(a, 0);
   const auto advice_b = oracle.advise(b, 2);
 
+  // One context plays every scheduler, with and without extra-delay
+  // faults, so its event queue also switches between the FIFO, stack, ring
+  // and heap disciplines from run to run.
+  ExecutionContext reused;
   for (SchedulerKind sched :
        {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
-        SchedulerKind::kAsyncLifo, SchedulerKind::kAsyncLinkFifo}) {
-    RunOptions opts;
-    opts.scheduler = sched;
-    opts.seed = 5;
-    auto traced_run = [&](ExecutionContext& ctx, const PortGraph& g,
-                          NodeId source, const std::vector<BitString>& adv) {
-      return with_trace(
-          [&](const RunOptions& o) {
-            return ctx.run(g, source, adv, algorithm, o);
-          },
-          opts);
-    };
+        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo,
+        SchedulerKind::kAsyncLinkFifo}) {
+    for (const double delay : {0.0, 0.05}) {
+      RunOptions opts;
+      opts.scheduler = sched;
+      opts.seed = 5;
+      opts.fault.seed = 3;
+      opts.fault.delay = delay;
+      auto traced_run = [&](ExecutionContext& ctx, const PortGraph& g,
+                            NodeId source,
+                            const std::vector<BitString>& adv) {
+        return with_trace(
+            [&](const RunOptions& o) {
+              return ctx.run(g, source, adv, algorithm, o);
+            },
+            opts);
+      };
 
-    ExecutionContext reused;
-    const auto ra = traced_run(reused, a, 0, advice_a);
-    const auto rb = traced_run(reused, b, 2, advice_b);
+      const auto ra = traced_run(reused, a, 0, advice_a);
+      const auto rb = traced_run(reused, b, 2, advice_b);
 
-    ExecutionContext fresh_a, fresh_b;
-    EXPECT_EQ(ra, traced_run(fresh_a, a, 0, advice_a)) << to_string(sched);
-    EXPECT_EQ(rb, traced_run(fresh_b, b, 2, advice_b)) << to_string(sched);
+      ExecutionContext fresh_a, fresh_b;
+      const std::string label =
+          std::string(to_string(sched)) + " delay=" + std::to_string(delay);
+      EXPECT_EQ(ra, traced_run(fresh_a, a, 0, advice_a)) << label;
+      EXPECT_EQ(rb, traced_run(fresh_b, b, 2, advice_b)) << label;
+    }
   }
 }
 

@@ -156,9 +156,12 @@ TEST(ShardedEngine, StatsReportShardsEpochsAndCrossTraffic) {
 }
 
 TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
-  // duplicate = 0 keeps synchronous runs on the fast (parallel) finalizer;
-  // duplicate > 0 and the random scheduler force the serial one. All four
-  // combinations must agree with the legacy engine bit for bit.
+  // duplicate = 0 keeps the pure schedulers on the fast (parallel)
+  // finalizer; duplicate > 0 forces the serial one. Every combination must
+  // agree with the legacy engine bit for bit. The shards keep heaps, the
+  // legacy engine the discipline of Scheduler::delivery_order: a ring for
+  // sync and async-random under extra delay, and a FIFO and a stack for
+  // async-fifo and async-lifo, whose rows therefore draw no extra delay.
   Rng rng(21);
   const PortGraph g = make_random_connected(48, 0.12, rng);
   const NullOracle oracle;
@@ -166,13 +169,34 @@ TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
   const std::vector<BitString> advice = advice_for(g, 3, oracle);
   ShardedExecutionContext engine(3);
   for (const SchedulerKind sched :
-       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom}) {
+       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
+        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
     for (const double duplicate : {0.0, 0.05}) {
-      const RunOptions opts = faulty_options(sched, duplicate);
+      RunOptions opts = faulty_options(sched, duplicate);
+      if (sched == SchedulerKind::kAsyncFifo ||
+          sched == SchedulerKind::kAsyncLifo) {
+        opts.fault.delay = 0.0;
+      }
       expect_identical(g, 3, advice, flooding, opts, engine,
                        std::string(to_string(sched)) + " dup=" +
                            std::to_string(duplicate));
     }
+  }
+  // Extra delay alone, wide enough to fill the 64-key ring: sync keys span
+  // max_extra_delay + 2 values, async-random max_delay + max_extra_delay + 1.
+  for (const auto& [sched, extra] :
+       {std::pair{SchedulerKind::kSynchronous, 62u},
+        std::pair{SchedulerKind::kAsyncRandom, 47u}}) {
+    RunOptions opts;
+    opts.scheduler = sched;
+    opts.seed = 1234;
+    opts.fault.seed = 88;
+    opts.fault.delay = 0.3;
+    opts.fault.max_extra_delay = extra;
+    ASSERT_EQ(Scheduler::delivery_order(sched, opts.max_delay, opts.fault),
+              DeliveryOrder::kRing);
+    expect_identical(g, 3, advice, flooding, opts, engine,
+                     std::string(to_string(sched)) + " delay only");
   }
 }
 

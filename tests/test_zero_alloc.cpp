@@ -127,6 +127,15 @@ int audit() {
         count_steady_run(big, advice_big, algorithm, zeroed);
     check("wakeup+0byz", z_small, z_big);
     check("0byz==off", w_big, z_big);
+
+    // Extra-delay faults move a synchronous run from the FIFO to the
+    // bucket ring; its node pool is recycled, never grown per event.
+    RunOptions delayed = opts;
+    delayed.fault.seed = 77;
+    delayed.fault.delay = 0.05;
+    check("wakeup+delay",
+          count_steady_run(small, advice_small, algorithm, delayed),
+          count_steady_run(big, advice_big, algorithm, delayed));
   }
   {
     const LightBroadcastOracle oracle;
@@ -147,6 +156,18 @@ int audit() {
     check("link-fifo",
           count_steady_run(small, advice_small, algorithm, fifo),
           count_steady_run(big, advice_big, algorithm, fifo));
+
+    // The FIFO and the stack keep their capacity across runs too.
+    RunOptions global_fifo = opts;
+    global_fifo.scheduler = SchedulerKind::kAsyncFifo;
+    check("async-fifo",
+          count_steady_run(small, advice_small, algorithm, global_fifo),
+          count_steady_run(big, advice_big, algorithm, global_fifo));
+    RunOptions lifo = opts;
+    lifo.scheduler = SchedulerKind::kAsyncLifo;
+    check("async-lifo",
+          count_steady_run(small, advice_small, algorithm, lifo),
+          count_steady_run(big, advice_big, algorithm, lifo));
   }
   return failures == 0 ? 0 : 1;
 }

@@ -7,14 +7,16 @@ perf_seedbatch  (bench_perf --seed-batch)
     Gates the seed-batched lockstep executor:
      * "identical" — the batched pass reproduced every lane's scalar
        RunResult. Machine-independent, gated on every fresh row.
-     * speedup — the scalar/batched wall ratio. Both passes run on one
-       thread of the same host, so the ratio measures
-       deduplication (shared lockstep passes), not parallelism, and
-       ports across machines: fault-free ("none") rows are held to the
-       absolute --min-batch-speedup floor, and rows shared with the
-       baseline fail on a >--max-regression drop (both sides clamped to
-       --batch-regression-cap first: past that the replay tail has
-       vanished and the ratio is timer noise over microseconds).
+     * speedup — the median of k paired scalar/batched wall ratios, each
+       taken from one round that times both arms back to back (bench_perf
+       time_family). Both passes run on one thread of the same host, so
+       the ratio measures deduplication (shared lockstep passes), not
+       parallelism, and ports across machines: fault-free ("none") rows
+       are held to the absolute --min-batch-speedup floor, and rows
+       shared with the baseline fail on a >--max-regression drop (both
+       sides clamped to --batch-regression-cap first: past that the
+       replay tail has vanished and the ratio is timer noise over
+       microseconds).
 
 perf_schedbatch  (bench_perf --sched-batch)
     Identity on every fresh row, the --min-sched-speedup floor on rows the
