@@ -64,7 +64,7 @@ class OrderQueue {
   /// storage is retained. The caller promises what `order` relies on:
   /// kFifo keys never fall in push order, kStack keys fall with every
   /// push, and kRing keys lie in [p, p + kRingKeys) for p the last popped
-  /// key, 0 before the first pop.
+  /// key or advanced floor, 0 before either.
   void reset(DeliveryOrder order) {
     order_ = order;
     size_ = 0;
@@ -144,14 +144,12 @@ class OrderQueue {
     return heap_pop();
   }
 
-  /// Number of pending entries whose key equals `key` (linear scan — used
-  /// only for the sharded engine's event-budget pre-count, never on a
-  /// per-event path). Precondition: the kHeap discipline.
-  std::size_t count_key(std::int64_t key) const noexcept {
-    assert(order_ == DeliveryOrder::kHeap);
-    std::size_t count = 0;
-    for (const Entry& e : items_) count += (e.key == key) ? 1 : 0;
-    return count;
+  /// Raises the kRing floor — the key the window starts at — to `key`. A
+  /// sharded engine's shard that popped nothing for many epochs would
+  /// otherwise keep a floor far below the keys it is handed, and alias
+  /// them into the wrong buckets. Precondition: no pending key below `key`.
+  void advance_floor(std::int64_t key) noexcept {
+    if (key > floor_) floor_ = key;
   }
 
  private:
@@ -169,7 +167,7 @@ class OrderQueue {
   }
 
   /// The bucket of the smallest pending key: the first occupied bucket at
-  /// or after the last popped key's.
+  /// or after the floor's.
   unsigned first_bucket() const noexcept {
     const int from = static_cast<int>(static_cast<std::uint64_t>(floor_) &
                                       (kRingKeys - 1));
@@ -258,7 +256,7 @@ class OrderQueue {
   std::size_t size_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t occupied_ = 0;  ///< kRing: bit b set while bucket b holds entries
-  std::int64_t floor_ = 0;  ///< kRing: the last popped key (0 before any pop)
+  std::int64_t floor_ = 0;  ///< kRing: the last popped key or advanced floor
   /// kHeap: the heap array. kStack: the stack. kFifo: a power-of-two
   /// circular buffer whose entries start at head_. kRing: the node pool,
   /// one FIFO chain per key modulo kRingKeys linked through next_, its
@@ -276,7 +274,7 @@ class OrderQueue {
 };
 
 /// Pool + order queue. Not thread-safe; the sharded engine gives each shard
-/// its own EventHeap.
+/// its own EventHeap, fed in seq order from its inbound mailboxes.
 class EventHeap {
  public:
   using Entry = OrderQueue::Entry;
@@ -296,11 +294,8 @@ class EventHeap {
   /// Smallest pending delivery key. Precondition: !empty().
   std::int64_t top_key() const noexcept { return queue_.top().key; }
 
-  /// Number of pending entries whose key equals `key`; kHeap only (see
-  /// OrderQueue::count_key).
-  std::size_t count_key(std::int64_t key) const noexcept {
-    return queue_.count_key(key);
-  }
+  /// See OrderQueue::advance_floor.
+  void advance_floor(std::int64_t key) noexcept { queue_.advance_floor(key); }
 
   /// Queue high-water mark since the last clear() (the queue_depth_peak
   /// metric).

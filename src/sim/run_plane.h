@@ -15,10 +15,11 @@
 //    port check, budget-before-count, link id, Byzantine forge, counting,
 //    sink send event, fault decision with its sink events and counters,
 //    and finally hands every surviving copy to the caller's placement step
-//    (the scalar queue, a destination shard's heap, the lockstep lane mask,
-//    or nothing for the sharded fast path). The loop never asks which
-//    engine called it; what differs is the placement and which optional
-//    planes (faults, adversary, sink) the SubmitState points at.
+//    (the scalar queue, a destination shard's mailbox, or the lockstep
+//    lane mask). The loop never asks which engine called it; what differs
+//    is the placement, which optional planes (faults, adversary, sink) the
+//    SubmitState points at, and whether it counts into the RunResult or
+//    into one shard's partials.
 //
 // Engines accept frozen graphs only: link ids are the CSR offsets
 // (offsets[v] + port) and delivery targets are one load from the CSR
@@ -68,8 +69,10 @@ struct AdmittedCopy {
 };
 
 /// The run-wide state submit_sends reads and advances. The optional planes
-/// are null when off for this caller: `faults` only when the caller decides
-/// message faults here (the sharded fast path decides them while routing).
+/// are null when off for this caller. The counters point into the run's
+/// RunResult, or into one shard's partials: the sharded fast path submits
+/// per shard in parallel, counts into partials it reduces at the end, and
+/// checks the message budget itself.
 struct SubmitState {
   const std::uint64_t* offsets = nullptr;  ///< frozen CSR offsets (n + 1)
   const Endpoint* endpoints = nullptr;     ///< frozen CSR endpoints
@@ -78,20 +81,28 @@ struct SubmitState {
   const FaultPlan* faults = nullptr;
   AdversaryPlan* adversary = nullptr;
   TraceSink* sink = nullptr;
-  RunResult* result = nullptr;  ///< metrics, per-node sends, fault counters
+  Metrics* metrics = nullptr;
+  FaultCounters* fault_counters = nullptr;
+  AdversaryCounters* adversary_counters = nullptr;
+  std::uint64_t* sends_by_node = nullptr;  ///< indexed by node, sized n
   std::uint64_t seq = 0;         ///< next global send sequence number
   /// Byzantine logical send-batch counter: one behavior invocation is one
   /// group, so equivocation keys forged content per link within a group
   /// while the forge decision itself is per group.
   std::uint64_t send_group = 0;
 
+  /// Counts into `run_result`, whose sends_by_node must already be sized
+  /// (RunPlane::begin_result).
   SubmitState(const PortGraph& g, const RunOptions& options,
               RunResult& run_result)
       : offsets(g.csr_offsets()),
         endpoints(g.csr_endpoints()),
         enforce_wakeup(options.enforce_wakeup),
         max_messages(options.max_messages),
-        result(&run_result) {}
+        metrics(&run_result.metrics),
+        fault_counters(&run_result.faults),
+        adversary_counters(&run_result.adversary),
+        sends_by_node(run_result.sends_by_node.data()) {}
 };
 
 /// The sink's view of one admitted send, in stream order: the Byzantine
@@ -119,7 +130,7 @@ inline SubmitOutcome submit_sends(SubmitState& st, NodeId v, bool informed,
   if (st.enforce_wakeup && !informed) {
     return {SubmitVerdict::kWakeupViolation};
   }
-  RunResult& result = *st.result;
+  Metrics& metrics = *st.metrics;
   const std::uint64_t base = st.offsets[v];
   const std::uint64_t degree = st.offsets[v + 1] - base;
   AdversaryPlan* const adversary =
@@ -137,7 +148,7 @@ inline SubmitOutcome submit_sends(SubmitState& st, NodeId v, bool informed,
     // Budget check BEFORE counting: a run never reports more messages than
     // it was allowed to send (messages_total <= max_messages holds even on
     // violating runs).
-    if (result.metrics.messages_total >= st.max_messages) {
+    if (metrics.messages_total >= st.max_messages) {
       out = {SubmitVerdict::kBudget};
       break;
     }
@@ -155,7 +166,7 @@ inline SubmitOutcome submit_sends(SubmitState& st, NodeId v, bool informed,
       fo = adversary->forge(v, group, link, degree, forged);
       if (fo.forged || fo.advice_lie) {
         wire = &forged;
-        AdversaryCounters& ac = result.adversary;
+        AdversaryCounters& ac = *st.adversary_counters;
         if (fo.forged) ++ac.forged;
         if (fo.equivocated) ++ac.equivocated;
         if (fo.replayed) ++ac.replayed;
@@ -163,8 +174,8 @@ inline SubmitOutcome submit_sends(SubmitState& st, NodeId v, bool informed,
         if (fo.advice_lie) ++ac.advice_lies;
       }
     }
-    result.metrics.count_send(*wire);
-    ++result.sends_by_node[v];
+    metrics.count_send(*wire);
+    ++st.sends_by_node[v];
     // The message's fate is decided once, at submit time, keyed on
     // (seq, link) — a send counts toward metrics even when the network
     // then drops it (the node did transmit).
@@ -182,12 +193,12 @@ inline SubmitOutcome submit_sends(SubmitState& st, NodeId v, bool informed,
       trace_send(*sink, e, *wire, fo, mf);
     }
     if (mf.drop) {
-      ++result.faults.dropped;
+      ++st.fault_counters->dropped;
       ++seq;  // the dropped message still consumes its sequence number
       continue;
     }
-    if (mf.duplicate) ++result.faults.duplicated;
-    if (mf.extra_delay > 0) ++result.faults.delayed;
+    if (mf.duplicate) ++st.fault_counters->duplicated;
+    if (mf.extra_delay > 0) ++st.fault_counters->delayed;
     const int copies = mf.duplicate ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
       if (!place(AdmittedCopy{*wire, link, seq, now, mf.extra_delay,

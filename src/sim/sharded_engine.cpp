@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -13,9 +11,15 @@ namespace oraclesize {
 
 namespace {
 
-/// Mailbox totals below this are drained by the coordinator alone: waking
-/// the pool costs more than pushing a couple thousand queue entries.
-constexpr std::size_t kSerialDrainLimit = 2048;
+/// How long a waiting thread spins before it parks on std::atomic::wait:
+/// longer than the gap between a grid run's barriers, so helpers stay awake
+/// through a run, and short enough that a pool between runs, or one pinned
+/// to fewer CPUs than it has threads, soon stops taking CPU from the
+/// threads with work (EXPERIMENTS.md E14).
+constexpr std::chrono::microseconds kSpinBound{50};
+
+/// No mail routed this epoch.
+constexpr std::int64_t kNoKey = std::numeric_limits<std::int64_t>::max();
 
 std::uint32_t resolve_shards(std::uint32_t requested) {
   if (requested > 0) return requested;
@@ -36,108 +40,132 @@ class BufferSink final : public TraceSink {
   std::vector<TraceEvent>& out_;
 };
 
+/// Waits until done(a) holds and returns the value that satisfied it:
+/// yields the CPU in a loop for kSpinBound, then parks on std::atomic::wait.
+/// Yielding rather than pausing lets a thread that shares this CPU run —
+/// the one being waited for, when the pool has more threads than CPUs.
+/// Every load is acquire, so what the storing thread wrote before its
+/// release store is visible on return.
+template <class Done>
+std::uint32_t await(const std::atomic<std::uint32_t>& a, Done done) noexcept {
+  std::uint32_t v = a.load(std::memory_order_acquire);
+  if (done(v)) return v;
+  const auto until = std::chrono::steady_clock::now() + kSpinBound;
+  do {
+    std::this_thread::yield();
+    v = a.load(std::memory_order_acquire);
+    if (done(v)) return v;
+  } while (std::chrono::steady_clock::now() < until);
+  while (!done(v)) {
+    a.wait(v, std::memory_order_acquire);
+    v = a.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
+/// Adds one shard's fast-path partials to the run's counters.
+void add_partials(RunResult& result, const Metrics& m,
+                  const FaultCounters& f) {
+  Metrics& to = result.metrics;
+  to.messages_total += m.messages_total;
+  to.messages_source += m.messages_source;
+  to.messages_hello += m.messages_hello;
+  to.messages_control += m.messages_control;
+  to.bits_sent += m.bits_sent;
+  to.deliveries += m.deliveries;
+  to.completion_key = std::max(to.completion_key, m.completion_key);
+  result.faults.dropped += f.dropped;
+  result.faults.duplicated += f.duplicated;
+  result.faults.delayed += f.delayed;
+  result.faults.dead_deliveries += f.dead_deliveries;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Worker pool: `shards - 1` persistent helper threads plus the calling
-// thread. parallel(tasks, fn) runs fn(0..tasks-1) with atomic work claiming;
-// fn must not throw (callers capture into Shard::error). Generation counting
-// under one mutex keeps the pool TSan-clean: every per-epoch handoff is a
-// locked write followed by locked reads, and the task metadata is only
-// dereferenced by threads that claimed an index for the current generation.
+// Worker pool: `helpers` persistent threads plus the calling thread, each a
+// fixed participant. run(body) calls body(i) once on every participant i
+// (the caller is 0) and returns when all have returned; body may call
+// sync(), a barrier among all participants, and must not throw (callers
+// record failures in Shard::stop). Every handoff is a generation counter —
+// start_ counts passes, phase_ barriers, done_ the helpers finished with
+// the current pass — that a waiter spins on for kSpinBound before it parks
+// on std::atomic::wait. The body pointer is written before start_ is
+// incremented, read only after an acquire load sees the increment, and
+// rewritten only after every helper has reported to done_, so the pool
+// needs no lock. A counter that is notified is written seq_cst: a weaker
+// store could be ordered after notify's check for waiters and lose the
+// wakeup of a thread parking then.
 // ---------------------------------------------------------------------------
 
 class ShardedExecutionContext::Workers {
  public:
-  explicit Workers(unsigned helpers) {
+  explicit Workers(std::uint32_t helpers) : parties_(helpers + 1) {
     threads_.reserve(helpers);
-    for (unsigned i = 0; i < helpers; ++i) {
-      threads_.emplace_back([this] { worker_loop(); });
+    for (std::uint32_t i = 1; i <= helpers; ++i) {
+      threads_.emplace_back([this, i] { helper_loop(i); });
     }
   }
 
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
   ~Workers() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      ++generation_;
-    }
-    work_cv_.notify_all();
+    stop_ = true;
+    start_.fetch_add(1, std::memory_order_seq_cst);
+    start_.notify_all();
     for (std::thread& t : threads_) t.join();
   }
 
-  void parallel(std::uint32_t tasks,
-                const std::function<void(std::uint32_t)>& fn) {
-    if (tasks == 0) return;
-    if (tasks == 1 || threads_.empty()) {
-      for (std::uint32_t i = 0; i < tasks; ++i) fn(i);
-      return;
+  template <class Body>
+  void run(Body& body) {
+    body_ = &body;
+    call_ = [](void* b, std::uint32_t i) { (*static_cast<Body*>(b))(i); };
+    done_.store(0, std::memory_order_relaxed);
+    start_.fetch_add(1, std::memory_order_seq_cst);
+    start_.notify_all();
+    body(0);
+    const std::uint32_t helpers = parties_ - 1;
+    await(done_, [helpers](std::uint32_t d) { return d == helpers; });
+  }
+
+  void sync() noexcept {
+    // Only this barrier's last arrival advances phase_, so the value read
+    // here is the one the others wait to see change.
+    const std::uint32_t gen = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      phase_.store(gen + 1, std::memory_order_seq_cst);
+      phase_.notify_all();
+    } else {
+      await(phase_, [gen](std::uint32_t p) { return p != gen; });
     }
-    std::uint64_t gen;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fn_ = &fn;
-      tasks_ = tasks;
-      next_ = 0;
-      done_ = 0;
-      gen = ++generation_;
-    }
-    work_cv_.notify_all();
-    claim(gen);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return done_ == tasks_; });
-    fn_ = nullptr;
   }
 
  private:
-  // Claims indices for generation `gen` only: every claim re-checks the
-  // generation under the lock, so a worker that overslept one handoff and
-  // woke during a later one can neither dereference the earlier cycle's
-  // (long-destroyed) fn nor disturb the current cycle's counters. The lock
-  // is not hot — one claim per shard per barrier, each guarding a full
-  // epoch's worth of work.
-  void claim(std::uint64_t gen) {
+  void helper_loop(std::uint32_t i) {
+    std::uint32_t seen = 0;
     while (true) {
-      const std::function<void(std::uint32_t)>* fn;
-      std::uint32_t i;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (generation_ != gen || fn_ == nullptr || next_ >= tasks_) return;
-        fn = fn_;
-        i = next_++;
-      }
-      (*fn)(i);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (generation_ == gen && ++done_ == tasks_) done_cv_.notify_all();
+      seen = await(start_, [seen](std::uint32_t s) { return s != seen; });
+      if (stop_) return;
+      call_(body_, i);
+      if (done_.fetch_add(1, std::memory_order_seq_cst) + 2 == parties_) {
+        done_.notify_one();
       }
     }
   }
 
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock,
-                      [this, seen] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-      }
-      claim(seen);
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::uint32_t)>* fn_ = nullptr;  // guarded by mu_
-  std::uint32_t tasks_ = 0;                                 // guarded by mu_
-  std::uint32_t next_ = 0;                                  // guarded by mu_
-  std::uint32_t done_ = 0;                                  // guarded by mu_
-  std::uint64_t generation_ = 0;                            // guarded by mu_
-  bool stop_ = false;                                       // guarded by mu_
+  const std::uint32_t parties_;
+  // One cache line each: spinners poll one counter while others bump the
+  // next.
+  alignas(64) std::atomic<std::uint32_t> start_{0};
+  alignas(64) std::atomic<std::uint32_t> done_{0};
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> phase_{0};
+  void (*call_)(void*, std::uint32_t) = nullptr;
+  void* body_ = nullptr;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // last: the helpers use the above
 };
 
 // ---------------------------------------------------------------------------
@@ -156,13 +184,19 @@ RunResult ShardedExecutionContext::run(const PortGraph& g, NodeId source,
                                        const RunOptions& options) {
   RunPlane::check_run(g, source, advice);
   stats_ = ShardedRunStats{};
-  // Byzantine runs and the adversarial scheduler are inherently serial
-  // (replay-buffer state and probe history follow global delivery order):
-  // the existing fallback-not-divergence policy routes them to the scalar
-  // engine up front, so every shard count returns the canonical answer.
-  if (options.adversary.enabled() ||
-      options.scheduler == SchedulerKind::kAsyncAdversarial) {
+  // Runs that are serial by nature go to the scalar engine up front (see
+  // the header), so every shard count returns the canonical answer.
+  FallbackReason up_front = FallbackReason::kNone;
+  if (options.adversary.enabled()) {
+    up_front = FallbackReason::kAdversary;
+  } else if (options.scheduler == SchedulerKind::kAsyncFifo ||
+             options.scheduler == SchedulerKind::kAsyncLifo ||
+             options.scheduler == SchedulerKind::kAsyncAdversarial) {
+    up_front = FallbackReason::kScheduler;
+  }
+  if (up_front != FallbackReason::kNone) {
     stats_.fell_back = true;
+    stats_.fallback = up_front;
     return legacy_.run(g, source, advice, algorithm, options);
   }
   PartitionOptions popt;
@@ -177,47 +211,24 @@ RunResult ShardedExecutionContext::run(const PortGraph& g, NodeId source,
   }
 
   RunResult result;
-  if (attempt(g, source, advice, algorithm, options, part, result)) {
-    return result;
-  }
+  const FallbackReason why =
+      attempt(g, source, advice, algorithm, options, part, result);
+  if (why == FallbackReason::kNone) return result;
   // Divergence from the serial semantics was detected mid-epoch (or a
   // behavior threw): discard the attempt and replay on the single-threaded
   // engine, which reproduces the canonical result — or rethrows the
   // canonical exception — exactly.
   stats_.fell_back = true;
+  stats_.fallback = why;
   stats_.epochs = 0;
   stats_.cross_shard_messages = 0;
   return legacy_.run(g, source, advice, algorithm, options);
 }
 
-void ShardedExecutionContext::merge_by_order(
-    const std::vector<std::uint32_t>& parts) {
-  merge_order_.clear();
-  cursor_.assign(parts.size(), 0);
-  while (true) {
-    std::size_t pick = parts.size();
-    std::uint64_t best = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      const std::vector<ProcessedEvent>& list =
-          shards_state_[parts[i]].processed;
-      if (cursor_[i] >= list.size()) continue;
-      const std::uint64_t order = list[cursor_[i]].order;
-      if (pick == parts.size() || order < best) {
-        pick = i;
-        best = order;
-      }
-    }
-    if (pick == parts.size()) return;
-    merge_order_.emplace_back(parts[pick], cursor_[pick]++);
-  }
-}
-
-bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
-                                      const std::vector<BitString>& advice,
-                                      const Algorithm& algorithm,
-                                      const RunOptions& options,
-                                      const Partition& part,
-                                      RunResult& result) {
+FallbackReason ShardedExecutionContext::attempt(
+    const PortGraph& g, NodeId source, const std::vector<BitString>& advice,
+    const Algorithm& algorithm, const RunOptions& options,
+    const Partition& part, RunResult& result) {
   const std::size_t n = g.num_nodes();
   const std::uint32_t S = part.num_shards();
   stats_.shards = S;
@@ -234,33 +245,24 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   const bool message_faulty = faulty && faults.message_faults();
   if (sink) plane_.trace_prologue(buffer, faulty);
 
+  const SchedulerKind kind = options.scheduler;
+  const DeliveryOrder order =
+      Scheduler::delivery_order(kind, options.max_delay, options.fault);
   shards_state_.resize(S);
   for (std::uint32_t s = 0; s < S; ++s) {
     Shard& sh = shards_state_[s];
     sh.begin = part.begin(s);
     sh.end = part.end(s);
-    // Heaps, whatever the scheduler: the fast finalizer drains outboxes
-    // part by part, so a shard's pushes do not arrive in seq order.
-    sh.events.clear(DeliveryOrder::kHeap);
+    sh.events.clear(order);
     sh.outbox.resize(S);
-    sh.dropped = 0;
-    sh.delayed = 0;
+    // A discarded attempt can leave mail behind.
+    for (std::vector<MailboxEntry>& box : sh.outbox) box.clear();
+    sh.cursor.assign(S, 0);
+    sh.metrics = Metrics{};
+    sh.faults = FaultCounters{};
     sh.cross = 0;
-    sh.error = nullptr;
+    sh.stop = FallbackReason::kNone;
   }
-
-  auto any_error = [&](const std::vector<std::uint32_t>* subset) {
-    if (subset) {
-      for (std::uint32_t s : *subset) {
-        if (shards_state_[s].error) return true;
-      }
-      return false;
-    }
-    for (Shard& sh : shards_state_) {
-      if (sh.error) return true;
-    }
-    return false;
-  };
 
   // Behavior arming, shard-parallel. make_behavior is a const factory and
   // reset() touches only the behavior itself, so distinct node ranges never
@@ -268,239 +270,356 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   // serial engine; faulty ones become structured failures) is routed
   // through the fallback, which replays the canonical semantics.
   const std::size_t reuse = plane_.begin_arm(algorithm);
-  workers_->parallel(S, [&](std::uint32_t s) {
+  auto arm = [&](std::uint32_t s) {
+    if (s >= S) return;
     Shard& sh = shards_state_[s];
     try {
       plane_.arm_range(sh.begin, sh.end, reuse, algorithm);
     } catch (...) {
-      sh.error = std::current_exception();
+      sh.stop = FallbackReason::kBehaviorException;
     }
-  });
-  if (any_error(nullptr)) {
-    plane_.behaviors.clear();
-    plane_.drop_pool();
-    return false;
+  };
+  workers_->run(arm);
+  for (std::uint32_t s = 0; s < S; ++s) {
+    if (shards_state_[s].stop != FallbackReason::kNone) {
+      plane_.behaviors.clear();
+      plane_.drop_pool();
+      return FallbackReason::kBehaviorException;
+    }
   }
   plane_.end_arm(algorithm);
 
   const std::uint64_t* const offsets = g.csr_offsets();
   const Endpoint* const endpoints = g.csr_endpoints();
-  const SchedulerKind kind = options.scheduler;
   scheduler_.reset(kind, options.seed, options.max_delay, offsets[n]);
 
-  // Fast barriers need delivery keys that are pure in (now, seq, link) and
-  // sends that consume exactly one sequence number each; the link-clock
-  // scheduler, sinks and duplication faults force the serial finalizer.
+  // The fast path needs delivery keys that are pure in (now, seq, link),
+  // sends that consume exactly one sequence number each and no stop inside
+  // an epoch it cannot see coming; the link-clock scheduler, sinks,
+  // duplication faults and max_events take the serial finalizer.
   const bool fast = Scheduler::is_pure(kind) && sink == nullptr &&
-                    !(faulty && options.fault.duplicate > 0);
+                    !(faulty && options.fault.duplicate > 0) &&
+                    options.max_events == 0;
 
   informed_.assign(n, 0);
   informed_[source] = 1;
 
+  // The serial finalizer's submit state, counting into `result`.
   SubmitState st(g, options, result);
-  // The fast finalizer decides message faults in its parallel routing
-  // pass; the serial one decides them in the submit loop.
-  if (message_faulty && !fast) st.faults = &faults;
+  if (message_faulty) st.faults = &faults;
   if (sink) st.sink = &buffer;
-  std::uint64_t inflight = 0;  // emulated single-queue size (V-trajectory)
-  std::uint64_t queue_peak = 0;
 
-  // Delivery-side accounting of one processed event at the barrier, in
-  // global order. False for a dead delivery: nothing to submit.
-  auto account = [&](const ProcessedEvent& pe) {
+  // Epoch state, written by the coordinator between passes.
+  bool start = true;             // this pass runs the on_start activations
+  std::int64_t epoch_key = 0;
+  std::uint64_t epoch_seq = 0;   // fast path: the epoch's first send number
+  std::int64_t inflight = 0;     // emulated single-queue size (V-trajectory)
+  std::int64_t queue_peak = 0;
+
+  // Delivery-side accounting of one processed event. False for a dead
+  // delivery: nothing to submit.
+  auto account = [](SubmitState& to, const ProcessedEvent& pe) {
     if (!pe.popped) return true;
     if (pe.dead) {
-      ++result.faults.dead_deliveries;
+      ++to.fault_counters->dead_deliveries;
       return false;
     }
-    ++result.metrics.deliveries;
-    if (pe.now > result.metrics.completion_key) {
-      result.metrics.completion_key = pe.now;
+    ++to.metrics->deliveries;
+    if (pe.now > to.metrics->completion_key) {
+      to.metrics->completion_key = pe.now;
     }
     return true;
   };
 
-  // --- serial barrier finalizer: the submit loop in global order ---------
+  // Appends one admitted copy, under its delivery key, to shard `from`'s
+  // mailbox for the copy's destination shard.
+  auto post = [&](std::uint32_t from, const AdmittedCopy& c,
+                  std::int64_t key) {
+    Shard& sh = shards_state_[from];
+    const Endpoint dst = endpoints[c.link];
+    const std::uint32_t d = part.shard_of(dst.node);
+    sh.outbox[d].push_back(
+        MailboxEntry{key, c.seq, dst.node, dst.port, c.informed, c.msg});
+    if (key < sh.mail_min) sh.mail_min = key;
+    if (d != from) ++sh.cross;
+  };
+
+  // --- phase A: inbound mail, then the epoch's events ----------------------
+
+  // Empty-history activations of the shard's nodes.
+  auto run_starts = [&](Shard& sh) {
+    for (NodeId v = sh.begin; v < sh.end; ++v) {
+      // A node whose crash key is <= 0 is down before its activation.
+      if (faulty && faults.crash_key(v) <= 0) continue;
+      const std::size_t first = sh.sends.size();
+      plane_.behaviors[v]->on_start(plane_.inputs[v], sh.sends);
+      if (sh.sends.size() == first) continue;  // nothing for phase B to do
+      ProcessedEvent pe;
+      pe.order = v;
+      pe.now = 0;
+      pe.node = v;
+      pe.informed = informed_[v] != 0;
+      pe.trace_begin = pe.trace_end =
+          static_cast<std::uint32_t>(sh.trace.size());
+      pe.send_begin = static_cast<std::uint32_t>(first);
+      pe.send_end = static_cast<std::uint32_t>(sh.sends.size());
+      sh.processed.push_back(pe);
+    }
+  };
+
+  // Moves shard d's inbound mail into its queue in seq order — the order
+  // the single-threaded engine pushed it in, which the FIFO, stack and ring
+  // disciplines pop by.
+  auto merge_inbound = [&](std::uint32_t d) {
+    Shard& sh = shards_state_[d];
+    sh.inbound.clear();
+    for (std::uint32_t s = 0; s < S; ++s) {
+      std::vector<MailboxEntry>& box = shards_state_[s].outbox[d];
+      if (!box.empty()) {
+        sh.inbound.emplace_back(box.data(), box.data() + box.size());
+      }
+    }
+    while (!sh.inbound.empty()) {
+      std::size_t pick = 0;
+      for (std::size_t r = 1; r < sh.inbound.size(); ++r) {
+        if (sh.inbound[r].first->seq < sh.inbound[pick].first->seq) pick = r;
+      }
+      MailboxEntry& e = *sh.inbound[pick].first++;
+      const std::size_t slot = sh.events.acquire_slot();
+      sh.events.slot(slot) = EngineEvent{e.to, e.at_port, std::move(e.msg),
+                                         e.sender_informed};
+      sh.events.push({e.key, e.seq, slot});
+      if (sh.inbound[pick].first == sh.inbound[pick].second) {
+        sh.inbound[pick] = sh.inbound.back();
+        sh.inbound.pop_back();
+      }
+    }
+    for (std::uint32_t s = 0; s < S; ++s) shards_state_[s].outbox[d].clear();
+  };
+
+  // Pops and runs the shard's events of key epoch_key.
+  auto run_epoch = [&](Shard& sh) {
+    while (!sh.events.empty() && sh.events.top_key() == epoch_key) {
+      const EventHeap::Entry top = sh.events.pop();
+      // Read in place: no slot of this queue is acquired, and its pool
+      // cannot grow, before the next merge.
+      const EngineEvent& ev = sh.events.slot(top.slot);
+      sh.events.release_slot(top.slot);
+      ProcessedEvent pe;
+      pe.order = top.seq;
+      pe.now = top.key;
+      pe.node = ev.to;
+      pe.popped = true;
+      pe.trace_begin = static_cast<std::uint32_t>(sh.trace.size());
+      pe.send_begin = pe.send_end = static_cast<std::uint32_t>(sh.sends.size());
+      // Crash-stop: node v processes events with key strictly below its
+      // crash key; anything at or after it lands on a dead node.
+      if (faulty && top.key >= faults.crash_key(ev.to)) {
+        pe.dead = true;
+        if (sink) {
+          TraceEvent e;
+          e.kind = TraceEventKind::kDeadDelivery;
+          e.node = ev.to;
+          e.port = ev.at_port;
+          e.msg = ev.msg.kind;
+          e.key = top.key;
+          e.seq = top.seq;
+          sh.trace.push_back(e);
+        }
+        pe.trace_end = static_cast<std::uint32_t>(sh.trace.size());
+        sh.processed.push_back(pe);
+        continue;
+      }
+      if (sink) {
+        const Endpoint from = g.neighbor(ev.to, ev.at_port);
+        TraceEvent e;
+        e.kind = TraceEventKind::kDeliver;
+        e.node = ev.to;
+        e.port = ev.at_port;
+        e.peer = from.node;
+        e.msg = ev.msg.kind;
+        e.key = top.key;
+        e.seq = top.seq;
+        e.link = offsets[from.node] + from.port;
+        e.aux = ev.msg.size_bits();
+        e.flag = ev.sender_informed;
+        sh.trace.push_back(e);
+      }
+      // The paper's informing rule: any message from an informed sender
+      // informs the receiver. informed_[v] and informed_at[v] are touched
+      // only by v's owner shard.
+      if (ev.sender_informed && !informed_[ev.to]) {
+        informed_[ev.to] = 1;
+        result.informed_at[ev.to] = top.key;
+        if (sink) {
+          TraceEvent e;
+          e.kind = TraceEventKind::kInformed;
+          e.node = ev.to;
+          e.peer = g.neighbor(ev.to, ev.at_port).node;
+          e.port = ev.at_port;
+          e.key = top.key;
+          e.seq = top.seq;
+          sh.trace.push_back(e);
+        }
+      }
+      // Behaviors append to the vector they are handed (sim/scheme.h).
+      plane_.behaviors[ev.to]->on_receive(plane_.inputs[ev.to], ev.msg,
+                                          ev.at_port, sh.sends);
+      pe.informed = informed_[ev.to] != 0;
+      pe.send_end = static_cast<std::uint32_t>(sh.sends.size());
+      pe.trace_end = static_cast<std::uint32_t>(sh.trace.size());
+      sh.processed.push_back(pe);
+    }
+  };
+
+  auto phase_a = [&](std::uint32_t s) {
+    Shard& sh = shards_state_[s];
+    sh.processed.clear();
+    sh.sends.clear();
+    sh.trace.clear();
+    sh.mail_min = kNoKey;
+    sh.pushes = 0;
+    try {
+      if (start) {
+        run_starts(sh);
+      } else {
+        // Every pending key is at least epoch_key, and a shard that popped
+        // nothing for many epochs must not read its mail against a stale
+        // ring floor.
+        sh.events.advance_floor(epoch_key);
+        merge_inbound(s);
+        run_epoch(sh);
+      }
+    } catch (...) {
+      sh.stop = FallbackReason::kBehaviorException;
+    }
+  };
+
+  // --- phase B: ranks, then the fast finalizer or the rank table ----------
+
+  // Calls visit(i, rank, before) for shard s's events in order, where rank
+  // counts the epoch's events on every shard ordered before event i, and
+  // `before` the sends those produced: two-pointer walks over the other
+  // shards' order lists, whose send_begin fields are prefix sums. Stops
+  // when visit returns false.
+  auto rank_events = [&](std::uint32_t s, auto&& visit) {
+    Shard& sh = shards_state_[s];
+    std::fill(sh.cursor.begin(), sh.cursor.end(), 0u);
+    const std::size_t count = sh.processed.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const ProcessedEvent& pe = sh.processed[i];
+      std::size_t rank = i;
+      std::uint64_t before = pe.send_begin;
+      for (std::uint32_t t = 0; t < S; ++t) {
+        if (t == s) continue;
+        const Shard& other = shards_state_[t];
+        const std::size_t size = other.processed.size();
+        std::size_t c = sh.cursor[t];
+        while (c < size && other.processed[c].order < pe.order) ++c;
+        sh.cursor[t] = static_cast<std::uint32_t>(c);
+        rank += c;
+        before += c < size ? other.processed[c].send_begin : other.sends.size();
+      }
+      if (!visit(i, rank, before)) return;
+    }
+  };
+
+  // The fast finalizer of shard s's events: the submit loop counting into
+  // the shard's partials (the coordinator checks the message budget), with
+  // keys pure in (now, seq, link) and every copy routed to a mailbox.
+  auto phase_b_fast = [&](std::uint32_t s) {
+    Shard& sh = shards_state_[s];
+    SubmitState local(g, options, result);
+    local.max_messages = std::numeric_limits<std::uint64_t>::max();
+    local.metrics = &sh.metrics;
+    local.fault_counters = &sh.faults;
+    if (message_faulty) local.faults = &faults;
+    std::int32_t pushes = 0;
+    auto route = [&](const AdmittedCopy& c) {
+      post(s, c,
+           Scheduler::pure_key(kind, c.now, c.seq, c.link, options.seed,
+                               options.max_delay) +
+               static_cast<std::int64_t>(c.extra_delay));
+      ++pushes;
+      return true;
+    };
+    rank_events(s, [&](std::size_t i, std::size_t rank, std::uint64_t before) {
+      const ProcessedEvent& pe = sh.processed[i];
+      pushes = 0;
+      if (account(local, pe)) {
+        local.seq = epoch_seq + before;
+        if (submit_sends(local, pe.node, pe.informed, pe.now,
+                         sh.sends.data() + pe.send_begin,
+                         sh.sends.data() + pe.send_end, route)
+                .verdict != SubmitVerdict::kOk) {
+          sh.stop = FallbackReason::kViolation;
+          return false;
+        }
+      }
+      deltas_[rank] = pushes - (pe.popped ? 1 : 0);
+      sh.pushes += static_cast<std::uint64_t>(pushes);
+      return true;
+    });
+  };
+
+  auto phase_b_serial = [&](std::uint32_t s) {
+    rank_events(s, [&](std::size_t i, std::size_t rank, std::uint64_t) {
+      by_rank_[rank] = {s, static_cast<std::uint32_t>(i)};
+      return true;
+    });
+  };
+
+  // One epoch on every shard. A shard whose phase A failed skips phase B;
+  // the others rank against its (consistent) partial lists, and the
+  // coordinator discards the attempt.
+  auto pass = [&](std::uint32_t s) {
+    if (s < S) phase_a(s);
+    workers_->sync();
+    if (s >= S || shards_state_[s].stop != FallbackReason::kNone) return;
+    try {
+      if (fast) {
+        phase_b_fast(s);
+      } else {
+        phase_b_serial(s);
+      }
+    } catch (...) {  // an allocation failure routing the mail
+      shards_state_[s].stop = FallbackReason::kBehaviorException;
+    }
+  };
+
+  // --- the serial finalizer: the submit loop in rank order ----------------
   // Any violation stops the canonical run mid-epoch, which only the
   // fallback can reproduce.
-  auto finalize_serial = [&](const std::vector<std::uint32_t>& parts) {
-    merge_by_order(parts);
-    for (const auto& [p, idx] : merge_order_) {
+  auto finalize_serial = [&](std::size_t events) {
+    for (std::size_t r = 0; r < events; ++r) {
+      const std::uint32_t p = by_rank_[r].first;
       const Shard& sh = shards_state_[p];
-      const ProcessedEvent& pe = sh.processed[idx];
+      const ProcessedEvent& pe = sh.processed[by_rank_[r].second];
       if (sink) {
         sink_buf_.insert(sink_buf_.end(), sh.trace.begin() + pe.trace_begin,
                          sh.trace.begin() + pe.trace_end);
       }
       if (pe.popped) --inflight;
-      if (!account(pe)) continue;
-      const std::uint32_t src = p;
+      if (!account(st, pe)) continue;
       auto place = [&](const AdmittedCopy& c) {
-        const Endpoint dst = endpoints[c.link];
-        const std::uint32_t d = part.shard_of(dst.node);
-        EventHeap& q = shards_state_[d].events;
-        const std::size_t slot = q.acquire_slot();
-        q.slot(slot) = EngineEvent{dst.node, dst.port, c.msg, c.informed};
-        q.push({scheduler_.delivery_key(c.now, c.seq, c.link) +
-                    static_cast<std::int64_t>(c.extra_delay),
-                c.seq, slot});
+        post(p, c,
+             scheduler_.delivery_key(c.now, c.seq, c.link) +
+                 static_cast<std::int64_t>(c.extra_delay));
         if (++inflight > queue_peak) queue_peak = inflight;
-        if (d != src) ++stats_.cross_shard_messages;
         return true;
       };
-      if (submit_sends(st, pe.node, pe.informed, pe.now,
+      const SubmitVerdict verdict =
+          submit_sends(st, pe.node, pe.informed, pe.now,
                        sh.sends.data() + pe.send_begin,
                        sh.sends.data() + pe.send_end, place)
-              .verdict != SubmitVerdict::kOk) {
-        return false;
-      }
+              .verdict;
+      if (verdict == SubmitVerdict::kBudget) return FallbackReason::kBudget;
+      if (verdict != SubmitVerdict::kOk) return FallbackReason::kViolation;
     }
-    return true;
+    return FallbackReason::kNone;
   };
 
-  // --- fast barrier finalizer: serial validation, parallel routing --------
-  auto finalize_fast = [&](const std::vector<std::uint32_t>& parts) {
-    // Pass 1 (serial): the submit loop with nothing to place — violation
-    // and budget checks, counting, and each event's sequence base.
-    merge_by_order(parts);
-    for (const auto& [p, idx] : merge_order_) {
-      Shard& sh = shards_state_[p];
-      ProcessedEvent& pe = sh.processed[idx];
-      if (!account(pe)) continue;
-      pe.seq_base = st.seq;
-      if (submit_sends(st, pe.node, pe.informed, pe.now,
-                       sh.sends.data() + pe.send_begin,
-                       sh.sends.data() + pe.send_end,
-                       [](const AdmittedCopy&) { return true; })
-              .verdict != SubmitVerdict::kOk) {
-        return false;
-      }
-    }
-
-    // Pass 2 (parallel per source shard): fault decisions, delivery keys,
-    // routing into per-destination mailboxes. Pure per-send work — fault
-    // decisions are keyed on (seq, link), keys on (now, seq, link) — so
-    // shards never contend.
-    auto route = [&](std::uint32_t pi) {
-      const std::uint32_t p = parts[pi];
-      Shard& sh = shards_state_[p];
-      try {
-        for (auto& ob : sh.outbox) ob.clear();
-        for (ProcessedEvent& pe : sh.processed) {
-          pe.pushes = 0;
-          if (pe.dead) continue;
-          std::uint64_t sq = pe.seq_base;
-          for (std::uint32_t i = pe.send_begin; i < pe.send_end; ++i) {
-            const Send& s = sh.sends[i];
-            const std::uint64_t link = offsets[pe.node] + s.port;
-            FaultPlan::MessageFault mf;
-            if (message_faulty) mf = faults.message_fault(sq, link);
-            if (mf.drop) {
-              ++sh.dropped;
-              ++sq;
-              continue;
-            }
-            if (mf.extra_delay > 0) ++sh.delayed;
-            const std::int64_t key =
-                Scheduler::pure_key(kind, pe.now, sq, link, options.seed,
-                                    options.max_delay) +
-                static_cast<std::int64_t>(mf.extra_delay);
-            const Endpoint dst = endpoints[link];
-            const std::uint32_t d = part.shard_of(dst.node);
-            sh.outbox[d].push_back(
-                MailboxEntry{key, sq, dst.node, dst.port, pe.informed, s.msg});
-            if (d != p) ++sh.cross;
-            ++pe.pushes;
-            ++sq;
-          }
-        }
-      } catch (...) {
-        sh.error = std::current_exception();
-      }
-    };
-    if (parts.size() == 1) {
-      route(0);
-    } else {
-      workers_->parallel(static_cast<std::uint32_t>(parts.size()), route);
-    }
-    if (any_error(&parts)) return false;
-
-    // Pass 3 (serial): replay the merge order against the effective push
-    // counts to reproduce the single queue's depth trajectory exactly.
-    std::size_t routed = 0;
-    for (const auto& [p, idx] : merge_order_) {
-      const ProcessedEvent& pe = shards_state_[p].processed[idx];
-      if (pe.popped) --inflight;
-      if (pe.pushes > 0) {
-        inflight += pe.pushes;
-        if (inflight > queue_peak) queue_peak = inflight;
-        routed += pe.pushes;
-      }
-    }
-
-    // Drain: move mailboxes into the destination queues. Insertion order
-    // into a queue is irrelevant — (key, seq) pairs are unique, so the pop
-    // sequence is a pure function of the queue's contents.
-    auto drain = [&](std::uint32_t d) {
-      Shard& dsh = shards_state_[d];
-      try {
-        for (std::uint32_t p : parts) {
-          for (MailboxEntry& e : shards_state_[p].outbox[d]) {
-            const std::size_t slot = dsh.events.acquire_slot();
-            dsh.events.slot(slot) = EngineEvent{e.to, e.at_port,
-                                                std::move(e.msg),
-                                                e.sender_informed};
-            dsh.events.push({e.key, e.seq, slot});
-          }
-        }
-      } catch (...) {
-        dsh.error = std::current_exception();
-      }
-    };
-    if (routed <= kSerialDrainLimit) {
-      for (std::uint32_t d = 0; d < S; ++d) drain(d);
-    } else {
-      workers_->parallel(S, drain);
-    }
-    return !any_error(nullptr);
-  };
-
-  // --- start phase: empty-history activations, shard-parallel -------------
-  workers_->parallel(S, [&](std::uint32_t s) {
-    Shard& sh = shards_state_[s];
-    sh.processed.clear();
-    sh.sends.clear();
-    sh.trace.clear();
-    try {
-      for (NodeId v = sh.begin; v < sh.end; ++v) {
-        // A node whose crash key is <= 0 is down before its activation.
-        if (faulty && faults.crash_key(v) <= 0) continue;
-        sh.scratch.clear();
-        plane_.behaviors[v]->on_start(plane_.inputs[v], sh.scratch);
-        if (sh.scratch.empty()) continue;  // nothing for the barrier to do
-        ProcessedEvent pe;
-        pe.order = v;
-        pe.now = 0;
-        pe.node = v;
-        pe.informed = informed_[v] != 0;
-        pe.trace_begin = pe.trace_end =
-            static_cast<std::uint32_t>(sh.trace.size());
-        pe.send_begin = static_cast<std::uint32_t>(sh.sends.size());
-        sh.sends.insert(sh.sends.end(), sh.scratch.begin(), sh.scratch.end());
-        pe.send_end = static_cast<std::uint32_t>(sh.sends.size());
-        sh.processed.push_back(pe);
-      }
-    } catch (...) {
-      sh.error = std::current_exception();
-    }
-  });
-  if (any_error(nullptr)) return false;
-
-  parts_.clear();
-  for (std::uint32_t s = 0; s < S; ++s) parts_.push_back(s);
-  if (!(fast ? finalize_fast(parts_) : finalize_serial(parts_))) return false;
-
-  // --- main loop: one epoch per barrier ------------------------------------
+  // --- main loop: the start pass, then one pass per epoch -----------------
   const bool has_deadline = options.deadline_ns > 0;
   std::chrono::steady_clock::time_point deadline_at;
   if (has_deadline) {
@@ -511,102 +630,59 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
   bool timed_out = false;
   bool events_exhausted = false;
 
-  auto process_epoch = [&](std::uint32_t s, std::int64_t epoch_key) {
-    Shard& sh = shards_state_[s];
-    sh.processed.clear();
-    sh.sends.clear();
-    sh.trace.clear();
-    try {
-      while (!sh.events.empty() && sh.events.top_key() == epoch_key) {
-        const EventHeap::Entry top = sh.events.pop();
-        // Move the event out before recycling its slot: later pushes into
-        // this queue may grow the pool and invalidate references into it.
-        EngineEvent ev = std::move(sh.events.slot(top.slot));
-        sh.events.release_slot(top.slot);
-        ProcessedEvent pe;
-        pe.order = top.seq;
-        pe.now = top.key;
-        pe.node = ev.to;
-        pe.popped = true;
-        pe.trace_begin = static_cast<std::uint32_t>(sh.trace.size());
-        pe.send_begin = pe.send_end =
-            static_cast<std::uint32_t>(sh.sends.size());
-        // Crash-stop: node v processes events with key strictly below its
-        // crash key; anything at or after it lands on a dead node.
-        if (faulty && top.key >= faults.crash_key(ev.to)) {
-          pe.dead = true;
-          if (sink) {
-            TraceEvent e;
-            e.kind = TraceEventKind::kDeadDelivery;
-            e.node = ev.to;
-            e.port = ev.at_port;
-            e.msg = ev.msg.kind;
-            e.key = top.key;
-            e.seq = top.seq;
-            sh.trace.push_back(e);
-          }
-          pe.trace_end = static_cast<std::uint32_t>(sh.trace.size());
-          sh.processed.push_back(pe);
-          continue;
-        }
-        if (sink) {
-          const Endpoint from = g.neighbor(ev.to, ev.at_port);
-          TraceEvent e;
-          e.kind = TraceEventKind::kDeliver;
-          e.node = ev.to;
-          e.port = ev.at_port;
-          e.peer = from.node;
-          e.msg = ev.msg.kind;
-          e.key = top.key;
-          e.seq = top.seq;
-          e.link = offsets[from.node] + from.port;
-          e.aux = ev.msg.size_bits();
-          e.flag = ev.sender_informed;
-          sh.trace.push_back(e);
-        }
-        // The paper's informing rule: any message from an informed sender
-        // informs the receiver. informed_[v] and informed_at[v] are touched
-        // only by v's owner shard.
-        if (ev.sender_informed && !informed_[ev.to]) {
-          informed_[ev.to] = 1;
-          result.informed_at[ev.to] = top.key;
-          if (sink) {
-            TraceEvent e;
-            e.kind = TraceEventKind::kInformed;
-            e.node = ev.to;
-            e.peer = g.neighbor(ev.to, ev.at_port).node;
-            e.port = ev.at_port;
-            e.key = top.key;
-            e.seq = top.seq;
-            sh.trace.push_back(e);
-          }
-        }
-        sh.scratch.clear();
-        plane_.behaviors[ev.to]->on_receive(plane_.inputs[ev.to], ev.msg,
-                                            ev.at_port, sh.scratch);
-        pe.informed = informed_[ev.to] != 0;
-        sh.sends.insert(sh.sends.end(), sh.scratch.begin(),
-                        sh.scratch.end());
-        pe.send_end = static_cast<std::uint32_t>(sh.sends.size());
-        pe.trace_end = static_cast<std::uint32_t>(sh.trace.size());
-        sh.processed.push_back(pe);
-      }
-    } catch (...) {
-      sh.error = std::current_exception();
-    }
-  };
-
   while (true) {
-    bool any = false;
-    std::int64_t epoch_key = 0;
+    // Phase B writes one entry per event at its rank: an epoch pops at most
+    // the pending count, the start pass activates at most n nodes.
+    const std::size_t most = start ? n : static_cast<std::size_t>(inflight);
+    if (fast) {
+      if (deltas_.size() < most) deltas_.resize(most);
+    } else if (by_rank_.size() < most) {
+      by_rank_.resize(most);
+    }
+    workers_->run(pass);
+
+    std::size_t events = 0;
+    std::uint64_t sends = 0;
+    std::uint64_t pushes = 0;
     for (std::uint32_t s = 0; s < S; ++s) {
       const Shard& sh = shards_state_[s];
-      if (sh.events.empty()) continue;
-      const std::int64_t k = sh.events.top_key();
-      if (!any || k < epoch_key) epoch_key = k;
-      any = true;
+      if (sh.stop != FallbackReason::kNone) return sh.stop;
+      events += sh.processed.size();
+      sends += sh.sends.size();
+      pushes += sh.pushes;
     }
-    if (!any) break;
+    if (!start) {
+      ++stats_.epochs;
+      processed += events;
+      // A budget edge inside the epoch stops the canonical engine there.
+      if (options.max_events > 0 && processed > options.max_events) {
+        return FallbackReason::kMaxEvents;
+      }
+    }
+    if (fast) {
+      // Every send consumed one sequence number and counted one message.
+      if (epoch_seq + sends > options.max_messages) {
+        return FallbackReason::kBudget;
+      }
+      epoch_seq += sends;
+      // Replay the single queue's depth trajectory in rank order — unless
+      // even all of the epoch's pushes cannot lift it past the peak.
+      const std::int64_t pops = start ? 0 : static_cast<std::int64_t>(events);
+      if (inflight + static_cast<std::int64_t>(pushes) > queue_peak) {
+        for (std::size_t r = 0; r < events; ++r) {
+          inflight += deltas_[r];
+          if (inflight > queue_peak) queue_peak = inflight;
+        }
+      } else {
+        inflight += static_cast<std::int64_t>(pushes) - pops;
+      }
+    } else {
+      const FallbackReason why = finalize_serial(events);
+      if (why != FallbackReason::kNone) return why;
+    }
+    start = false;
+
+    if (inflight == 0) break;
     if (options.max_events > 0 && processed >= options.max_events) {
       events_exhausted = true;
       break;
@@ -615,50 +691,23 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
       timed_out = true;
       break;
     }
-    parts_.clear();
+    epoch_key = kNoKey;
     for (std::uint32_t s = 0; s < S; ++s) {
       const Shard& sh = shards_state_[s];
-      if (!sh.events.empty() && sh.events.top_key() == epoch_key) {
-        parts_.push_back(s);
+      if (!sh.events.empty()) {
+        epoch_key = std::min(epoch_key, sh.events.top_key());
       }
-    }
-    if (options.max_events > 0) {
-      // Pre-count the epoch: a budget edge landing inside it would stop the
-      // canonical engine mid-epoch, which only the fallback can reproduce.
-      std::size_t count = 0;
-      for (std::uint32_t s : parts_) {
-        count += shards_state_[s].events.count_key(epoch_key);
-      }
-      if (processed + count > options.max_events) return false;
-    }
-    ++stats_.epochs;
-    if (parts_.size() == 1) {
-      process_epoch(parts_[0], epoch_key);
-    } else {
-      const std::int64_t ek = epoch_key;
-      workers_->parallel(static_cast<std::uint32_t>(parts_.size()),
-                         [&, ek](std::uint32_t i) {
-                           process_epoch(parts_[i], ek);
-                         });
-    }
-    if (any_error(&parts_)) return false;
-    for (std::uint32_t s : parts_) {
-      processed += shards_state_[s].processed.size();
-    }
-    if (!(fast ? finalize_fast(parts_) : finalize_serial(parts_))) {
-      return false;
+      epoch_key = std::min(epoch_key, sh.mail_min);
     }
   }
 
   // --- epilogue (serial) ---------------------------------------------------
   for (NodeId v = 0; v < n; ++v) result.informed[v] = informed_[v] != 0;
-  result.metrics.queue_depth_peak = queue_peak;
-  if (fast) {
-    for (std::uint32_t s = 0; s < S; ++s) {
-      result.faults.dropped += shards_state_[s].dropped;
-      result.faults.delayed += shards_state_[s].delayed;
-      stats_.cross_shard_messages += shards_state_[s].cross;
-    }
+  result.metrics.queue_depth_peak = static_cast<std::uint64_t>(queue_peak);
+  for (std::uint32_t s = 0; s < S; ++s) {
+    const Shard& sh = shards_state_[s];
+    add_partials(result, sh.metrics, sh.faults);
+    stats_.cross_shard_messages += sh.cross;
   }
   plane_.end_result(result, timed_out, events_exhausted, false);
 
@@ -667,7 +716,7 @@ bool ShardedExecutionContext::attempt(const PortGraph& g, NodeId source,
     for (const TraceEvent& e : sink_buf_) sink->record(e);
     sink->end_run(result);
   }
-  return true;
+  return FallbackReason::kNone;
 }
 
 }  // namespace oraclesize

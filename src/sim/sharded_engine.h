@@ -10,22 +10,22 @@
 // The execution model is bulk-synchronous over the scheduler's key space:
 //
 //  * an EPOCH is the set of pending events holding the globally minimal
-//    delivery key K. Every scheduler in sim/scheduler.h either assigns
-//    strictly-greater keys to all messages submitted while processing a
-//    key-K event (kSynchronous, kAsyncRandom, kAsyncLinkFifo) or assigns
-//    unique keys to every message (kAsyncFifo, kAsyncLifo — where an epoch
-//    degenerates to one event), so the single-threaded engine necessarily
-//    processes all of epoch K — in send-sequence order — before any other
-//    pending event. Shards can therefore process their slice of an epoch in
-//    parallel: events for a node are delivered only on the shard that owns
-//    it, in (key, seq) order.
-//  * at the BARRIER the coordinator finalizes the epoch's sends in global
-//    send-sequence order (a k-way merge of the shards' processed-event
-//    lists), assigning the exact sequence numbers, fault decisions
-//    (sim/fault_plan.h is keyed on (seq, link) — shard-count-invariant by
-//    construction), delivery keys, metrics, and trace records the
-//    single-threaded engine would produce, and routes each message copy
-//    into the destination shard's queue.
+//    delivery key K. The schedulers the engine runs sharded (kSynchronous,
+//    kAsyncRandom, kAsyncLinkFifo) give every message submitted while
+//    processing a key-K event a key strictly above K, extra delay
+//    included, so the single-threaded engine necessarily processes all of
+//    epoch K — in send-sequence order — before any other pending event.
+//    Shards can therefore process their slice of an epoch in parallel:
+//    events for a node are delivered only on the shard that owns it, in
+//    (key, seq) order.
+//  * each epoch is one pass of the worker pool with two phases split by a
+//    barrier. In phase A every shard merges its inbound mailboxes, in seq
+//    order, into its own queue (sim/event_heap.h, the discipline
+//    Scheduler::delivery_order picks, its ring floor raised to K), then
+//    pops and runs its key-K events. In phase B every shard ranks its
+//    events among all shards' by their global `order` and derives each
+//    event's first sequence number from the other shards' send counts —
+//    exactly the numbers the single-threaded engine would assign.
 //
 // Determinism contract: for every (graph, source, advice, algorithm,
 // options), run() returns a RunResult bit-identical (RunResult::operator==)
@@ -33,21 +33,31 @@
 // stream. Pinned by tests/test_sharded_engine.cpp,
 // tests/test_sharded_goldens.cpp and the fuzz sweep.
 //
-// Both barrier finalizers run the engines' one submit loop
-// (sim/run_plane.h) in global send order; they differ in what it places:
+// Both finalizers run the engines' one submit loop (sim/run_plane.h); they
+// differ in who runs it:
 //
-//  * the FAST path (the pure schedulers of Scheduler::is_pure, no sink, no
-//    duplication faults — delivery keys are pure functions of (now, seq,
-//    link) and every send consumes exactly one sequence number) places
-//    nothing: the serial pass only validates and counts, then fault
-//    decisions, delivery keys and routing run in parallel per source
-//    shard, and mailboxes drain into destination queues in parallel;
-//  * the SERIAL path (the link-clock scheduler, active sinks, duplication)
-//    places each copy into its destination shard's queue at the
-//    coordinator, with sink events collected by a buffering sink —
-//    parallelism then covers only behavior execution, which is correct
-//    but slower; it exists so observability and fault regimes keep exact
-//    semantics.
+//  * the FAST path (kSynchronous and kAsyncRandom, no sink, no duplication
+//    faults, no max_events — delivery keys are pure functions of (now,
+//    seq, link) and every send consumes exactly one sequence number) runs
+//    it in phase B on every shard at once: wakeup and port checks, counts
+//    into per-shard partials, fault decisions (keyed on (seq, link), so
+//    shard-count-invariant), delivery keys and routing into per-destination
+//    mailboxes, plus each event's push − pop delta written at its rank. The
+//    coordinator only reduces the partials, checks the message budget,
+//    replays the rank-ordered deltas for queue_depth_peak and picks the
+//    next key from the queue tops and the mailbox minima;
+//  * the SERIAL path (the link-clock scheduler, active sinks, duplication,
+//    max_events) has phase B only write each event's rank; the coordinator
+//    then runs the submit loop in rank order and fills the mailboxes, with
+//    sink events collected by a buffering sink — parallelism then covers
+//    only behavior execution, which is correct but slower; it exists so
+//    observability and fault regimes keep exact semantics.
+//
+// Runs that are serial by nature go to the embedded single-threaded engine
+// up front: Byzantine plans and the adversarial scheduler (replay buffer
+// and probe history follow global delivery order), and kAsyncFifo and
+// kAsyncLifo, whose epochs hold one event and whose keys, under extra
+// delay, collide and fall below the epoch key.
 //
 // Divergence handling: anything that stops the single-threaded engine
 // mid-epoch — a wakeup/port/budget violation, a behavior exception, an
@@ -55,13 +65,12 @@
 // state ahead of the canonical one. The attempt is then DISCARDED (no sink
 // output is emitted — the stream is buffered until success) and the run is
 // replayed on the embedded single-threaded engine, which reproduces the
-// canonical result or exception exactly. last_stats().fell_back reports it.
-// Clean runs, event budgets landing on epoch boundaries, and deadline stops
-// never fall back.
+// canonical result or exception exactly. last_stats() reports that it fell
+// back and why. Clean runs, event budgets landing on epoch boundaries, and
+// deadline stops never fall back.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -75,6 +84,17 @@
 
 namespace oraclesize {
 
+/// Why a run was played by the embedded single-threaded engine instead.
+enum class FallbackReason : std::uint8_t {
+  kNone,
+  kScheduler,  ///< async-fifo, async-lifo or adversarial: routed up front
+  kAdversary,  ///< a Byzantine plan: routed up front
+  kViolation,  ///< a wakeup or port violation inside an epoch
+  kBudget,     ///< max_messages ran out inside an epoch
+  kBehaviorException,  ///< a behavior threw arming or handling an event
+  kMaxEvents,  ///< max_events landed inside an epoch
+};
+
 /// How the last run used the shard machinery. Reported out-of-band (never
 /// inside RunResult — result equality across shard counts is the contract).
 struct ShardedRunStats {
@@ -82,6 +102,9 @@ struct ShardedRunStats {
   std::uint64_t epochs = 0;  ///< barrier count (main loop only)
   std::uint64_t cross_shard_messages = 0;  ///< copies routed between shards
   bool fell_back = false;  ///< attempt discarded, replayed single-threaded
+  /// Why it fell back (kNone exactly when fell_back is false). A run that
+  /// would fail several ways reports the first the attempt detected.
+  FallbackReason fallback = FallbackReason::kNone;
 
   friend bool operator==(const ShardedRunStats&,
                          const ShardedRunStats&) = default;
@@ -116,28 +139,28 @@ class ShardedExecutionContext {
   std::uint32_t configured_shards() const noexcept { return shards_; }
 
  private:
-  /// One event handled during an epoch, recorded by its shard for the
-  /// barrier finalizer. `order` is the global position among the epoch's
-  /// events: the popped entry's send sequence in the main loop, the node id
-  /// in the start phase (both strictly increasing per shard, disjoint
-  /// across shards).
+  /// One event handled during an epoch, recorded by its shard in phase A.
+  /// `order` is the global position among the epoch's events: the popped
+  /// entry's send sequence in the main loop, the node id in the start phase
+  /// (both strictly increasing per shard, disjoint across shards).
   struct ProcessedEvent {
     std::uint64_t order = 0;
     std::int64_t now = 0;   ///< delivery key (0 for start-phase activations)
     NodeId node = kNoNode;  ///< the acting node
-    std::uint32_t send_begin = 0;  ///< range into Shard::sends
+    /// Range into Shard::sends; send_begin also counts the sends of the
+    /// shard's earlier events this epoch (phase B's prefix sums).
+    std::uint32_t send_begin = 0;
     std::uint32_t send_end = 0;
     std::uint32_t trace_begin = 0;  ///< range into Shard::trace
     std::uint32_t trace_end = 0;
-    std::uint64_t seq_base = 0;  ///< fast path: first send's sequence number
-    std::uint32_t pushes = 0;    ///< fast path: copies actually enqueued
     bool popped = false;    ///< consumed a queue entry (false in start phase)
     bool dead = false;      ///< delivery suppressed at a crashed node
     bool informed = false;  ///< informed[node] when its sends were produced
   };
 
-  /// One routed message copy, parked in a per-(src, dst) mailbox between
-  /// the fast finalizer's routing pass and the destination-queue drain.
+  /// One routed message copy, parked in a per-(src, dst) mailbox until the
+  /// destination merges it into its queue in the next phase A. Every
+  /// mailbox is filled in seq order.
   struct MailboxEntry {
     std::int64_t key = 0;
     std::uint64_t seq = 0;
@@ -147,37 +170,39 @@ class ShardedExecutionContext {
     Message msg;
   };
 
-  /// Per-shard state: the owned node range, the event queue, and the epoch
-  /// scratch buffers. All vectors retain capacity across epochs and runs.
+  /// Per-shard state: the owned node range, the event queue, the epoch
+  /// scratch buffers and the run's counter partials. All vectors retain
+  /// capacity across epochs and runs.
   struct Shard {
     NodeId begin = 0;
     NodeId end = 0;
     EventHeap events;
     std::vector<ProcessedEvent> processed;  ///< this epoch's handled events
-    std::vector<Send> sends;                ///< flat pending-send storage
+    /// The epoch's sends, appended to by the behaviors themselves.
+    std::vector<Send> sends;
     std::vector<TraceEvent> trace;          ///< buffered delivery-side events
     std::vector<std::vector<MailboxEntry>> outbox;  ///< per destination shard
-    std::vector<Send> scratch;              ///< behavior send sink
-    std::uint64_t dropped = 0;              ///< routing-pass fault partials
-    std::uint64_t delayed = 0;
-    std::uint64_t cross = 0;                ///< copies routed off-shard
-    std::exception_ptr error;               ///< captured from worker code
+    /// Phase A's merge cursors over the non-empty inbound mailboxes.
+    std::vector<std::pair<MailboxEntry*, MailboxEntry*>> inbound;
+    std::vector<std::uint32_t> cursor;  ///< phase B's rank cursors, per shard
+    std::int64_t mail_min = 0;  ///< smallest key routed this epoch
+    std::uint64_t pushes = 0;   ///< copies routed this epoch (fast path)
+    Metrics metrics;            ///< fast-path partials, reduced at the end
+    FaultCounters faults;
+    std::uint64_t cross = 0;    ///< copies routed off-shard
+    FallbackReason stop = FallbackReason::kNone;  ///< set by worker code
   };
 
-  class Workers;  // persistent thread pool (sharded_engine.cpp)
+  class Workers;  // persistent spin-then-park pool (sharded_engine.cpp)
 
-  /// The sharded attempt. Returns true and fills `result` on a clean run
-  /// (sink stream flushed); returns false when the attempt must be
+  /// The sharded attempt. Returns kNone and fills `result` on a clean run
+  /// (sink stream flushed); otherwise the reason the attempt must be
   /// discarded and replayed single-threaded. Never lets worker exceptions
   /// escape a thread.
-  bool attempt(const PortGraph& g, NodeId source,
-               const std::vector<BitString>& advice,
-               const Algorithm& algorithm, const RunOptions& options,
-               const Partition& part, RunResult& result);
-
-  /// Fills merge_order_ with the epoch's processed events of `parts` in
-  /// global `order` — the k-way merge both barrier finalizers walk.
-  void merge_by_order(const std::vector<std::uint32_t>& parts);
+  FallbackReason attempt(const PortGraph& g, NodeId source,
+                         const std::vector<BitString>& advice,
+                         const Algorithm& algorithm, const RunOptions& options,
+                         const Partition& part, RunResult& result);
 
   std::uint32_t shards_ = 1;
   ShardedRunStats stats_;
@@ -193,11 +218,10 @@ class ShardedExecutionContext {
   std::vector<std::uint8_t> informed_;
   std::vector<TraceEvent> sink_buf_;  ///< whole-run buffered sink stream
   std::vector<Shard> shards_state_;
-  std::vector<std::uint32_t> parts_;  ///< scratch: epoch participant ids
-  /// Scratch: the epoch's merge order as (shard, processed-index) pairs,
-  /// built by merge_by_order with one cursor per participating shard.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> merge_order_;
-  std::vector<std::uint32_t> cursor_;
+  /// Phase B's output, indexed by an event's rank in the epoch: the fast
+  /// path's push − pop deltas, the serial path's (shard, index) pairs.
+  std::vector<std::int32_t> deltas_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> by_rank_;
   std::unique_ptr<Workers> workers_;
 };
 

@@ -122,12 +122,17 @@ TEST_P(FuzzSweep, AllPaperInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
                          ::testing::Range<std::uint64_t>(0, 40));
 
-// Sharded-engine property sweep: for a grid of seeds, draw a random
-// network, scheduler, fault plan, and shard count, and demand the sharded
-// engine reproduce the single-threaded run bit for bit — RunResult AND
-// recorded event stream. This is the randomized counterpart of the pinned
-// matrix in tests/test_sharded_goldens.cpp; between them the determinism
-// contract is checked on both chosen and adversarially-random inputs.
+// Sharded-engine property sweep: for a grid of seeds, draw a network,
+// scheduler, fault plan, budgets, algorithm and shard count, and demand the
+// sharded engine reproduce the single-threaded run bit for bit. Each case
+// runs twice: without a sink, on the fast finalizer where the draw allows
+// it, and with a TraceRecorder, on the serial one, comparing the recorded
+// event stream too. Paths, thin grids and caterpillars at up to 8 shards
+// leave most shards idle for many epochs, and message budgets, event
+// budgets and extra delays cross the run at random points. This is the
+// randomized counterpart of the pinned matrix in
+// tests/test_sharded_goldens.cpp; between them the determinism contract is
+// checked on both chosen and adversarially-random inputs.
 class ShardedFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardedFuzz, ShardedMatchesSingleThreaded) {
@@ -135,12 +140,30 @@ TEST_P(ShardedFuzz, ShardedMatchesSingleThreaded) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 20260808);
 
   const std::size_t n = 4 + static_cast<std::size_t>(rng.below(110));
-  PortGraph g = rng.chance(0.3)
-                    ? make_random_connected_sparse(
-                          n, static_cast<std::size_t>(rng.below(n)), rng)
-                    : make_random_connected(n, rng.unit() * 0.3, rng);
+  PortGraph g;
+  switch (rng.below(5)) {
+    case 0:
+      g = make_random_connected_sparse(
+          n, static_cast<std::size_t>(rng.below(n)), rng);
+      break;
+    case 1:
+      g = make_path(n);
+      break;
+    case 2:
+      g = make_grid(2 + rng.below(3), 2 + n / 4);
+      break;
+    case 3:
+      g = make_caterpillar(2 + n / 3, 2);
+      break;
+    default:
+      g = make_random_connected(n, rng.unit() * 0.3, rng);
+      break;
+  }
   if (rng.chance(0.5)) g = shuffle_ports(g, rng);
-  const NodeId source = static_cast<NodeId>(rng.below(n));
+  const std::size_t nodes = g.num_nodes();
+  // A source at the first node floods the graph's far shards last.
+  const NodeId source =
+      rng.chance(0.5) ? 0 : static_cast<NodeId>(rng.below(nodes));
 
   const SchedulerKind kinds[] = {
       SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
@@ -149,32 +172,40 @@ TEST_P(ShardedFuzz, ShardedMatchesSingleThreaded) {
   RunOptions opts;
   opts.scheduler = kinds[rng.below(5)];
   opts.seed = rng.below(1 << 20) + 1;
+  opts.max_delay = 1 + static_cast<std::uint32_t>(rng.below(48));
   if (rng.chance(0.5)) {
     opts.fault.seed = rng.below(1 << 20) + 1;
     opts.fault.drop = rng.unit() * 0.1;
-    opts.fault.duplicate = rng.chance(0.5) ? rng.unit() * 0.1 : 0.0;
-    opts.fault.delay = rng.unit() * 0.1;
+    opts.fault.duplicate = rng.chance(0.3) ? rng.unit() * 0.1 : 0.0;
+    opts.fault.delay = rng.unit() * 0.5;
+    opts.fault.max_extra_delay = 1 + static_cast<std::uint32_t>(rng.below(40));
     opts.fault.crash = rng.unit() * 0.05;
     opts.fault.advice_flip = rng.unit() * 0.05;
   }
-  const std::uint32_t shard_counts[] = {2, 3, 5, 8};
-  const std::uint32_t shards = shard_counts[rng.below(4)];
+  if (rng.chance(0.2)) opts.max_messages = 1 + rng.below(3 * nodes);
+  if (rng.chance(0.1)) opts.max_events = 1 + rng.below(3 * nodes);
+  const std::uint32_t shard_counts[] = {2, 3, 4, 5, 8};
+  const std::uint32_t shards = shard_counts[rng.below(5)];
 
-  // Alternate between the wakeup scheme (advice-driven, enforced
-  // constraint) and flooding (message-heavy, advice-free).
-  const bool use_wakeup = rng.chance(0.5);
+  // The wakeup scheme (advice-driven, enforced constraint), Broadcast B
+  // (hello traffic beside M) or flooding (message-heavy, advice-free).
   const TreeWakeupOracle wakeup_oracle;
   const WakeupTreeAlgorithm wakeup;
+  const LightBroadcastOracle broadcast_oracle;
+  const BroadcastBAlgorithm broadcast;
   const FloodingAlgorithm flooding;
+  const std::uint64_t pick = rng.below(3);
   const Algorithm& algorithm =
-      use_wakeup ? static_cast<const Algorithm&>(wakeup)
-                 : static_cast<const Algorithm&>(flooding);
+      pick == 0   ? static_cast<const Algorithm&>(wakeup)
+      : pick == 1 ? static_cast<const Algorithm&>(broadcast)
+                  : static_cast<const Algorithm&>(flooding);
   const std::vector<BitString> advice =
-      use_wakeup ? wakeup_oracle.advise(g, source)
-                 : std::vector<BitString>(n);
+      pick == 0   ? wakeup_oracle.advise(g, source)
+      : pick == 1 ? broadcast_oracle.advise(g, source)
+                  : std::vector<BitString>(nodes);
   opts.enforce_wakeup = algorithm.is_wakeup();
 
-  auto both = [&](auto& engine) {
+  auto traced = [&](auto& engine) {
     TraceRecorder recorder;
     RunOptions with_sink = opts;
     with_sink.trace_sink = &recorder;
@@ -182,18 +213,22 @@ TEST_P(ShardedFuzz, ShardedMatchesSingleThreaded) {
         engine.run(g, source, advice, algorithm, with_sink);
     return std::make_pair(result, recorder.take().digest());
   };
+  const std::string where = "seed " + std::to_string(seed) + " shards " +
+                            std::to_string(shards) + " sched " +
+                            to_string(opts.scheduler) + " " + algorithm.name();
   ExecutionContext single;
   ShardedExecutionContext sharded(shards);
-  const auto want = both(single);
-  const auto got = both(sharded);
-  EXPECT_EQ(got.first, want.first)
-      << "seed " << seed << " shards " << shards << " sched "
-      << to_string(opts.scheduler);
-  EXPECT_EQ(got.second, want.second) << "seed " << seed;
+  const RunResult want = single.run(g, source, advice, algorithm, opts);
+  EXPECT_EQ(sharded.run(g, source, advice, algorithm, opts), want)
+      << where << " without a sink";
+  const auto want_traced = traced(single);
+  const auto got_traced = traced(sharded);
+  EXPECT_EQ(got_traced.first, want_traced.first) << where << " with a sink";
+  EXPECT_EQ(got_traced.second, want_traced.second) << where;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedFuzz,
-                         ::testing::Range<std::uint64_t>(0, 40));
+                         ::testing::Range<std::uint64_t>(0, 200));
 
 // Storage-state property sweep: a frozen CSR graph and a never-frozen
 // builder rebuild of the same edges must be observationally identical,

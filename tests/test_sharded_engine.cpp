@@ -6,18 +6,22 @@
 // structured event stream via trace digests.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/batch_runner.h"
+#include "core/broadcast_b.h"
 #include "core/census.h"
 #include "core/flooding.h"
 #include "core/runner.h"
 #include "core/wakeup.h"
 #include "graph/builders.h"
+#include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
@@ -156,12 +160,11 @@ TEST(ShardedEngine, StatsReportShardsEpochsAndCrossTraffic) {
 }
 
 TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
-  // duplicate = 0 keeps the pure schedulers on the fast (parallel)
+  // duplicate = 0 keeps sync and async-random on the fast (parallel)
   // finalizer; duplicate > 0 forces the serial one. Every combination must
-  // agree with the legacy engine bit for bit. The shards keep heaps, the
-  // legacy engine the discipline of Scheduler::delivery_order: a ring for
-  // sync and async-random under extra delay, and a FIFO and a stack for
-  // async-fifo and async-lifo, whose rows therefore draw no extra delay.
+  // agree with the legacy engine bit for bit. async-fifo and async-lifo,
+  // extra delay included, run on the embedded scalar engine: under extra
+  // delay their keys collide and fall below the epoch key.
   Rng rng(21);
   const PortGraph g = make_random_connected(48, 0.12, rng);
   const NullOracle oracle;
@@ -171,15 +174,18 @@ TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
   for (const SchedulerKind sched :
        {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
         SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
+    const bool serial_by_nature = sched == SchedulerKind::kAsyncFifo ||
+                                  sched == SchedulerKind::kAsyncLifo;
     for (const double duplicate : {0.0, 0.05}) {
-      RunOptions opts = faulty_options(sched, duplicate);
-      if (sched == SchedulerKind::kAsyncFifo ||
-          sched == SchedulerKind::kAsyncLifo) {
-        opts.fault.delay = 0.0;
-      }
-      expect_identical(g, 3, advice, flooding, opts, engine,
-                       std::string(to_string(sched)) + " dup=" +
-                           std::to_string(duplicate));
+      const std::string cell =
+          std::string(to_string(sched)) + " dup=" + std::to_string(duplicate);
+      expect_identical(g, 3, advice, flooding,
+                       faulty_options(sched, duplicate), engine, cell);
+      EXPECT_EQ(engine.last_stats().fell_back, serial_by_nature) << cell;
+      EXPECT_EQ(engine.last_stats().fallback,
+                serial_by_nature ? FallbackReason::kScheduler
+                                 : FallbackReason::kNone)
+          << cell;
     }
   }
   // Extra delay alone, wide enough to fill the 64-key ring: sync keys span
@@ -197,6 +203,75 @@ TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
               DeliveryOrder::kRing);
     expect_identical(g, 3, advice, flooding, opts, engine,
                      std::string(to_string(sched)) + " delay only");
+    EXPECT_FALSE(engine.last_stats().fell_back);
+  }
+}
+
+TEST(ShardedEngine, FifoAndLifoUnderExtraDelayMatchWithAndWithoutSink) {
+  // Extra delay lets async-fifo and async-lifo keys collide and fall below
+  // the current epoch key, which no epoch barrier can reproduce: these
+  // flooding runs diverged from the legacy engine when they were sharded.
+  Rng rng(64);
+  const PortGraph g = make_random_connected(64, 0.15, rng);
+  const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
+  ShardedExecutionContext engine(2);
+  for (const SchedulerKind sched :
+       {SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      RunOptions opts;
+      opts.scheduler = sched;
+      opts.fault.seed = seed;
+      opts.fault.delay = 0.05 * static_cast<double>(seed);
+      opts.fault.max_extra_delay = 1 + static_cast<std::uint32_t>(seed % 6);
+      for (const bool traced : {false, true}) {
+        TraceRecorder recorder;
+        RunOptions run_opts = opts;
+        if (traced) run_opts.trace_sink = &recorder;
+        const std::string cell = std::string(to_string(sched)) + " seed " +
+                                 std::to_string(seed) +
+                                 (traced ? " traced" : "");
+        expect_identical(g, 0, advice, FloodingAlgorithm(), run_opts, engine,
+                         cell);
+        EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kScheduler)
+            << cell;
+      }
+    }
+  }
+}
+
+TEST(ShardedEngine, RingFloorFollowsTheEpochKey) {
+  // async-random keys stay within max_delay + 1 of the key being processed,
+  // so each shard's queue is a 64-key bucket ring. A shard that popped
+  // nothing for many epochs must still read its mail against the current
+  // epoch key: against its own last pop it would alias keys into the wrong
+  // buckets and pop them out of order.
+  Rng rng(2718);
+  const PortGraph grid = make_grid(6, 60);
+  const PortGraph sparse = make_random_connected_sparse(380, 95, rng);
+  const LightBroadcastOracle broadcast_oracle;
+  const BroadcastBAlgorithm broadcast;
+  const FloodingAlgorithm flooding;
+  for (const PortGraph* g : {&grid, &sparse}) {
+    for (const std::uint32_t shards : {4u, 7u}) {
+      ShardedExecutionContext engine(shards);
+      for (const std::uint32_t max_delay : {26u, 43u}) {
+        RunOptions opts;
+        opts.scheduler = SchedulerKind::kAsyncRandom;
+        opts.seed = max_delay;
+        opts.max_delay = max_delay;
+        ASSERT_EQ(Scheduler::delivery_order(opts.scheduler, max_delay,
+                                            opts.fault),
+                  DeliveryOrder::kRing);
+        const std::string cell = "n " + std::to_string(g->num_nodes()) +
+                                 " shards " + std::to_string(shards) +
+                                 " max_delay " + std::to_string(max_delay);
+        expect_identical(*g, 0, advice_for(*g, 0, NullOracle()), flooding,
+                         opts, engine, cell + " flooding");
+        expect_identical(*g, 0, advice_for(*g, 0, broadcast_oracle),
+                         broadcast, opts, engine, cell + " broadcast-B");
+        EXPECT_FALSE(engine.last_stats().fell_back) << cell;
+      }
+    }
   }
 }
 
@@ -210,7 +285,7 @@ TEST(ShardedEngine, LegacyTraceVectorMatches) {
   ShardedExecutionContext engine(4);
   ExecutionContext legacy;
   RunOptions opts;
-  opts.scheduler = SchedulerKind::kAsyncFifo;
+  opts.scheduler = SchedulerKind::kAsyncRandom;
   auto record = [&](auto& context) {
     TraceRecorder recorder(TraceLevel::kMessages);
     RunOptions with_sink = opts;
@@ -265,7 +340,14 @@ TEST(ShardedEngine, BudgetViolationFallsBackToIdenticalResult) {
                        "message budget");
   EXPECT_EQ(want.status, RunStatus::kBudgetExhausted);
   EXPECT_TRUE(engine.last_stats().fell_back);
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kBudget);
   EXPECT_EQ(engine.last_stats().epochs, 0u);
+  // The same crossing on the serial finalizer (a sink is attached).
+  TraceRecorder recorder;
+  opts.trace_sink = &recorder;
+  expect_identical(g, 0, advice, FloodingAlgorithm(), opts, engine,
+                   "message budget, traced");
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kBudget);
 }
 
 TEST(ShardedEngine, MaxEventsSweepMatchesAtEveryCutoff) {
@@ -280,12 +362,21 @@ TEST(ShardedEngine, MaxEventsSweepMatchesAtEveryCutoff) {
   const std::uint64_t total_events =
       legacy.run(g, 0, advice, FloodingAlgorithm(), probe).metrics.deliveries;
   ASSERT_GT(total_events, 10u);
+  std::size_t inside = 0;
   for (std::uint64_t cap = 1; cap <= total_events + 1; ++cap) {
     RunOptions opts;
     opts.max_events = cap;
     expect_identical(g, 0, advice, FloodingAlgorithm(), opts, engine,
                      "max_events=" + std::to_string(cap));
+    const ShardedRunStats& st = engine.last_stats();
+    EXPECT_EQ(st.fallback, st.fell_back ? FallbackReason::kMaxEvents
+                                        : FallbackReason::kNone)
+        << "max_events=" << cap;
+    inside += st.fell_back ? 1 : 0;
   }
+  // Some cutoffs land inside an epoch, some on its edge.
+  EXPECT_GT(inside, 0u);
+  EXPECT_LT(inside, total_events + 1);
 }
 
 TEST(ShardedEngine, WakeupViolationFallsBackToIdenticalResult) {
@@ -305,6 +396,54 @@ TEST(ShardedEngine, WakeupViolationFallsBackToIdenticalResult) {
   EXPECT_EQ(want.status, RunStatus::kTaskFailed);
   EXPECT_FALSE(want.violation.empty());
   EXPECT_TRUE(engine.last_stats().fell_back);
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kViolation);
+}
+
+TEST(ShardedEngine, UpFrontRoutesReportTheirReason) {
+  // Byzantine plans and the adversarial scheduler follow global delivery
+  // order; they never start a sharded attempt.
+  Rng rng(17);
+  const PortGraph g = make_random_connected(48, 0.12, rng);
+  const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
+  ShardedExecutionContext engine(4);
+  RunOptions byzantine;
+  byzantine.adversary.seed = 5;
+  byzantine.adversary.byz_rate = 0.25;
+  expect_identical(g, 0, advice, FloodingAlgorithm(), byzantine, engine,
+                   "byzantine");
+  EXPECT_TRUE(engine.last_stats().fell_back);
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kAdversary);
+  RunOptions adversarial;
+  adversarial.scheduler = SchedulerKind::kAsyncAdversarial;
+  expect_identical(g, 0, advice, FloodingAlgorithm(), adversarial, engine,
+                   "adversarial scheduler");
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kScheduler);
+}
+
+TEST(ShardedEngine, BehaviorExceptionFallsBackWithItsReason) {
+  // Flipped advice bits make the wakeup decoder throw on some nodes; the
+  // faulty scalar engine turns that into a structured failure, and the
+  // sharded attempt hands the run to it.
+  Rng rng(23);
+  const PortGraph g = make_random_connected(60, 0.1, rng);
+  const std::vector<BitString> advice = advice_for(g, 0, TreeWakeupOracle());
+  ShardedExecutionContext engine(3);
+  std::size_t thrown = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RunOptions opts;
+    opts.enforce_wakeup = true;
+    opts.fault.seed = seed;
+    opts.fault.advice_flip = 0.2;
+    const RunResult want =
+        expect_identical(g, 0, advice, WakeupTreeAlgorithm(), opts, engine,
+                         "advice flip seed " + std::to_string(seed));
+    if (want.violation.rfind("behavior exception", 0) == 0) {
+      ++thrown;
+      EXPECT_EQ(engine.last_stats().fallback,
+                FallbackReason::kBehaviorException);
+    }
+  }
+  EXPECT_GT(thrown, 0u);
 }
 
 TEST(ShardedEngine, PreconditionExceptionsMatchLegacy) {
@@ -366,6 +505,57 @@ TEST(ShardedEngine, ManyEpochHandoffsStayIdentical) {
                    "long path");
   EXPECT_FALSE(engine.last_stats().fell_back);
   EXPECT_GT(engine.last_stats().epochs, 1000u);
+}
+
+TEST(ShardedEngine, BarrierSurvivesParkingAndTeardown) {
+  // Helpers spin for a bounded time after every pass and then park on
+  // std::atomic::wait. Many short runs separated by pauses around and far
+  // past that bound make them park and wake again, mid-run and between
+  // runs; contexts are destroyed both right after a run, while their
+  // helpers still spin, and after a pause, while they sleep. Both
+  // finalizers run. Every run must match the legacy engine.
+  Rng rng(41);
+  const PortGraph g = make_random_connected_sparse(90, 40, rng);
+  const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
+  RunOptions fast;
+  fast.scheduler = SchedulerKind::kAsyncRandom;
+  fast.seed = 3;
+  RunOptions serial = fast;
+  serial.fault.seed = 9;
+  serial.fault.duplicate = 0.1;
+  ExecutionContext legacy;
+  const RunResult want_fast =
+      legacy.run(g, 0, advice, FloodingAlgorithm(), fast);
+  const RunResult want_serial =
+      legacy.run(g, 0, advice, FloodingAlgorithm(), serial);
+  const std::chrono::microseconds pauses[] = {
+      std::chrono::microseconds(0), std::chrono::microseconds(40),
+      std::chrono::microseconds(70), std::chrono::microseconds(300),
+      std::chrono::microseconds(2000)};
+  ShardedExecutionContext engine(4);
+  for (int round = 0; round < 60; ++round) {
+    std::this_thread::sleep_for(pauses[round % 5]);
+    const bool use_fast = round % 3 != 0;
+    ASSERT_EQ(engine.run(g, 0, advice, FloodingAlgorithm(),
+                         use_fast ? fast : serial),
+              use_fast ? want_fast : want_serial)
+        << "round " << round;
+    ASSERT_FALSE(engine.last_stats().fell_back) << "round " << round;
+    {
+      ShardedExecutionContext spinning(3);
+      ASSERT_EQ(spinning.run(g, 0, advice, FloodingAlgorithm(), fast),
+                want_fast)
+          << "round " << round;
+    }  // destroyed while its helpers spin
+    if (round % 10 == 0) {
+      ShardedExecutionContext sleeping(2);
+      ASSERT_EQ(sleeping.run(g, 0, advice, FloodingAlgorithm(), serial),
+                want_serial)
+          << "round " << round;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }  // destroyed while its helpers sleep
+  }
+  ShardedExecutionContext never_ran(4);  // no pool was ever started
 }
 
 TEST(ShardedEngine, TinyGraphRunsOnLegacyPath) {

@@ -1,14 +1,19 @@
-// Steady-state allocation audit for ExecutionContext::run.
+// Steady-state allocation audit for ExecutionContext::run and
+// ShardedExecutionContext::run.
 //
 // Standalone binary (not gtest: the framework's own allocations would
 // pollute the counters). Global operator new is replaced with a counting
-// shim; after warming a context twice, a third run is counted, and the
-// count must be INDEPENDENT of n for the paper's two schemes (wakeup via
-// tree advice, broadcast via scheme B). A per-node allocation in the hot
-// path — behavior churn, per-event vectors, advice copies — shows up as an
-// O(n) gap between the n=256 and n=1024 counts and fails the audit.
-// (Counts, not bytes: an n-element vector is one allocation either way;
-// the RunResult's per-node output vectors are a fixed number of calls.)
+// shim that counts every thread; after warming a context twice, a third run
+// is counted, and the count must be INDEPENDENT of n for the paper's two
+// schemes (wakeup via tree advice, broadcast via scheme B). A per-node
+// allocation in the hot path — behavior churn, per-event vectors, advice
+// copies — shows up as an O(n) gap between the n=256 and n=1024 counts and
+// fails the audit. The sharded rows grow the epoch count instead (grids
+// read from a corner): a per-epoch allocation — a task closure per barrier,
+// a scratch vector per merge — fails them. (Counts, not bytes: an n-element
+// vector is one allocation either way; the RunResult's per-node output
+// vectors are a fixed number of calls.)
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +25,10 @@
 #include "graph/builders.h"
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
+#include "core/flooding.h"
+#include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
+#include "sim/sharded_engine.h"
 #include "util/rng.h"
 
 namespace {
@@ -76,6 +84,30 @@ std::size_t count_steady_run(const PortGraph& g,
   g_counting.store(false);
   if (!r.all_informed || !r.violation.empty()) {
     std::fprintf(stderr, "FAIL: %s run did not complete cleanly (%s)\n",
+                 algorithm.name().c_str(), r.violation.c_str());
+    std::exit(1);
+  }
+  return g_news.load();
+}
+
+/// The same on a ShardedExecutionContext(4); also reports the run's epochs.
+std::size_t count_steady_sharded_run(const PortGraph& g,
+                                     const std::vector<BitString>& advice,
+                                     const Algorithm& algorithm,
+                                     const RunOptions& opts,
+                                     std::uint64_t& epochs) {
+  ShardedExecutionContext context(4);
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)context.run(g, 0, advice, algorithm, opts);
+  }
+  g_news.store(0);
+  g_counting.store(true);
+  const RunResult r = context.run(g, 0, advice, algorithm, opts);
+  g_counting.store(false);
+  epochs = context.last_stats().epochs;
+  if (!r.all_informed || !r.violation.empty() ||
+      context.last_stats().fell_back || context.last_stats().shards != 4) {
+    std::fprintf(stderr, "FAIL: sharded %s run did not run cleanly (%s)\n",
                  algorithm.name().c_str(), r.violation.c_str());
     std::exit(1);
   }
@@ -168,6 +200,42 @@ int audit() {
     check("async-lifo",
           count_steady_run(small, advice_small, algorithm, lifo),
           count_steady_run(big, advice_big, algorithm, lifo));
+  }
+  {
+    // Sharded: 16x16, 32x32 and 64x64 grids from a corner hold 30, 62 and
+    // 126 epochs on four shards, each a pass of the worker pool.
+    const PortGraph grids[] = {make_grid(16, 16), make_grid(32, 32),
+                               make_grid(64, 64)};
+    const TreeWakeupOracle wakeup_oracle;
+    const WakeupTreeAlgorithm wakeup;
+    const FloodingAlgorithm flooding;
+    for (const bool use_wakeup : {true, false}) {
+      RunOptions opts;
+      opts.enforce_wakeup = use_wakeup;
+      std::size_t counts[3];
+      std::uint64_t epochs[3];
+      for (int i = 0; i < 3; ++i) {
+        const std::vector<BitString> advice =
+            use_wakeup ? wakeup_oracle.advise(grids[i], 0)
+                       : std::vector<BitString>(grids[i].num_nodes());
+        counts[i] = count_steady_sharded_run(
+            grids[i], advice,
+            use_wakeup ? static_cast<const Algorithm&>(wakeup)
+                       : static_cast<const Algorithm&>(flooding),
+            opts, epochs[i]);
+      }
+      const std::size_t hi = std::max({counts[0], counts[1], counts[2]});
+      const std::size_t lo = std::min({counts[0], counts[1], counts[2]});
+      const bool ok = hi - lo <= 8;
+      std::printf(
+          "sharded-%-8s epochs %llu/%llu/%llu: %zu/%zu/%zu allocs   %s\n",
+          use_wakeup ? "wakeup" : "flooding",
+          static_cast<unsigned long long>(epochs[0]),
+          static_cast<unsigned long long>(epochs[1]),
+          static_cast<unsigned long long>(epochs[2]), counts[0], counts[1],
+          counts[2], ok ? "ok" : "FAIL (epoch-dependent)");
+      if (!ok) ++failures;
+    }
   }
   return failures == 0 ? 0 : 1;
 }
