@@ -1,15 +1,23 @@
 #include "graph/io.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cstring>
 #include <initializer_list>
 #include <istream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -152,6 +160,16 @@ class LineCursor {
   /// The current line, 1-based.
   std::size_t line() const { return line_; }
 
+  /// The text after the current line's '\n': the lines next_line() reads
+  /// on. Empty if the current line is the last.
+  std::string_view rest() const {
+    const void* eol =
+        std::memchr(p_, '\n', static_cast<std::size_t>(end_ - p_));
+    if (eol == nullptr) return {};
+    const char* next = static_cast<const char*>(eol) + 1;
+    return std::string_view(next, static_cast<std::size_t>(end_ - next));
+  }
+
  private:
   void skip_blanks() {
     while (p_ != end_ && *p_ != '\n' && is_space(*p_)) ++p_;
@@ -184,13 +202,34 @@ struct EdgeRecord {
   Port pv;
 };
 
+using LabelLines = std::vector<std::pair<NodeId, Label>>;
+
 /// What phase 1 reads off the text: the node count, each edge line as a
-/// record and each label line as an assignment, all in line order.
+/// record and each label line as an assignment, all in line order. The
+/// records fill runs of one array: one run from the serial scan, one per
+/// chunk from the chunked scan.
 struct TextRecords {
   std::size_t num_nodes = 0;
-  std::vector<EdgeRecord> edges;
-  std::vector<std::pair<NodeId, Label>> labels;
+  std::unique_ptr<EdgeRecord[]> store;
+  std::vector<std::span<const EdgeRecord>> runs;
+  std::size_t num_edges = 0;
+  LabelLines labels;
 };
+
+/// A text of this many bytes or more is scanned in chunks on several
+/// threads; below it a helper thread costs about as much to start as it
+/// saves (EXPERIMENTS.md "Graph text on every core").
+constexpr std::size_t kChunkedScanBytes = std::size_t{2} << 20;
+
+/// The chunked scan cuts the lines after the header after the first '\n'
+/// at or past every kChunkBytes bytes, a pure function of the text. Below
+/// 1 MiB, more chunks balance the threads better on texts of 2.5 to 5 MiB
+/// (EXPERIMENTS.md "Graph text on every core").
+constexpr std::size_t kChunkBytes = std::size_t{1} << 19;
+
+/// Thrown by a chunk's scan at its first bad line. The chunked scan is
+/// then dropped and the serial scan finds the text's rejection.
+struct ChunkRejected {};
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
@@ -230,7 +269,7 @@ std::size_t first_repeat(Keyed& keyed) {
 /// reader applying one line at a time fails before it reads a later line,
 /// the rest of that line, or the whole-graph checks.
 [[gnu::cold]] Keyed check_slots(std::string_view text,
-                                const std::vector<EdgeRecord>& edges) {
+                                std::span<const EdgeRecord> edges) {
   Keyed slots;
   slots.reserve(2 * edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -245,13 +284,14 @@ std::size_t first_repeat(Keyed& keyed) {
 /// The first violation in validate_ports' order, given check_slots' sorted
 /// slots: node by node, a repeated label, then the node's ports in order
 /// (a vacant port, or a neighbor already met at a lower port).
-[[gnu::cold]] std::string first_invalid(const TextRecords& r,
+[[gnu::cold]] std::string first_invalid(std::size_t num_nodes,
+                                        std::span<const EdgeRecord> edges,
                                         const std::vector<Label>& labels,
                                         std::size_t dup_label,
                                         const Keyed& slots) {
-  std::vector<NodeId> seen_by(r.num_nodes, kNoNode);
+  std::vector<NodeId> seen_by(num_nodes, kNoNode);
   std::size_t i = 0;
-  for (NodeId v = 0; v < r.num_nodes; ++v) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
     if (v == dup_label) {
       return "duplicate label " + std::to_string(labels[v]) + " at node " +
              std::to_string(v);
@@ -265,7 +305,7 @@ std::size_t first_repeat(Keyed& keyed) {
         return "node " + std::to_string(v) + " has a vacant port " +
                std::to_string(p) + " below degree " + std::to_string(degree);
       }
-      const EdgeRecord& e = r.edges[slots[j].second];
+      const EdgeRecord& e = edges[slots[j].second];
       const NodeId w = e.u == v ? e.v : e.u;
       if (seen_by[w] == v) {
         return "parallel edge between " + std::to_string(v) + " and " +
@@ -277,61 +317,102 @@ std::size_t first_repeat(Keyed& keyed) {
   return {};
 }
 
-/// Phase 1: one pass over the text into edge records and label
-/// assignments. Every line-level check runs here, in line order.
+/// Phase 1 over whole lines: each edge line into the next record, each
+/// label line into an assignment. Every line-level check runs here, in
+/// line order.
 class TextScan {
  public:
+  /// The serial scan of `text`, from its first line.
   TextScan(std::string_view text, const ParseLimits& limits)
       : text_(text), limits_(limits), in_(text) {}
 
-  TextRecords run() {
-    // At most one record per line: reserving the line count allocates the
-    // record array once.
-    r_.edges.reserve(
-        static_cast<std::size_t>(std::count(text_.begin(), text_.end(), '\n')) +
-        1);
-    bool seen_header = false;
-    while (in_.next_line()) {
-      const std::string_view keyword = in_.token();
-      if (keyword.empty()) continue;  // blank or comment-only line
-      if (keyword == "edge") {
-        if (!seen_header) fail_here("edge before header");
-        // A node's ports are 0..deg-1 and deg <= n-1 in a simple graph, so
-        // a port >= n is malformed.
-        const std::uint64_t n = r_.num_nodes;
-        const std::uint64_t u = number("edge endpoint", n, "not a node");
-        const std::uint64_t pu = number("edge port", n, "port >= num nodes");
-        const std::uint64_t v = number("edge endpoint", n, "not a node");
-        const std::uint64_t pv = number("edge port", n, "port >= num nodes");
-        if (u == v) fail_here("add_edge: self-loop");
-        r_.edges.push_back({static_cast<NodeId>(u), static_cast<Port>(pu),
-                            static_cast<NodeId>(v), static_cast<Port>(pv)});
-      } else if (keyword == "label") {
-        if (!seen_header) fail_here("label before header");
-        const std::uint64_t v =
-            number("label node", r_.num_nodes, "not a node");
-        const std::uint64_t label = number(
-            "label value", std::numeric_limits<std::uint64_t>::max(), "");
-        r_.labels.emplace_back(static_cast<NodeId>(v), label);
-      } else if (keyword == "portgraph") {
-        if (seen_header) fail_here("duplicate header");
-        // Checked before anything is sized by it: `portgraph 4000000000`
-        // fails here.
-        r_.num_nodes = static_cast<std::size_t>(
-            number("node count",
-                   static_cast<std::uint64_t>(limits_.max_nodes) + 1,
-                   "exceeds ParseLimits::max_nodes"));
-        seen_header = true;
-      } else {
-        fail_here("unknown keyword '" + std::string(keyword) + "'");
-      }
-      if (!in_.token().empty()) fail_here("trailing tokens");
+  /// One chunk's scan: whole lines that follow the header of a graph of
+  /// `num_nodes` nodes. A bad line throws ChunkRejected.
+  TextScan(std::string_view chunk, std::size_t num_nodes,
+           const ParseLimits& limits)
+      : text_(chunk),
+        limits_(limits),
+        in_(chunk),
+        chunk_(true),
+        seen_header_(true),
+        num_nodes_(num_nodes) {}
+
+  /// Reads the lines through the header. Returns the text after the
+  /// header's line, or nothing if the text has no header.
+  std::optional<std::string_view> through_header() {
+    while (!seen_header_) {
+      if (!in_.next_line()) return std::nullopt;
+      line();
     }
-    if (!seen_header) fail(0, "missing header");
-    return std::move(r_);
+    return in_.rest();
+  }
+
+  std::size_t num_nodes() const { return num_nodes_; }
+
+  /// Reads every line not read yet into records from the start of `out`
+  /// on and into `labels`; returns the number of records.
+  std::size_t scan(std::span<EdgeRecord> out, LabelLines& labels) {
+    out_ = out;
+    labels_ = &labels;
+    while (in_.next_line()) line();
+    return records_;
+  }
+
+  /// The serial scan's records: every line not read yet.
+  TextRecords run() {
+    TextRecords r;
+    // At most one record per line.
+    const std::size_t lines =
+        static_cast<std::size_t>(std::count(text_.begin(), text_.end(), '\n')) +
+        1;
+    r.store = std::make_unique_for_overwrite<EdgeRecord[]>(lines);
+    r.num_edges = scan({r.store.get(), lines}, r.labels);
+    if (!seen_header_) fail(0, "missing header");
+    r.num_nodes = num_nodes_;
+    r.runs.emplace_back(r.store.get(), r.num_edges);
+    return r;
   }
 
  private:
+  void line() {
+    const std::string_view keyword = in_.token();
+    if (keyword.empty()) return;  // blank or comment-only line
+    if (keyword == "edge") {
+      if (!seen_header_) fail_here("edge before header");
+      // A node's ports are 0..deg-1 and deg <= n-1 in a simple graph, so a
+      // port >= n is malformed.
+      const std::uint64_t n = num_nodes_;
+      const std::uint64_t u = number("edge endpoint", n, "not a node");
+      const std::uint64_t pu = number("edge port", n, "port >= num nodes");
+      const std::uint64_t v = number("edge endpoint", n, "not a node");
+      const std::uint64_t pv = number("edge port", n, "port >= num nodes");
+      if (u == v) fail_here("add_edge: self-loop");
+      // Each run is sized for every record its lines can make.
+      if (records_ == out_.size()) {
+        throw std::logic_error("from_text: record run full");
+      }
+      out_[records_++] = {static_cast<NodeId>(u), static_cast<Port>(pu),
+                          static_cast<NodeId>(v), static_cast<Port>(pv)};
+    } else if (keyword == "label") {
+      if (!seen_header_) fail_here("label before header");
+      const std::uint64_t v = number("label node", num_nodes_, "not a node");
+      const std::uint64_t label = number(
+          "label value", std::numeric_limits<std::uint64_t>::max(), "");
+      labels_->emplace_back(static_cast<NodeId>(v), label);
+    } else if (keyword == "portgraph") {
+      if (seen_header_) fail_here("duplicate header");
+      // Checked before anything is sized by it: `portgraph 4000000000`
+      // fails here.
+      num_nodes_ = static_cast<std::size_t>(number(
+          "node count", static_cast<std::uint64_t>(limits_.max_nodes) + 1,
+          "exceeds ParseLimits::max_nodes"));
+      seen_header_ = true;
+    } else {
+      fail_here("unknown keyword '" + std::string(keyword) + "'");
+    }
+    if (!in_.token().empty()) fail_here("trailing tokens");
+  }
+
   /// Takes the next token and parses it strictly as a u64 below `bound`
   /// (exclusive): digits only, no sign, no base prefix, no overflow.
   std::uint64_t number(const char* field, std::uint64_t bound,
@@ -355,24 +436,160 @@ class TextScan {
     return value;
   }
 
-  /// Rejects the current line, unless a record so far reuses a slot.
+  /// Rejects the current line, unless a record so far reuses a slot. A
+  /// chunk's scan leaves the diagnosis to the serial scan.
   [[gnu::cold]] [[noreturn]] void fail_here(const std::string& detail) {
-    check_slots(text_, r_.edges);
+    if (chunk_) throw ChunkRejected{};
+    check_slots(text_, out_.first(records_));
     fail(in_.line(), detail);
   }
 
   std::string_view text_;
   const ParseLimits& limits_;
   LineCursor in_;
-  TextRecords r_;
+  bool chunk_ = false;
+  bool seen_header_ = false;
+  std::size_t num_nodes_ = 0;
+  std::span<EdgeRecord> out_;
+  std::size_t records_ = 0;
+  LabelLines* labels_ = nullptr;
 };
+
+/// How many CPUs this process may run on.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+/// Phase 1 after the header on several threads. `body`, the lines after
+/// the header of a graph of `num_nodes` nodes, is cut into chunks. Up to
+/// one thread per usable CPU, the caller included, claims work off one
+/// counter: first each chunk's line count, then, once the caller has
+/// sized one record array by the counts, each chunk's TextScan into its
+/// own run of that array. A helper that starts late claims less. Returns
+/// nothing if a chunk has a bad line.
+std::optional<TextRecords> scan_chunks(std::string_view body,
+                                       std::size_t num_nodes,
+                                       const ParseLimits& limits) {
+  struct Chunk {
+    std::string_view lines;
+    std::size_t capacity = 0;  // at most one record per line
+    std::span<EdgeRecord> out;
+    std::size_t records = 0;
+    LabelLines labels;
+  };
+  std::vector<Chunk> chunks;
+  while (!body.empty()) {
+    const std::size_t eol =
+        body.find('\n', std::min(body.size(), kChunkBytes) - 1);
+    const std::size_t size =
+        eol == std::string_view::npos ? body.size() : eol + 1;
+    chunks.emplace_back().lines = body.substr(0, size);
+    body.remove_prefix(size);
+  }
+  const std::size_t count = chunks.size();
+  // Claim i < count counts chunk i's lines; claim count + i scans chunk i.
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> counted{0};
+  std::atomic<bool> sized{false};  // the caller has sized the record array
+  std::atomic<bool> rejected{false};
+  const auto count_lines = [&](std::size_t& claim) noexcept {
+    for (; claim < count; claim = next++) {
+      Chunk& c = chunks[claim];
+      c.capacity = static_cast<std::size_t>(
+                       std::count(c.lines.begin(), c.lines.end(), '\n')) +
+                   1;
+      if (++counted == count) counted.notify_all();
+    }
+  };
+  const auto scan = [&](std::size_t claim) noexcept {
+    try {
+      for (; claim < 2 * count && !rejected; claim = next++) {
+        Chunk& c = chunks[claim - count];
+        c.records = TextScan(c.lines, num_nodes, limits).scan(c.out, c.labels);
+      }
+    } catch (...) {
+      rejected = true;
+    }
+  };
+  TextRecords r;
+  r.num_nodes = num_nodes;
+  {
+    const std::size_t workers = std::min(count, usable_cpus());
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers);
+    try {
+      while (helpers.size() + 1 < workers) {
+        helpers.emplace_back([&] {
+          std::size_t claim = next++;
+          count_lines(claim);
+          sized.wait(false);
+          scan(claim);
+        });
+      }
+    } catch (const std::system_error&) {
+      // A helper that cannot start leaves its share to the others.
+    }
+    std::size_t claim = next++;
+    count_lines(claim);
+    for (std::size_t k = counted; k < count; k = counted) counted.wait(k);
+    try {
+      std::size_t capacity = 0;
+      for (const Chunk& c : chunks) capacity += c.capacity;
+      r.store = std::make_unique_for_overwrite<EdgeRecord[]>(capacity);
+      EdgeRecord* out = r.store.get();
+      for (Chunk& c : chunks) {
+        c.out = {out, c.capacity};
+        out += c.capacity;
+      }
+    } catch (const std::bad_alloc&) {
+      rejected = true;
+    }
+    sized = true;
+    sized.notify_all();
+    scan(claim);
+  }  // joins the helpers
+  if (rejected) return std::nullopt;
+  for (const Chunk& c : chunks) {
+    r.runs.push_back(c.out.first(c.records));
+    r.num_edges += c.records;
+    r.labels.insert(r.labels.end(), c.labels.begin(), c.labels.end());
+  }
+  return r;
+}
+
+/// Phase 1. A text of kChunkedScanBytes or more is read through its header
+/// by the serial scan and after it by the chunked scan. If a chunk has a
+/// bad line, the serial scan reads on from the header instead, so every
+/// rejection is the serial scan's.
+TextRecords scan_text(std::string_view text, const ParseLimits& limits) {
+  TextScan serial(text, limits);
+  if (text.size() >= kChunkedScanBytes) {
+    if (const auto body = serial.through_header()) {
+      if (auto r = scan_chunks(*body, serial.num_nodes(), limits)) {
+        return std::move(*r);
+      }
+    }
+  }
+  return serial.run();
+}
 
 /// Rejects records that passed every line but break a whole-graph check.
 [[gnu::cold]] [[noreturn]] void fail_structure(
     std::string_view text, const TextRecords& r,
     const std::vector<Label>& labels, std::size_t dup_label) {
-  const Keyed slots = check_slots(text, r.edges);
-  fail(0, "invalid graph: " + first_invalid(r, labels, dup_label, slots));
+  std::vector<EdgeRecord> edges;  // the runs, joined in line order
+  edges.reserve(r.num_edges);
+  for (const std::span<const EdgeRecord> run : r.runs) {
+    edges.insert(edges.end(), run.begin(), run.end());
+  }
+  const Keyed slots = check_slots(text, edges);
+  fail(0, "invalid graph: " +
+              first_invalid(r.num_nodes, edges, labels, dup_label, slots));
 }
 
 }  // namespace
@@ -392,7 +609,7 @@ PortGraph read_port_graph(std::istream& is, const ParseLimits& limits) {
 }
 
 PortGraph from_text(const std::string& text, const ParseLimits& limits) {
-  const TextRecords r = TextScan(text, limits).run();
+  const TextRecords r = scan_text(text, limits);
   const std::size_t n = r.num_nodes;
   std::vector<Label> labels(n);
   for (std::size_t v = 0; v < n; ++v) labels[v] = static_cast<Label>(v) + 1;
@@ -407,21 +624,25 @@ PortGraph from_text(const std::string& text, const ParseLimits& limits) {
   // Phase 2: degree = largest port + 1, prefix-summed into offsets, then
   // one scatter of both endpoints of every record.
   std::vector<std::uint64_t> offsets(n + 1, 0);
-  for (const EdgeRecord& e : r.edges) {
-    offsets[e.u + 1] = std::max(offsets[e.u + 1], std::uint64_t{e.pu} + 1);
-    offsets[e.v + 1] = std::max(offsets[e.v + 1], std::uint64_t{e.pv} + 1);
+  for (const std::span<const EdgeRecord> run : r.runs) {
+    for (const EdgeRecord& e : run) {
+      offsets[e.u + 1] = std::max(offsets[e.u + 1], std::uint64_t{e.pu} + 1);
+      offsets[e.v + 1] = std::max(offsets[e.v + 1], std::uint64_t{e.pv} + 1);
+    }
   }
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   // Degrees that do not sum to 2m mean a hole or a port taken twice; past
   // 2m they could be any size, so nothing is sized by them.
-  if (offsets[n] != 2 * r.edges.size()) reject();
+  if (offsets[n] != 2 * r.num_edges) reject();
   std::vector<Endpoint> endpoints(offsets[n]);
-  for (const EdgeRecord& e : r.edges) {
-    Endpoint& at_u = endpoints[offsets[e.u] + e.pu];
-    Endpoint& at_v = endpoints[offsets[e.v] + e.pv];
-    if (at_u.node != kNoNode || at_v.node != kNoNode) reject();
-    at_u = Endpoint{e.v, e.pv};
-    at_v = Endpoint{e.u, e.pu};
+  for (const std::span<const EdgeRecord> run : r.runs) {
+    for (const EdgeRecord& e : run) {
+      Endpoint& at_u = endpoints[offsets[e.u] + e.pu];
+      Endpoint& at_v = endpoints[offsets[e.v] + e.pv];
+      if (at_u.node != kNoNode || at_v.node != kNoNode) reject();
+      at_u = Endpoint{e.v, e.pv};
+      at_v = Endpoint{e.u, e.pu};
+    }
   }
   // 2m slots, 2m endpoints, none twice: no hole. Both sides of every edge
   // were written together, so the port relation is symmetric.

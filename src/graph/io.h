@@ -23,7 +23,20 @@
 //     belongs to a token. Every line-level check runs in this phase:
 //     keywords, header order, strict numbers (digits only: no sign, no
 //     base prefix, no overflow), node counts against ParseLimits, node ids
-//     and ports against the node count, self-loops, trailing tokens;
+//     and ports against the node count, self-loops, trailing tokens.
+//     A text of 2 MiB or more is scanned on several threads: one thread
+//     reads the lines through the header, then the lines after it are cut
+//     after the first '\n' at or past every 512 KiB, a pure function of
+//     the text, so every host cuts the same chunks. Up to one thread per
+//     CPU the process may use, started for this call, claims chunks off
+//     one counter; each chunk runs the same line checks into its own run
+//     of one record array, and the label assignments are joined in chunk
+//     order. If any chunk has a bad line, the chunked scan is dropped and
+//     the one-thread scan reads on from the header, so every rejection
+//     comes from the one-thread scan. A smaller text never leaves it.
+//     oracled parses an upload (frames up to 16 MiB) on its connection
+//     thread outside its slot gate, so an upload of 2 MiB or more starts
+//     these threads beside the requests holding slots;
 //   * phase 2 takes each node's degree as its largest port + 1,
 //     prefix-sums the degrees into CSR offsets and scatters both endpoints
 //     of every record into the CSR arrays, which the returned frozen
@@ -39,10 +52,11 @@
 // checks report in validate_ports' node-by-node order. Nothing the reader
 // allocates is sized by a port number, so its memory is O(n + text):
 // parse_memory_bound below. tests/test_graph_io.cpp pins the exact line()
-// and detail() of each rejection class, tests/test_fuzz.cpp feeds the
-// reader mutated files, any byte included, tests/test_graph_text_diff.cpp
-// holds it to a sequential reference reader over thousands of mutated
-// texts, and tests/test_parse_memory.cpp audits the memory bound.
+// and detail() of each rejection class, in one chunk and across chunks,
+// tests/test_fuzz.cpp feeds the reader mutated files, any byte included,
+// tests/test_graph_text_diff.cpp holds it to a sequential reference reader
+// over thousands of mutated texts, multi-MiB ones mutated at the chunk
+// cuts among them, and tests/test_parse_memory.cpp audits the memory bound.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +80,8 @@ struct ParseLimits {
 /// of `text_bytes` bytes whose header declares `num_nodes` nodes: at most
 /// 64 per node plus 64 per text byte, plus a constant for diagnostics.
 /// tests/test_parse_memory.cpp measures 20 bytes per node on a rejected
-/// text of high port numbers and under 2 per text byte on a dense one.
+/// text of high port numbers and under 2 per text byte on a dense one,
+/// scanned on one thread or in chunks.
 constexpr std::size_t parse_memory_bound(std::size_t num_nodes,
                                          std::size_t text_bytes) {
   return 64 * num_nodes + 64 * text_bytes + 4096;
@@ -97,7 +112,9 @@ std::string to_text(const PortGraph& g);
 /// asserts or invokes UB, whatever the bytes. The returned graph is frozen
 /// and always satisfies validate_ports (graph/validate.h). from_text reads
 /// the string in place; read_port_graph reads the whole stream and calls
-/// from_text, so both accept and reject exactly the same texts.
+/// from_text, so both accept and reject exactly the same texts. A text of
+/// 2 MiB or more starts helper threads for the call (see above); each is
+/// joined before the call returns or throws.
 PortGraph read_port_graph(std::istream& is, const ParseLimits& limits = {});
 PortGraph from_text(const std::string& text, const ParseLimits& limits = {});
 

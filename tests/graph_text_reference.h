@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -129,6 +130,16 @@ class LineParser {
   bool seen_header_ = false;
   std::size_t lineno_ = 0;
 };
+
+/// "accept\n" + the canonical text, or "reject line L: detail": what a
+/// differential test compares.
+inline std::string outcome(const std::function<PortGraph()>& parse) {
+  try {
+    return "accept\n" + to_text(parse());
+  } catch (const GraphParseError& e) {
+    return "reject line " + std::to_string(e.line()) + ": " + e.detail();
+  }
+}
 
 /// Parses `text` one line at a time, splitting lines as std::getline does.
 inline PortGraph from_text(const std::string& text,

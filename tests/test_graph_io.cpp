@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builders.h"
 #include "graph/complete_star.h"
 #include "graph/validate.h"
+#include "graph_text_reference.h"
 
 namespace oraclesize {
 namespace {
@@ -246,6 +250,162 @@ TEST(GraphIo, HostileTextsHaveExactOutcomes) {
           return read_port_graph(is);
         },
         "read_port_graph");
+  }
+}
+
+// A text of 2 MiB or more is scanned in chunks: the lines after the header
+// are cut after the first '\n' at or past each 512 KiB (graph/io.h).
+// K*_512's canonical text is 2.51 MiB, so its lines fall into five chunks.
+// Each case puts hostile lines in different chunks or on both sides of a
+// cut, and its outcome must be the sequential reference reader's.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 19;
+
+/// The chunk each line falls in under the split rule, for a text with a
+/// '\n' after every line; the lines through the header read -1.
+std::vector<int> chunk_of_lines(const std::vector<std::string>& lines) {
+  std::vector<int> chunk(lines.size(), -1);
+  std::size_t i = 0;
+  while (i < lines.size() && !lines[i].starts_with("portgraph")) ++i;
+  int c = 0;
+  std::size_t left = kChunkBytes;  // bytes of chunk c still to come
+  for (++i; i < lines.size(); ++i) {
+    chunk[i] = c;
+    const std::size_t bytes = lines[i].size() + 1;
+    if (bytes >= left) {
+      ++c;
+      left = kChunkBytes;
+    } else {
+      left -= bytes;
+    }
+  }
+  return chunk;
+}
+
+TEST(GraphIo, CrossChunkTextsHaveTheSequentialOutcome) {
+  const std::string base = to_text(make_complete_star(512));
+  std::vector<std::string> k512;
+  for (std::size_t begin = 0; begin < base.size();) {
+    const std::size_t eol = base.find('\n', begin);
+    k512.push_back(base.substr(begin, eol - begin));
+    begin = eol + 1;
+  }
+  const int last = chunk_of_lines(k512).back();
+  ASSERT_GE(last, 2);
+  using Lines = std::vector<std::string>;
+  // The first line of chunk k.
+  const auto first_line = [](const Lines& lines, int k) {
+    const std::vector<int> chunks = chunk_of_lines(lines);
+    return static_cast<std::size_t>(
+        std::find(chunks.begin(), chunks.end(), k) - chunks.begin());
+  };
+  const std::size_t cut1 = first_line(k512, 1);
+  const std::size_t late = k512.size() - 3;  // in the last chunk
+  const auto insert = [](Lines& lines, std::size_t at, std::string line) {
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                 std::move(line));
+  };
+  // Chunk k-1 then ends with a comment (the edge line that ended it,
+  // commented out), and chunk k starts with a blank line, a '\r' line, a
+  // tab line and that edge line.
+  const auto dress_cut = [&](Lines& l, int k) {
+    const std::size_t cut = first_line(l, k);
+    const std::string edge = l[cut - 1];
+    l[cut - 1] = "# " + edge;
+    l.insert(l.begin() + static_cast<std::ptrdiff_t>(cut),
+             {"", "\r", "\t", edge});
+    const std::vector<int> chunks = chunk_of_lines(l);
+    EXPECT_EQ(chunks[cut - 1], k - 1) << "the comment ends chunk " << k - 1;
+    EXPECT_EQ(chunks[cut], k) << "the blank line starts chunk " << k;
+  };
+  struct ChunkCase {
+    const char* name;
+    std::function<void(Lines&)> edit;  // inserts later lines first
+    // Lines that must land in the given chunks.
+    std::vector<std::pair<std::string, int>> placed;
+    std::string expect;  // "accept", or the rejection's detail
+    bool final_newline = true;
+  };
+  const ChunkCase cases[] = {
+      {"port_taken_in_the_first_and_last_chunks",
+       [&](Lines& l) { insert(l, late, "edge 0 0 2 511"); },
+       {{"edge 0 0 1 510", 0}, {"edge 0 0 2 511", last}},
+       "add_edge: port already occupied"},
+      {"occupied_port_before_a_later_chunks_syntax_error",
+       [&](Lines& l) {
+         insert(l, late, "edge 1 x 2 1");
+         insert(l, 5, "edge 0 0 2 511");
+       },
+       {{"edge 0 0 2 511", 0}, {"edge 1 x 2 1", last}},
+       "add_edge: port already occupied"},
+      {"syntax_error_before_a_later_chunks_occupied_port",
+       [&](Lines& l) {
+         insert(l, late, "edge 0 0 2 511");
+         insert(l, 5, "edge 1 x 2 1");
+       },
+       {{"edge 1 x 2 1", 0}, {"edge 0 0 2 511", last}},
+       "bad edge port (expected an unsigned integer, got 'x')"},
+      {"second_header_in_a_later_chunk",
+       [&](Lines& l) { insert(l, cut1 + 10, "portgraph 2"); },
+       {{"portgraph 2", 1}},
+       "duplicate header"},
+      // Node 5's first label repeats node 6's; the last label wins.
+      {"one_node_labelled_in_two_chunks",
+       [&](Lines& l) {
+         insert(l, late, "label 5 1000000");
+         insert(l, 5, "label 5 7");
+       },
+       {{"label 5 7", 0}, {"label 5 1000000", last}},
+       "accept"},
+      {"parallel_edge_split_across_chunks",
+       [&](Lines& l) { insert(l, late, "edge 0 511 1 511"); },
+       {{"edge 0 0 1 510", 0}, {"edge 0 511 1 511", last}},
+       "invalid graph: parallel edge between 0 and 1"},
+      {"hole_in_the_last_chunk",
+       [&](Lines& l) {
+         l.erase(l.begin() + static_cast<std::ptrdiff_t>(late));
+       },
+       {},
+       "vacant port"},
+      {"header_after_comment_lines",
+       [&](Lines& l) {
+         insert(l, 0, "#");
+         insert(l, 0, "");
+         insert(l, 0, "# K*_512");
+       },
+       {{"edge 0 0 1 510", 0}},
+       "accept"},
+      {"comment_blank_cr_and_tab_lines_at_the_cuts",
+       [&](Lines& l) {
+         for (int k = 1; k <= last; ++k) dress_cut(l, k);
+       },
+       {},
+       "accept"},
+      {"last_line_without_newline", [](Lines&) {}, {}, "accept", false},
+  };
+  for (const ChunkCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Lines lines = k512;
+    c.edit(lines);
+    const std::vector<int> chunks = chunk_of_lines(lines);
+    for (const auto& [line, chunk] : c.placed) {
+      const auto at = std::find(lines.begin(), lines.end(), line);
+      ASSERT_NE(at, lines.end()) << line;
+      EXPECT_EQ(chunks[static_cast<std::size_t>(at - lines.begin())], chunk)
+          << line;
+    }
+    std::string text;
+    for (const std::string& line : lines) text += line + '\n';
+    if (!c.final_newline) text.pop_back();
+    ASSERT_GE(text.size(), 2 * kChunkBytes);
+    const std::string expected =
+        reference::outcome([&] { return reference::from_text(text); });
+    EXPECT_NE(expected.find(c.expect), std::string::npos) << expected;
+    EXPECT_EQ(reference::outcome([&] { return from_text(text); }), expected);
+    EXPECT_EQ(reference::outcome([&] {
+                std::istringstream is(text);
+                return read_port_graph(is);
+              }),
+              expected);
   }
 }
 

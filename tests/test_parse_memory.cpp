@@ -8,7 +8,11 @@
 // edge each. The reader must reject it with the exact whole-graph
 // diagnosis while requesting no more than parse_memory_bound (graph/io.h)
 // in all; a reader that sizes port rows by the port numbers asks for a
-// gibibyte. An accepted dense text is held to the same bound.
+// gibibyte. An accepted dense text is held to the same bound, and so are
+// two texts of 2 MiB or more, which the reader scans in chunks on several
+// threads: one accepted, one with a bad line in its last chunk. Each line
+// prints the 16 bytes per edge line a record array takes beside the bytes
+// requested, so a second copy of the records shows.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -72,14 +76,26 @@ std::size_t count_parse(const std::string& text, std::string& result) {
   return g_bytes.load();
 }
 
+std::size_t edge_lines(const std::string& text) {
+  std::size_t lines = text.starts_with("edge ");
+  for (std::size_t at = text.find("\nedge "); at != std::string::npos;
+       at = text.find("\nedge ", at + 1)) {
+    ++lines;
+  }
+  return lines;
+}
+
 bool check(const char* label, const std::string& text, std::size_t n,
            const std::string& expected) {
   std::string result;
   const std::size_t bytes = count_parse(text, result);
   const std::size_t bound = parse_memory_bound(n, text.size());
   const bool ok = bytes <= bound && result == expected;
-  std::printf("%-16s n=%zu text=%zu B: requested %zu B, bound %zu B, %s\n",
-              label, n, text.size(), bytes, bound, ok ? "ok" : "FAIL");
+  std::printf(
+      "%-16s n=%zu text=%zu B: requested %zu B (records %zu B), bound %zu B, "
+      "%s\n",
+      label, n, text.size(), bytes, 16 * edge_lines(text), bound,
+      ok ? "ok" : "FAIL");
   if (result != expected) {
     std::printf("  outcome  %s\n  expected %s\n", result.c_str(),
                 expected.c_str());
@@ -106,6 +122,16 @@ int audit() {
   {
     const std::string text = to_text(make_complete_star(256));
     if (!check("complete-256", text, 256, "accept")) ++failures;
+  }
+  {
+    const std::string text = to_text(make_complete_star(512));
+    if (!check("complete-512", text, 512, "accept")) ++failures;
+    // 130,816 edge lines after the header, so the bad line is line 130,818.
+    if (!check("complete-512-bad", text + "edge 1 x 2 1\n", 512,
+               "line 130818: bad edge port (expected an unsigned integer, "
+               "got 'x')")) {
+      ++failures;
+    }
   }
   return failures == 0 ? 0 : 1;
 }
