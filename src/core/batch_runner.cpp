@@ -14,6 +14,7 @@
 #include "sim/execution_context.h"
 #include "sim/seed_batch_engine.h"
 #include "sim/sharded_engine.h"
+#include "util/cpus.h"
 
 namespace oraclesize {
 
@@ -102,7 +103,13 @@ struct TrialMetrics {
         cross_shard_messages(reg.counter("cross_shard_messages")),
         messages_per_trial(reg.histogram("messages_per_trial")),
         queue_depth_peak(reg.histogram("queue_depth_peak")),
-        wakeup_latency(reg.histogram("wakeup_latency")) {}
+        wakeup_latency(reg.histogram("wakeup_latency")) {
+    for (std::size_t r = 1; r < kFallbackReasons; ++r) {
+      sharded_fallbacks[r] = &reg.counter(
+          std::string("sharded_fallback_") +
+          to_string(static_cast<FallbackReason>(r)));
+    }
+  }
 
   /// Folds one trial's FINAL report in. Called by the worker that owns the
   /// trial; every recorded value is deterministic in the spec (counts and
@@ -144,6 +151,9 @@ struct TrialMetrics {
       sharded_epochs.add(report.epochs);
       cross_shard_messages.add(report.cross_shard_messages);
     }
+    if (report.fallback != FallbackReason::kNone) {
+      sharded_fallbacks[static_cast<std::size_t>(report.fallback)]->add();
+    }
     messages_per_trial.observe(m.messages_total);
     queue_depth_peak.observe(m.queue_depth_peak);
     for (const std::int64_t at : report.run.informed_at) {
@@ -180,6 +190,8 @@ struct TrialMetrics {
   Counter& sharded_trials;
   Counter& sharded_epochs;
   Counter& cross_shard_messages;
+  /// sharded_fallback_<reason>, indexed by FallbackReason (kNone unused).
+  Counter* sharded_fallbacks[kFallbackReasons] = {};
   Histogram& messages_per_trial;
   Histogram& queue_depth_peak;
   Histogram& wakeup_latency;
@@ -220,6 +232,7 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
     report.shards = st.fell_back ? 1 : st.shards;
     report.epochs = st.epochs;
     report.cross_shard_messages = st.cross_shard_messages;
+    report.fallback = st.fallback;
   } else {
     report.run = context->run(*spec.graph, spec.source, *advice,
                               *spec.algorithm, options);
@@ -265,10 +278,7 @@ void run_pool(std::size_t count, std::size_t workers, const Body& body) {
 BatchRunner::BatchRunner(std::size_t jobs, bool advice_cache,
                          RetryPolicy retry, ShardPolicy shard)
     : jobs_(jobs), advice_cache_(advice_cache), retry_(retry), shard_(shard) {
-  if (jobs_ == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs_ = hw == 0 ? 1 : hw;
-  }
+  if (jobs_ == 0) jobs_ = usable_cpus();
 }
 
 std::vector<TaskReport> BatchRunner::run(const std::vector<TrialSpec>& specs,

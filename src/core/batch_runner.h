@@ -155,7 +155,7 @@ struct RetryPolicy {
 /// wall-clock decision: point min_nodes at the size where one trial
 /// dominates the batch. min_nodes = 0 (the default) disables sharding.
 struct ShardPolicy {
-  std::uint32_t shards = 0;   ///< workers per sharded run; 0 = hardware
+  std::uint32_t shards = 0;   ///< workers per sharded run; 0 = usable CPUs
   std::size_t min_nodes = 0;  ///< graphs at/above this run sharded; 0 = off
 
   bool enabled() const noexcept { return min_nodes > 0 && shards != 1; }
@@ -163,7 +163,8 @@ struct ShardPolicy {
 
 class BatchRunner {
  public:
-  /// `jobs` = number of worker threads; 0 picks the hardware concurrency.
+  /// `jobs` = number of worker threads; 0 picks one per usable CPU
+  /// (util/cpus.h).
   /// `advice_cache` toggles the batch-wide advice memoization pre-pass.
   /// `retry` bounds re-execution of transient trial failures.
   /// `shard` routes oversized trials through the sharded intra-run engine.

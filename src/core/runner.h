@@ -41,6 +41,9 @@ struct TaskReport {
   /// attempts that fell back; the run itself is bit-identical either way.
   std::uint32_t shards = 1;
   std::uint64_t epochs = 0;  ///< epoch barriers crossed (sharded runs only)
+  /// Why a sharded run was played single-threaded (ShardedRunStats); kNone
+  /// for clean sharded runs and for trials the ShardPolicy did not claim.
+  FallbackReason fallback = FallbackReason::kNone;
   std::uint64_t cross_shard_messages = 0;  ///< copies routed between shards
   RunResult run;
 

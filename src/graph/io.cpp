@@ -1,7 +1,5 @@
 #include "graph/io.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -20,6 +18,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "util/cpus.h"
 
 namespace oraclesize {
 
@@ -454,16 +454,6 @@ class TextScan {
   std::size_t records_ = 0;
   LabelLines* labels_ = nullptr;
 };
-
-/// How many CPUs this process may run on.
-std::size_t usable_cpus() {
-  cpu_set_t set;
-  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
-    return static_cast<std::size_t>(CPU_COUNT(&set));
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 /// Phase 1 after the header on several threads. `body`, the lines after
 /// the header of a graph of `num_nodes` nodes, is cut into chunks. Up to

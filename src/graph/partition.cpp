@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+
+#include "util/cpus.h"
 
 namespace oraclesize {
 
@@ -10,10 +11,7 @@ Partition make_partition(const PortGraph& g, const PartitionOptions& options) {
   const std::size_t n = g.num_nodes();
 
   std::uint32_t shards = options.shards;
-  if (shards == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    shards = hw > 0 ? hw : 1;
-  }
+  if (shards == 0) shards = static_cast<std::uint32_t>(usable_cpus());
   const std::uint32_t min_nodes = std::max<std::uint32_t>(
       1, options.min_nodes_per_shard);
   if (n / min_nodes < shards) {

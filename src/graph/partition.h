@@ -34,7 +34,7 @@
 namespace oraclesize {
 
 struct PartitionOptions {
-  /// Number of shards; 0 picks one per available hardware thread.
+  /// Number of shards; 0 picks one per usable CPU (util/cpus.h).
   std::uint32_t shards = 0;
   /// A graph with fewer nodes than shards * min_nodes_per_shard gets its
   /// shard count reduced (never below 1) so no shard is trivially empty.

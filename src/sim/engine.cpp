@@ -24,6 +24,14 @@ const char* to_string(RunStatus status) {
   return "unknown";
 }
 
+const char* to_string(FallbackReason reason) {
+  static constexpr const char* kNames[kFallbackReasons] = {
+      "none",      "scheduler", "adversary",          "duplicate",
+      "violation", "budget",    "behavior_exception", "max_events"};
+  const auto r = static_cast<std::size_t>(reason);
+  return r < kFallbackReasons ? kNames[r] : "unknown";
+}
+
 std::uint64_t RunResult::max_node_sends() const {
   std::uint64_t best = 0;
   for (std::uint64_t s : sends_by_node) best = std::max(best, s);

@@ -57,6 +57,28 @@ enum class RunStatus : std::uint8_t {
 
 const char* to_string(RunStatus status);
 
+/// Why ShardedExecutionContext (sim/sharded_engine.h) played a run on its
+/// embedded single-threaded engine: kScheduler, kAdversary and kDuplicate
+/// up front, the rest detected inside an epoch, discarding the attempt.
+enum class FallbackReason : std::uint8_t {
+  kNone,
+  kScheduler,  ///< async-fifo, async-lifo or adversarial
+  kAdversary,  ///< a Byzantine plan
+  kDuplicate,  ///< duplication faults: seq numbers chain across shards
+  kViolation,  ///< a wakeup or port violation
+  kBudget,     ///< max_messages ran out
+  kBehaviorException,  ///< a behavior threw arming or handling an event
+  kMaxEvents,  ///< max_events landed inside an epoch
+};
+
+/// One past the last FallbackReason, for tables indexed by reason.
+inline constexpr std::size_t kFallbackReasons =
+    static_cast<std::size_t>(FallbackReason::kMaxEvents) + 1;
+
+/// "none", "scheduler", ..., "max_events": the one name table of the
+/// reasons (BatchStats counters, docs).
+const char* to_string(FallbackReason reason);
+
 struct RunOptions {
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   std::uint64_t seed = 1;  ///< delay key of kAsyncRandom / kAsyncLinkFifo

@@ -70,7 +70,7 @@ struct AdmittedCopy {
 
 /// The run-wide state submit_sends reads and advances. The optional planes
 /// are null when off for this caller. The counters point into the run's
-/// RunResult, or into one shard's partials: the sharded fast path submits
+/// RunResult, or into one shard's partials: the sharded engine submits
 /// per shard in parallel, counts into partials it reduces at the end, and
 /// checks the message budget itself.
 struct SubmitState {

@@ -85,8 +85,11 @@ class Scheduler {
   /// Key for a message sent with sequence number `seq` while the engine was
   /// processing an event with key `now` (0 for on_start sends). `link`
   /// identifies the directed channel as a dense index (the engine uses the
-  /// graph's prefix-summed (node, port) offset); only kAsyncLinkFifo
-  /// consults it.
+  /// graph's prefix-summed (node, port) offset). kAsyncLinkFifo reads and
+  /// advances the clock of `link` alone, so its keys may be taken
+  /// concurrently for links of different senders (the sharded engine's
+  /// shards do), each link's in its sender's send order. kAsyncAdversarial
+  /// advances one shared probe history: one caller at a time.
   std::int64_t delivery_key(std::int64_t now, std::uint64_t seq,
                             std::uint64_t link);
 
@@ -128,17 +131,6 @@ class Scheduler {
     return clock;
   }
 
-  /// True for the schedulers whose key is a pure function of (now, seq,
-  /// link, seed): kSynchronous, kAsyncRandom, kAsyncFifo and kAsyncLifo.
-  /// kAsyncLinkFifo keeps per-link clocks and kAsyncAdversarial a probe
-  /// history, so their keys depend on earlier sends.
-  static bool is_pure(SchedulerKind kind) noexcept {
-    return kind == SchedulerKind::kSynchronous ||
-           kind == SchedulerKind::kAsyncRandom ||
-           kind == SchedulerKind::kAsyncFifo ||
-           kind == SchedulerKind::kAsyncLifo;
-  }
-
   /// The order discipline of a run under `kind`, `max_delay` and `fault`,
   /// both delays clamped to at least 1 as the constructor and
   /// FaultPlan::arm clamp them. A pushed key is the scheduler's key plus
@@ -157,8 +149,8 @@ class Scheduler {
                                       const FaultPlanParams& fault) noexcept;
 
   /// The key a pure scheduler assigns — the one copy of that switch, used
-  /// by delivery_key, the seed-batch pass and the sharded engine's
-  /// parallel routing. Precondition: is_pure(kind).
+  /// by delivery_key and the seed-batch pass. Precondition: `kind` is
+  /// neither kAsyncLinkFifo nor kAsyncAdversarial (keyed on earlier sends).
   static std::int64_t pure_key(SchedulerKind kind, std::int64_t now,
                                std::uint64_t seq, std::uint64_t link,
                                std::uint64_t seed,

@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/cpus.h"
+
 namespace oraclesize {
 
 namespace {
@@ -21,14 +23,10 @@ constexpr std::chrono::microseconds kSpinBound{50};
 /// No mail routed this epoch.
 constexpr std::int64_t kNoKey = std::numeric_limits<std::int64_t>::max();
 
-std::uint32_t resolve_shards(std::uint32_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<std::uint32_t>(hw) : 1u;
-}
-
-/// Collects the sharded attempt's sink stream: it is replayed into the real
-/// sink only when the attempt succeeds, so a fallback emits nothing.
+/// Collects the sharded attempt's sink events: the prologue into the run's
+/// buffer, and each shard's send-side events into its own. The stream is
+/// replayed into the real sink only when the attempt succeeds, so a
+/// fallback emits nothing.
 class BufferSink final : public TraceSink {
  public:
   explicit BufferSink(std::vector<TraceEvent>& out) : out_(out) {}
@@ -63,7 +61,7 @@ std::uint32_t await(const std::atomic<std::uint32_t>& a, Done done) noexcept {
   return v;
 }
 
-/// Adds one shard's fast-path partials to the run's counters.
+/// Adds one shard's partials to the run's counters.
 void add_partials(RunResult& result, const Metrics& m,
                   const FaultCounters& f) {
   Metrics& to = result.metrics;
@@ -173,7 +171,8 @@ class ShardedExecutionContext::Workers {
 // ---------------------------------------------------------------------------
 
 ShardedExecutionContext::ShardedExecutionContext(std::uint32_t shards)
-    : shards_(resolve_shards(shards)),
+    : shards_(shards > 0 ? shards
+                         : static_cast<std::uint32_t>(usable_cpus())),
       scheduler_(SchedulerKind::kSynchronous, 0, 1) {}
 
 ShardedExecutionContext::~ShardedExecutionContext() = default;
@@ -193,6 +192,8 @@ RunResult ShardedExecutionContext::run(const PortGraph& g, NodeId source,
              options.scheduler == SchedulerKind::kAsyncLifo ||
              options.scheduler == SchedulerKind::kAsyncAdversarial) {
     up_front = FallbackReason::kScheduler;
+  } else if (options.fault.duplicate > 0) {
+    up_front = FallbackReason::kDuplicate;
   }
   if (up_front != FallbackReason::kNone) {
     stats_.fell_back = true;
@@ -238,12 +239,14 @@ FallbackReason ShardedExecutionContext::attempt(
   // success: a fallback must leave no trace of the discarded attempt.
   TraceSink* const sink = options.trace_sink;
   sink_buf_.clear();
-  BufferSink buffer(sink_buf_);
 
   const bool faulty = plane_.bind(g, source, advice, options, result);
   const FaultPlan& faults = plane_.fault_plan;
   const bool message_faulty = faulty && faults.message_faults();
-  if (sink) plane_.trace_prologue(buffer, faulty);
+  if (sink) {
+    BufferSink prologue(sink_buf_);
+    plane_.trace_prologue(prologue, faulty);
+  }
 
   const SchedulerKind kind = options.scheduler;
   const DeliveryOrder order =
@@ -293,56 +296,15 @@ FallbackReason ShardedExecutionContext::attempt(
   const Endpoint* const endpoints = g.csr_endpoints();
   scheduler_.reset(kind, options.seed, options.max_delay, offsets[n]);
 
-  // The fast path needs delivery keys that are pure in (now, seq, link),
-  // sends that consume exactly one sequence number each and no stop inside
-  // an epoch it cannot see coming; the link-clock scheduler, sinks,
-  // duplication faults and max_events take the serial finalizer.
-  const bool fast = Scheduler::is_pure(kind) && sink == nullptr &&
-                    !(faulty && options.fault.duplicate > 0) &&
-                    options.max_events == 0;
-
   informed_.assign(n, 0);
   informed_[source] = 1;
-
-  // The serial finalizer's submit state, counting into `result`.
-  SubmitState st(g, options, result);
-  if (message_faulty) st.faults = &faults;
-  if (sink) st.sink = &buffer;
 
   // Epoch state, written by the coordinator between passes.
   bool start = true;             // this pass runs the on_start activations
   std::int64_t epoch_key = 0;
-  std::uint64_t epoch_seq = 0;   // fast path: the epoch's first send number
+  std::uint64_t epoch_seq = 0;   // the epoch's first send number
   std::int64_t inflight = 0;     // emulated single-queue size (V-trajectory)
   std::int64_t queue_peak = 0;
-
-  // Delivery-side accounting of one processed event. False for a dead
-  // delivery: nothing to submit.
-  auto account = [](SubmitState& to, const ProcessedEvent& pe) {
-    if (!pe.popped) return true;
-    if (pe.dead) {
-      ++to.fault_counters->dead_deliveries;
-      return false;
-    }
-    ++to.metrics->deliveries;
-    if (pe.now > to.metrics->completion_key) {
-      to.metrics->completion_key = pe.now;
-    }
-    return true;
-  };
-
-  // Appends one admitted copy, under its delivery key, to shard `from`'s
-  // mailbox for the copy's destination shard.
-  auto post = [&](std::uint32_t from, const AdmittedCopy& c,
-                  std::int64_t key) {
-    Shard& sh = shards_state_[from];
-    const Endpoint dst = endpoints[c.link];
-    const std::uint32_t d = part.shard_of(dst.node);
-    sh.outbox[d].push_back(
-        MailboxEntry{key, c.seq, dst.node, dst.port, c.informed, c.msg});
-    if (key < sh.mail_min) sh.mail_min = key;
-    if (d != from) ++sh.cross;
-  };
 
   // --- phase A: inbound mail, then the epoch's events ----------------------
 
@@ -495,7 +457,7 @@ FallbackReason ShardedExecutionContext::attempt(
     }
   };
 
-  // --- phase B: ranks, then the fast finalizer or the rank table ----------
+  // --- phase B: ranks, then the submit loop per shard ----------------------
 
   // Calls visit(i, rank, before) for shard s's events in order, where rank
   // counts the epoch's events on every shard ordered before event i, and
@@ -524,47 +486,61 @@ FallbackReason ShardedExecutionContext::attempt(
     }
   };
 
-  // The fast finalizer of shard s's events: the submit loop counting into
-  // the shard's partials (the coordinator checks the message budget), with
-  // keys pure in (now, seq, link) and every copy routed to a mailbox.
-  auto phase_b_fast = [&](std::uint32_t s) {
+  // The submit loop over shard s's events, counting into the shard's
+  // partials (the coordinator checks the message budget). Without
+  // duplication every send consumes exactly one sequence number, so an
+  // event's first one is the epoch's plus the sends ranked before it.
+  // Under a sink, the send-side events go to the shard's trace buffer and
+  // the rank table says where.
+  auto phase_b = [&](std::uint32_t s) {
     Shard& sh = shards_state_[s];
     SubmitState local(g, options, result);
     local.max_messages = std::numeric_limits<std::uint64_t>::max();
     local.metrics = &sh.metrics;
     local.fault_counters = &sh.faults;
     if (message_faulty) local.faults = &faults;
+    BufferSink sent(sh.trace);
+    if (sink) local.sink = &sent;
     std::int32_t pushes = 0;
+    // Appends one admitted copy, under its delivery key, to this shard's
+    // mailbox for the copy's destination shard.
     auto route = [&](const AdmittedCopy& c) {
-      post(s, c,
-           Scheduler::pure_key(kind, c.now, c.seq, c.link, options.seed,
-                               options.max_delay) +
-               static_cast<std::int64_t>(c.extra_delay));
+      const std::int64_t key = scheduler_.delivery_key(c.now, c.seq, c.link) +
+                               static_cast<std::int64_t>(c.extra_delay);
+      const Endpoint dst = endpoints[c.link];
+      const std::uint32_t d = part.shard_of(dst.node);
+      sh.outbox[d].push_back(
+          MailboxEntry{key, c.seq, dst.node, dst.port, c.informed, c.msg});
+      if (key < sh.mail_min) sh.mail_min = key;
+      if (d != s) ++sh.cross;
       ++pushes;
       return true;
     };
     rank_events(s, [&](std::size_t i, std::size_t rank, std::uint64_t before) {
       const ProcessedEvent& pe = sh.processed[i];
+      const auto sent_begin = static_cast<std::uint32_t>(sh.trace.size());
       pushes = 0;
-      if (account(local, pe)) {
-        local.seq = epoch_seq + before;
-        if (submit_sends(local, pe.node, pe.informed, pe.now,
-                         sh.sends.data() + pe.send_begin,
-                         sh.sends.data() + pe.send_end, route)
-                .verdict != SubmitVerdict::kOk) {
-          sh.stop = FallbackReason::kViolation;
-          return false;
-        }
+      if (pe.dead) {
+        ++sh.faults.dead_deliveries;
+      } else if (pe.popped) {
+        ++sh.metrics.deliveries;
+        sh.metrics.completion_key = std::max(sh.metrics.completion_key, pe.now);
+      }
+      // A dead delivery has no sends: the loop returns before any check.
+      local.seq = epoch_seq + before;
+      if (submit_sends(local, pe.node, pe.informed, pe.now,
+                       sh.sends.data() + pe.send_begin,
+                       sh.sends.data() + pe.send_end, route)
+              .verdict != SubmitVerdict::kOk) {
+        sh.stop = FallbackReason::kViolation;
+        return false;
       }
       deltas_[rank] = pushes - (pe.popped ? 1 : 0);
+      if (sink) {
+        by_rank_[rank] = {s, static_cast<std::uint32_t>(i), sent_begin,
+                          static_cast<std::uint32_t>(sh.trace.size())};
+      }
       sh.pushes += static_cast<std::uint64_t>(pushes);
-      return true;
-    });
-  };
-
-  auto phase_b_serial = [&](std::uint32_t s) {
-    rank_events(s, [&](std::size_t i, std::size_t rank, std::uint64_t) {
-      by_rank_[rank] = {s, static_cast<std::uint32_t>(i)};
       return true;
     });
   };
@@ -577,46 +553,10 @@ FallbackReason ShardedExecutionContext::attempt(
     workers_->sync();
     if (s >= S || shards_state_[s].stop != FallbackReason::kNone) return;
     try {
-      if (fast) {
-        phase_b_fast(s);
-      } else {
-        phase_b_serial(s);
-      }
+      phase_b(s);
     } catch (...) {  // an allocation failure routing the mail
       shards_state_[s].stop = FallbackReason::kBehaviorException;
     }
-  };
-
-  // --- the serial finalizer: the submit loop in rank order ----------------
-  // Any violation stops the canonical run mid-epoch, which only the
-  // fallback can reproduce.
-  auto finalize_serial = [&](std::size_t events) {
-    for (std::size_t r = 0; r < events; ++r) {
-      const std::uint32_t p = by_rank_[r].first;
-      const Shard& sh = shards_state_[p];
-      const ProcessedEvent& pe = sh.processed[by_rank_[r].second];
-      if (sink) {
-        sink_buf_.insert(sink_buf_.end(), sh.trace.begin() + pe.trace_begin,
-                         sh.trace.begin() + pe.trace_end);
-      }
-      if (pe.popped) --inflight;
-      if (!account(st, pe)) continue;
-      auto place = [&](const AdmittedCopy& c) {
-        post(p, c,
-             scheduler_.delivery_key(c.now, c.seq, c.link) +
-                 static_cast<std::int64_t>(c.extra_delay));
-        if (++inflight > queue_peak) queue_peak = inflight;
-        return true;
-      };
-      const SubmitVerdict verdict =
-          submit_sends(st, pe.node, pe.informed, pe.now,
-                       sh.sends.data() + pe.send_begin,
-                       sh.sends.data() + pe.send_end, place)
-              .verdict;
-      if (verdict == SubmitVerdict::kBudget) return FallbackReason::kBudget;
-      if (verdict != SubmitVerdict::kOk) return FallbackReason::kViolation;
-    }
-    return FallbackReason::kNone;
   };
 
   // --- main loop: the start pass, then one pass per epoch -----------------
@@ -634,19 +574,14 @@ FallbackReason ShardedExecutionContext::attempt(
     // Phase B writes one entry per event at its rank: an epoch pops at most
     // the pending count, the start pass activates at most n nodes.
     const std::size_t most = start ? n : static_cast<std::size_t>(inflight);
-    if (fast) {
-      if (deltas_.size() < most) deltas_.resize(most);
-    } else if (by_rank_.size() < most) {
-      by_rank_.resize(most);
-    }
+    if (deltas_.size() < most) deltas_.resize(most);
+    if (sink && by_rank_.size() < most) by_rank_.resize(most);
     workers_->run(pass);
 
     std::size_t events = 0;
     std::uint64_t sends = 0;
     std::uint64_t pushes = 0;
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const Shard& sh = shards_state_[s];
-      if (sh.stop != FallbackReason::kNone) return sh.stop;
+    for (const Shard& sh : shards_state_) {
       events += sh.processed.size();
       sends += sh.sends.size();
       pushes += sh.pushes;
@@ -654,31 +589,39 @@ FallbackReason ShardedExecutionContext::attempt(
     if (!start) {
       ++stats_.epochs;
       processed += events;
-      // A budget edge inside the epoch stops the canonical engine there.
+      // A cap inside the epoch stops the canonical engine there.
       if (options.max_events > 0 && processed > options.max_events) {
         return FallbackReason::kMaxEvents;
       }
     }
-    if (fast) {
-      // Every send consumed one sequence number and counted one message.
-      if (epoch_seq + sends > options.max_messages) {
-        return FallbackReason::kBudget;
-      }
-      epoch_seq += sends;
-      // Replay the single queue's depth trajectory in rank order — unless
-      // even all of the epoch's pushes cannot lift it past the peak.
-      const std::int64_t pops = start ? 0 : static_cast<std::int64_t>(events);
-      if (inflight + static_cast<std::int64_t>(pushes) > queue_peak) {
-        for (std::size_t r = 0; r < events; ++r) {
-          inflight += deltas_[r];
-          if (inflight > queue_peak) queue_peak = inflight;
-        }
-      } else {
-        inflight += static_cast<std::int64_t>(pushes) - pops;
+    for (const Shard& sh : shards_state_) {
+      if (sh.stop != FallbackReason::kNone) return sh.stop;
+    }
+    // Every send consumed one sequence number and counted one message.
+    if (epoch_seq + sends > options.max_messages) {
+      return FallbackReason::kBudget;
+    }
+    epoch_seq += sends;
+    // Replay the single queue's depth trajectory in rank order — unless
+    // even all of the epoch's pushes cannot lift it past the peak.
+    const std::int64_t pops = start ? 0 : static_cast<std::int64_t>(events);
+    if (inflight + static_cast<std::int64_t>(pushes) > queue_peak) {
+      for (std::size_t r = 0; r < events; ++r) {
+        inflight += deltas_[r];
+        if (inflight > queue_peak) queue_peak = inflight;
       }
     } else {
-      const FallbackReason why = finalize_serial(events);
-      if (why != FallbackReason::kNone) return why;
+      inflight += static_cast<std::int64_t>(pushes) - pops;
+    }
+    // The stream in rank order: each event's delivery side, then its sends.
+    for (std::size_t r = 0; sink && r < events; ++r) {
+      const RankedEvent& e = by_rank_[r];
+      const std::vector<TraceEvent>& trace = shards_state_[e.shard].trace;
+      const ProcessedEvent& pe = shards_state_[e.shard].processed[e.event];
+      sink_buf_.insert(sink_buf_.end(), trace.begin() + pe.trace_begin,
+                       trace.begin() + pe.trace_end);
+      sink_buf_.insert(sink_buf_.end(), trace.begin() + e.sent_begin,
+                       trace.begin() + e.sent_end);
     }
     start = false;
 

@@ -23,9 +23,22 @@
 //    order, into its own queue (sim/event_heap.h, the discipline
 //    Scheduler::delivery_order picks, its ring floor raised to K), then
 //    pops and runs its key-K events. In phase B every shard ranks its
-//    events among all shards' by their global `order` and derives each
+//    events among all shards' by their global `order`, derives each
 //    event's first sequence number from the other shards' send counts —
-//    exactly the numbers the single-threaded engine would assign.
+//    exactly the numbers the single-threaded engine would assign — and
+//    runs the engines' one submit loop (sim/run_plane.h) over them:
+//    wakeup and port checks, counts into per-shard partials, fault
+//    decisions (keyed on (seq, link), so shard-count-invariant), delivery
+//    keys and routing into per-destination mailboxes, and each event's
+//    push − pop delta written at its rank. Keys come from
+//    Scheduler::delivery_key; kAsyncLinkFifo's clock of link
+//    offsets[v] + port is read and advanced only by v's shard, in the
+//    single-threaded engine's order. Under a sink, each shard records its
+//    send-side events into its own buffer and writes every event's rank.
+//  * between passes the coordinator reduces the partials, checks the
+//    message and event budgets, replays the rank-ordered deltas for
+//    queue_depth_peak, splices the sink stream in rank order and picks the
+//    next key from the queue tops and the mailbox minima.
 //
 // Determinism contract: for every (graph, source, advice, algorithm,
 // options), run() returns a RunResult bit-identical (RunResult::operator==)
@@ -33,31 +46,14 @@
 // stream. Pinned by tests/test_sharded_engine.cpp,
 // tests/test_sharded_goldens.cpp and the fuzz sweep.
 //
-// Both finalizers run the engines' one submit loop (sim/run_plane.h); they
-// differ in who runs it:
-//
-//  * the FAST path (kSynchronous and kAsyncRandom, no sink, no duplication
-//    faults, no max_events — delivery keys are pure functions of (now,
-//    seq, link) and every send consumes exactly one sequence number) runs
-//    it in phase B on every shard at once: wakeup and port checks, counts
-//    into per-shard partials, fault decisions (keyed on (seq, link), so
-//    shard-count-invariant), delivery keys and routing into per-destination
-//    mailboxes, plus each event's push − pop delta written at its rank. The
-//    coordinator only reduces the partials, checks the message budget,
-//    replays the rank-ordered deltas for queue_depth_peak and picks the
-//    next key from the queue tops and the mailbox minima;
-//  * the SERIAL path (the link-clock scheduler, active sinks, duplication,
-//    max_events) has phase B only write each event's rank; the coordinator
-//    then runs the submit loop in rank order and fills the mailboxes, with
-//    sink events collected by a buffering sink — parallelism then covers
-//    only behavior execution, which is correct but slower; it exists so
-//    observability and fault regimes keep exact semantics.
-//
 // Runs that are serial by nature go to the embedded single-threaded engine
 // up front: Byzantine plans and the adversarial scheduler (replay buffer
-// and probe history follow global delivery order), and kAsyncFifo and
+// and probe history follow global delivery order); kAsyncFifo and
 // kAsyncLifo, whose epochs hold one event and whose keys, under extra
-// delay, collide and fall below the epoch key.
+// delay, collide and fall below the epoch key; and duplication faults,
+// where a send's fault decision, keyed on its own sequence number, decides
+// whether it uses one number or two, so the numbers form a serial chain
+// across shards.
 //
 // Divergence handling: anything that stops the single-threaded engine
 // mid-epoch — a wakeup/port/budget violation, a behavior exception, an
@@ -84,17 +80,6 @@
 
 namespace oraclesize {
 
-/// Why a run was played by the embedded single-threaded engine instead.
-enum class FallbackReason : std::uint8_t {
-  kNone,
-  kScheduler,  ///< async-fifo, async-lifo or adversarial: routed up front
-  kAdversary,  ///< a Byzantine plan: routed up front
-  kViolation,  ///< a wakeup or port violation inside an epoch
-  kBudget,     ///< max_messages ran out inside an epoch
-  kBehaviorException,  ///< a behavior threw arming or handling an event
-  kMaxEvents,  ///< max_events landed inside an epoch
-};
-
 /// How the last run used the shard machinery. Reported out-of-band (never
 /// inside RunResult — result equality across shard counts is the contract).
 struct ShardedRunStats {
@@ -102,8 +87,10 @@ struct ShardedRunStats {
   std::uint64_t epochs = 0;  ///< barrier count (main loop only)
   std::uint64_t cross_shard_messages = 0;  ///< copies routed between shards
   bool fell_back = false;  ///< attempt discarded, replayed single-threaded
-  /// Why it fell back (kNone exactly when fell_back is false). A run that
-  /// would fail several ways reports the first the attempt detected.
+  /// Why it fell back (kNone exactly when fell_back is false, FallbackReason
+  /// in sim/engine.h). A run that would fail several ways inside one epoch
+  /// reports max_events landing there first, then the lowest shard's
+  /// failure, then the message budget.
   FallbackReason fallback = FallbackReason::kNone;
 
   friend bool operator==(const ShardedRunStats&,
@@ -116,9 +103,9 @@ struct ShardedRunStats {
 /// ShardedExecutionContext per caller thread.
 class ShardedExecutionContext {
  public:
-  /// `shards` = 0 picks one shard per available hardware thread. A value of
-  /// 1 (or a graph too small to split) runs on the embedded single-threaded
-  /// engine directly.
+  /// `shards` = 0 picks one shard per CPU the calling thread may run on
+  /// (util/cpus.h). A value of 1 (or a graph too small to split) runs on
+  /// the embedded single-threaded engine directly.
   explicit ShardedExecutionContext(std::uint32_t shards = 0);
   ~ShardedExecutionContext();
 
@@ -180,17 +167,28 @@ class ShardedExecutionContext {
     std::vector<ProcessedEvent> processed;  ///< this epoch's handled events
     /// The epoch's sends, appended to by the behaviors themselves.
     std::vector<Send> sends;
-    std::vector<TraceEvent> trace;          ///< buffered delivery-side events
+    /// Buffered sink events: phase A's delivery side, then phase B's send
+    /// side.
+    std::vector<TraceEvent> trace;
     std::vector<std::vector<MailboxEntry>> outbox;  ///< per destination shard
     /// Phase A's merge cursors over the non-empty inbound mailboxes.
     std::vector<std::pair<MailboxEntry*, MailboxEntry*>> inbound;
     std::vector<std::uint32_t> cursor;  ///< phase B's rank cursors, per shard
     std::int64_t mail_min = 0;  ///< smallest key routed this epoch
-    std::uint64_t pushes = 0;   ///< copies routed this epoch (fast path)
-    Metrics metrics;            ///< fast-path partials, reduced at the end
+    std::uint64_t pushes = 0;   ///< copies routed this epoch
+    Metrics metrics;            ///< counter partials, reduced at the end
     FaultCounters faults;
     std::uint64_t cross = 0;    ///< copies routed off-shard
     FallbackReason stop = FallbackReason::kNone;  ///< set by worker code
+  };
+
+  /// A rank-table entry: the event's shard and index, and the range of its
+  /// send-side events in that shard's trace buffer.
+  struct RankedEvent {
+    std::uint32_t shard = 0;
+    std::uint32_t event = 0;
+    std::uint32_t sent_begin = 0;
+    std::uint32_t sent_end = 0;
   };
 
   class Workers;  // persistent spin-then-park pool (sharded_engine.cpp)
@@ -218,10 +216,10 @@ class ShardedExecutionContext {
   std::vector<std::uint8_t> informed_;
   std::vector<TraceEvent> sink_buf_;  ///< whole-run buffered sink stream
   std::vector<Shard> shards_state_;
-  /// Phase B's output, indexed by an event's rank in the epoch: the fast
-  /// path's push − pop deltas, the serial path's (shard, index) pairs.
+  /// Phase B's output, indexed by an event's rank in the epoch: every
+  /// event's push − pop delta and, under a sink, where its events are.
   std::vector<std::int32_t> deltas_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> by_rank_;
+  std::vector<RankedEvent> by_rank_;
   std::unique_ptr<Workers> workers_;
 };
 

@@ -125,10 +125,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
 // Sharded-engine property sweep: for a grid of seeds, draw a network,
 // scheduler, fault plan, budgets, algorithm and shard count, and demand the
 // sharded engine reproduce the single-threaded run bit for bit. Each case
-// runs twice: without a sink, on the fast finalizer where the draw allows
-// it, and with a TraceRecorder, on the serial one, comparing the recorded
-// event stream too. Paths, thin grids and caterpillars at up to 8 shards
-// leave most shards idle for many epochs, and message budgets, event
+// runs twice, without a sink and with a TraceRecorder, comparing the
+// recorded event stream too. Paths, thin grids and caterpillars at up to 8
+// shards leave most shards idle for many epochs, and message budgets, event
 // budgets and extra delays cross the run at random points. This is the
 // randomized counterpart of the pinned matrix in
 // tests/test_sharded_goldens.cpp; between them the determinism contract is

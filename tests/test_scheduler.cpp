@@ -194,12 +194,11 @@ TEST(Scheduler, AsyncRandomDelayBounded) {
 }
 
 // The pure schedulers' one key switch is what delivery_key answers, so the
-// sharded routing pass and the seed-batch pass key messages identically.
+// engines and the seed-batch pass key messages identically.
 TEST(Scheduler, PureKeyMatchesDeliveryKey) {
   for (SchedulerKind kind :
        {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
         SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
-    ASSERT_TRUE(Scheduler::is_pure(kind));
     Scheduler s(kind, 31, 12);
     for (std::uint64_t seq = 0; seq < 40; ++seq) {
       const std::uint64_t link = seq * 7 % 11;
@@ -208,8 +207,6 @@ TEST(Scheduler, PureKeyMatchesDeliveryKey) {
           << to_string(kind) << " seq " << seq;
     }
   }
-  EXPECT_FALSE(Scheduler::is_pure(SchedulerKind::kAsyncLinkFifo));
-  EXPECT_FALSE(Scheduler::is_pure(SchedulerKind::kAsyncAdversarial));
 }
 
 TEST(Scheduler, Names) {

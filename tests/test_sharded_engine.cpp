@@ -5,11 +5,13 @@
 // vectors in one expression; the sink tests extend the comparison to the
 // structured event stream via trace digests.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "sim/execution_context.h"
 #include "sim/sharded_engine.h"
 #include "sim/trace_recorder.h"
+#include "util/cpus.h"
 
 namespace oraclesize {
 namespace {
@@ -97,6 +100,25 @@ RunResult expect_identical(const PortGraph& g, NodeId source,
   return want;
 }
 
+/// expect_identical with a TraceRecorder on each side: the sink streams
+/// must match event for event too.
+void expect_identical_traced(const PortGraph& g, NodeId source,
+                             const std::vector<BitString>& advice,
+                             const Algorithm& algorithm, RunOptions options,
+                             ShardedExecutionContext& sharded,
+                             const std::string& context_msg) {
+  TraceRecorder want_trace, got_trace;
+  options.trace_sink = &want_trace;
+  ExecutionContext legacy;
+  const RunResult want = legacy.run(g, source, advice, algorithm, options);
+  options.trace_sink = &got_trace;
+  EXPECT_EQ(sharded.run(g, source, advice, algorithm, options), want)
+      << context_msg;
+  const std::vector<TraceEvent> want_events = want_trace.take().events;
+  EXPECT_FALSE(want_events.empty()) << context_msg;
+  EXPECT_EQ(got_trace.take().events, want_events) << context_msg;
+}
+
 TEST(ShardedEngine, MatchesLegacyAcrossSchedulersAndShardCounts) {
   Rng rng(20260808);
   std::vector<PortGraph> graphs;
@@ -159,35 +181,60 @@ TEST(ShardedEngine, StatsReportShardsEpochsAndCrossTraffic) {
   EXPECT_LE(st.cross_shard_messages, got.metrics.messages_total);
 }
 
-TEST(ShardedEngine, FaultMatrixMatchesOnBothFinalizePaths) {
-  // duplicate = 0 keeps sync and async-random on the fast (parallel)
-  // finalizer; duplicate > 0 forces the serial one. Every combination must
-  // agree with the legacy engine bit for bit. async-fifo and async-lifo,
-  // extra delay included, run on the embedded scalar engine: under extra
-  // delay their keys collide and fall below the epoch key.
+TEST(ShardedEngine, FaultMatrixMatchesOnTheOneFinalizer) {
+  // The full fault matrix under every scheduler, with and without
+  // duplication, each cell plain, traced and under a max_events cap past
+  // the run's end, at four shard counts. sync, async-random and
+  // async-link-fifo stay sharded; duplication goes to the embedded scalar
+  // engine up front (a send's fault decides whether it uses one sequence
+  // number or two), and so do async-fifo and async-lifo, whose keys under
+  // extra delay collide and fall below the epoch key. Every cell must
+  // equal the scalar run, sink stream included.
   Rng rng(21);
   const PortGraph g = make_random_connected(48, 0.12, rng);
   const NullOracle oracle;
   const FloodingAlgorithm flooding;
   const std::vector<BitString> advice = advice_for(g, 3, oracle);
-  ShardedExecutionContext engine(3);
-  for (const SchedulerKind sched :
-       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
-        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo}) {
-    const bool serial_by_nature = sched == SchedulerKind::kAsyncFifo ||
-                                  sched == SchedulerKind::kAsyncLifo;
-    for (const double duplicate : {0.0, 0.05}) {
-      const std::string cell =
-          std::string(to_string(sched)) + " dup=" + std::to_string(duplicate);
-      expect_identical(g, 3, advice, flooding,
-                       faulty_options(sched, duplicate), engine, cell);
-      EXPECT_EQ(engine.last_stats().fell_back, serial_by_nature) << cell;
-      EXPECT_EQ(engine.last_stats().fallback,
-                serial_by_nature ? FallbackReason::kScheduler
-                                 : FallbackReason::kNone)
-          << cell;
+  for (const std::uint32_t shards : {2u, 3u, 4u, 8u}) {
+    ShardedExecutionContext engine(shards);
+    for (const SchedulerKind sched :
+         {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
+          SchedulerKind::kAsyncLinkFifo, SchedulerKind::kAsyncFifo,
+          SchedulerKind::kAsyncLifo}) {
+      const bool serial_by_nature = sched == SchedulerKind::kAsyncFifo ||
+                                    sched == SchedulerKind::kAsyncLifo;
+      for (const double duplicate : {0.0, 0.05}) {
+        FallbackReason want = FallbackReason::kNone;
+        if (serial_by_nature) {
+          want = FallbackReason::kScheduler;
+        } else if (duplicate > 0) {
+          want = FallbackReason::kDuplicate;
+        }
+        for (const std::string_view run : {"plain", "traced", "capped"}) {
+          const std::string cell =
+              std::string(to_string(sched)) + " dup=" +
+              std::to_string(duplicate) + " " + std::string(run) +
+              " shards " + std::to_string(shards);
+          RunOptions opts = faulty_options(sched, duplicate);
+          if (run == "capped") opts.max_events = 1'000'000;
+          if (run == "traced") {
+            expect_identical_traced(g, 3, advice, flooding, opts, engine,
+                                    cell);
+          } else {
+            expect_identical(g, 3, advice, flooding, opts, engine, cell);
+          }
+          EXPECT_EQ(engine.last_stats().fell_back,
+                    want != FallbackReason::kNone)
+              << cell;
+          EXPECT_EQ(engine.last_stats().fallback, want) << cell;
+          if (want == FallbackReason::kNone) {
+            EXPECT_EQ(engine.last_stats().shards, shards) << cell;
+          }
+        }
+      }
     }
   }
+  ShardedExecutionContext engine(3);
   // Extra delay alone, wide enough to fill the 64-key ring: sync keys span
   // max_extra_delay + 2 values, async-random max_delay + max_extra_delay + 1.
   for (const auto& [sched, extra] :
@@ -277,8 +324,8 @@ TEST(ShardedEngine, RingFloorFollowsTheEpochKey) {
 
 TEST(ShardedEngine, LegacyTraceVectorMatches) {
   // The transmission stream at TraceLevel::kMessages — every send and
-  // delivery — must match event for event; a sink routes the run through
-  // the serial finalizer.
+  // delivery — must match event for event: phase A buffers the delivery
+  // side and phase B the send side, spliced in rank order.
   Rng rng(77);
   const PortGraph g = make_random_connected(50, 0.1, rng);
   const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
@@ -342,7 +389,8 @@ TEST(ShardedEngine, BudgetViolationFallsBackToIdenticalResult) {
   EXPECT_TRUE(engine.last_stats().fell_back);
   EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kBudget);
   EXPECT_EQ(engine.last_stats().epochs, 0u);
-  // The same crossing on the serial finalizer (a sink is attached).
+  // The same crossing with a sink attached: nothing of the discarded
+  // attempt reaches it.
   TraceRecorder recorder;
   opts.trace_sink = &recorder;
   expect_identical(g, 0, advice, FloodingAlgorithm(), opts, engine,
@@ -401,7 +449,8 @@ TEST(ShardedEngine, WakeupViolationFallsBackToIdenticalResult) {
 
 TEST(ShardedEngine, UpFrontRoutesReportTheirReason) {
   // Byzantine plans and the adversarial scheduler follow global delivery
-  // order; they never start a sharded attempt.
+  // order, and duplication chains the sequence numbers; they never start a
+  // sharded attempt.
   Rng rng(17);
   const PortGraph g = make_random_connected(48, 0.12, rng);
   const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
@@ -418,6 +467,16 @@ TEST(ShardedEngine, UpFrontRoutesReportTheirReason) {
   expect_identical(g, 0, advice, FloodingAlgorithm(), adversarial, engine,
                    "adversarial scheduler");
   EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kScheduler);
+  // A duplicated send uses two sequence numbers, so each event's first
+  // number depends on every earlier send's fault: a serial chain.
+  RunOptions duplication;
+  duplication.fault.seed = 9;
+  duplication.fault.duplicate = 0.1;
+  expect_identical(g, 0, advice, FloodingAlgorithm(), duplication, engine,
+                   "duplication");
+  EXPECT_TRUE(engine.last_stats().fell_back);
+  EXPECT_EQ(engine.last_stats().fallback, FallbackReason::kDuplicate);
+  EXPECT_EQ(engine.last_stats().epochs, 0u);
 }
 
 TEST(ShardedEngine, BehaviorExceptionFallsBackWithItsReason) {
@@ -512,22 +571,44 @@ TEST(ShardedEngine, BarrierSurvivesParkingAndTeardown) {
   // std::atomic::wait. Many short runs separated by pauses around and far
   // past that bound make them park and wake again, mid-run and between
   // runs; contexts are destroyed both right after a run, while their
-  // helpers still spin, and after a pause, while they sleep. Both
-  // finalizers run. Every run must match the legacy engine.
+  // helpers still spin, and after a pause, while they sleep. Every third
+  // run alternates a traced run and a link-fifo run, whose phase B records
+  // send-side events or advances link clocks on every shard. Every run
+  // must match the legacy engine, trace stream included.
   Rng rng(41);
   const PortGraph g = make_random_connected_sparse(90, 40, rng);
   const std::vector<BitString> advice = advice_for(g, 0, NullOracle());
-  RunOptions fast;
-  fast.scheduler = SchedulerKind::kAsyncRandom;
-  fast.seed = 3;
-  RunOptions serial = fast;
-  serial.fault.seed = 9;
-  serial.fault.duplicate = 0.1;
+  RunOptions plain;
+  plain.scheduler = SchedulerKind::kAsyncRandom;
+  plain.seed = 3;
+  RunOptions link_fifo = plain;
+  link_fifo.scheduler = SchedulerKind::kAsyncLinkFifo;
   ExecutionContext legacy;
-  const RunResult want_fast =
-      legacy.run(g, 0, advice, FloodingAlgorithm(), fast);
-  const RunResult want_serial =
-      legacy.run(g, 0, advice, FloodingAlgorithm(), serial);
+  TraceRecorder recorder;
+  RunOptions traced = plain;
+  traced.trace_sink = &recorder;
+  const RunResult want_plain =
+      legacy.run(g, 0, advice, FloodingAlgorithm(), plain);
+  const RunResult want_fifo =
+      legacy.run(g, 0, advice, FloodingAlgorithm(), link_fifo);
+  (void)legacy.run(g, 0, advice, FloodingAlgorithm(), traced);
+  const std::uint64_t want_digest = recorder.take().digest();
+  // One of the three runs, checked against the legacy engine's answer.
+  enum Run { kPlain, kTraced, kLinkFifo };
+  auto check = [&](ShardedExecutionContext& engine, Run run) {
+    switch (run) {
+      case kTraced:
+        return engine.run(g, 0, advice, FloodingAlgorithm(), traced) ==
+                   want_plain &&
+               recorder.take().digest() == want_digest;
+      case kLinkFifo:
+        return engine.run(g, 0, advice, FloodingAlgorithm(), link_fifo) ==
+               want_fifo;
+      default:
+        return engine.run(g, 0, advice, FloodingAlgorithm(), plain) ==
+               want_plain;
+    }
+  };
   const std::chrono::microseconds pauses[] = {
       std::chrono::microseconds(0), std::chrono::microseconds(40),
       std::chrono::microseconds(70), std::chrono::microseconds(300),
@@ -535,22 +616,18 @@ TEST(ShardedEngine, BarrierSurvivesParkingAndTeardown) {
   ShardedExecutionContext engine(4);
   for (int round = 0; round < 60; ++round) {
     std::this_thread::sleep_for(pauses[round % 5]);
-    const bool use_fast = round % 3 != 0;
-    ASSERT_EQ(engine.run(g, 0, advice, FloodingAlgorithm(),
-                         use_fast ? fast : serial),
-              use_fast ? want_fast : want_serial)
-        << "round " << round;
+    const Run run = round % 3 != 0       ? kPlain
+                    : (round / 3) % 2 != 0 ? kLinkFifo
+                                           : kTraced;
+    ASSERT_TRUE(check(engine, run)) << "round " << round;
     ASSERT_FALSE(engine.last_stats().fell_back) << "round " << round;
     {
       ShardedExecutionContext spinning(3);
-      ASSERT_EQ(spinning.run(g, 0, advice, FloodingAlgorithm(), fast),
-                want_fast)
-          << "round " << round;
+      ASSERT_TRUE(check(spinning, kPlain)) << "round " << round;
     }  // destroyed while its helpers spin
     if (round % 10 == 0) {
       ShardedExecutionContext sleeping(2);
-      ASSERT_EQ(sleeping.run(g, 0, advice, FloodingAlgorithm(), serial),
-                want_serial)
+      ASSERT_TRUE(check(sleeping, round % 20 != 0 ? kLinkFifo : kTraced))
           << "round " << round;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }  // destroyed while its helpers sleep
@@ -582,33 +659,83 @@ TEST(ShardedEngine, BatchRunnerRoutesBigTrialsThroughShardPolicy) {
                                                     &flooding});
   for (NodeId src : {0u, 3u}) specs.push_back({&small, src, &oracle,
                                                &flooding});
+  // Two big trials the sharded engine hands to its scalar engine, for two
+  // reasons: duplication up front, a budget crossing inside an epoch.
+  RunOptions duplication;
+  duplication.fault.seed = 4;
+  duplication.fault.duplicate = 0.1;
+  specs.push_back({&big, 7, &oracle, &flooding, duplication});
+  RunOptions budget;
+  budget.max_messages = 25;
+  specs.push_back({&big, 9, &oracle, &flooding, budget});
 
   ShardPolicy policy;
   policy.shards = 3;
   policy.min_nodes = 50;
-  BatchStats plain_stats, sharded_stats;
+  BatchStats plain_stats, sharded_stats, sharded_stats_4;
   const std::vector<TaskReport> plain =
       BatchRunner(2).run(specs, &plain_stats);
   const std::vector<TaskReport> sharded =
-      BatchRunner(2, true, RetryPolicy{}, policy).run(specs, &sharded_stats);
+      BatchRunner(1, true, RetryPolicy{}, policy).run(specs, &sharded_stats);
+  const std::vector<TaskReport> sharded_4 =
+      BatchRunner(4, true, RetryPolicy{}, policy).run(specs, &sharded_stats_4);
   ASSERT_EQ(plain.size(), sharded.size());
+  ASSERT_EQ(sharded_4.size(), sharded.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(sharded[i].run, plain[i].run) << "spec " << i;
+    EXPECT_EQ(sharded_4[i].run, plain[i].run) << "spec " << i;
+    EXPECT_EQ(sharded_4[i].fallback, sharded[i].fallback) << "spec " << i;
     EXPECT_EQ(plain[i].shards, 1u);
-    if (specs[i].graph == &big) {
+    EXPECT_EQ(plain[i].fallback, FallbackReason::kNone);
+    if (i < 3) {  // the clean big trials
       EXPECT_EQ(sharded[i].shards, 3u) << "spec " << i;
       EXPECT_GT(sharded[i].epochs, 0u);
+      EXPECT_EQ(sharded[i].fallback, FallbackReason::kNone);
     } else {
       EXPECT_EQ(sharded[i].shards, 1u) << "spec " << i;
       EXPECT_EQ(sharded[i].epochs, 0u);
     }
   }
-  // The new aggregate counters surface in the metrics snapshot (new keys
-  // only — plain batches carry zeros).
-  EXPECT_EQ(sharded_stats.metrics.counters.at("sharded_trials"), 3u);
+  EXPECT_EQ(sharded[3].fallback, FallbackReason::kNone);  // small: unclaimed
+  EXPECT_EQ(sharded[5].fallback, FallbackReason::kDuplicate);
+  EXPECT_EQ(sharded[6].fallback, FallbackReason::kBudget);
+  // The aggregate counters surface in the metrics snapshot, one fallback
+  // counter per reason, and read the same at any jobs().
+  const auto& counters = sharded_stats.metrics.counters;
+  EXPECT_EQ(counters.at("sharded_trials"), 3u);
   EXPECT_EQ(plain_stats.metrics.counters.at("sharded_trials"), 0u);
-  EXPECT_GT(sharded_stats.metrics.counters.at("sharded_epochs"), 0u);
-  EXPECT_GT(sharded_stats.metrics.counters.at("cross_shard_messages"), 0u);
+  EXPECT_GT(counters.at("sharded_epochs"), 0u);
+  EXPECT_GT(counters.at("cross_shard_messages"), 0u);
+  for (std::size_t r = 1; r < kFallbackReasons; ++r) {
+    const auto reason = static_cast<FallbackReason>(r);
+    const std::string name =
+        std::string("sharded_fallback_") + to_string(reason);
+    const bool hit = reason == FallbackReason::kDuplicate ||
+                     reason == FallbackReason::kBudget;
+    EXPECT_EQ(counters.at(name), hit ? 1u : 0u) << name;
+    EXPECT_EQ(plain_stats.metrics.counters.at(name), 0u) << name;
+  }
+  EXPECT_EQ(sharded_stats_4.metrics, sharded_stats.metrics);
+}
+
+TEST(ShardedEngine, AutomaticCountsFollowTheAffinityMask) {
+  // "0 = automatic" means one worker per CPU this thread may run on: a
+  // thread pinned to one CPU gets one job, one shard and one partition.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  EXPECT_EQ(usable_cpus(), 1u);
+  EXPECT_EQ(BatchRunner(0).jobs(), 1u);
+  EXPECT_EQ(ShardedExecutionContext(0).configured_shards(), 1u);
+  EXPECT_EQ(make_partition(make_grid(8, 8), PartitionOptions{}).num_shards(),
+            1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(usable_cpus(), static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(ShardedEngine, ShardPolicyDisabledByDefault) {

@@ -203,38 +203,59 @@ int audit() {
   }
   {
     // Sharded: 16x16, 32x32 and 64x64 grids from a corner hold 30, 62 and
-    // 126 epochs on four shards, each a pass of the worker pool.
+    // 126 epochs on four shards, each a pass of the worker pool. The
+    // link-fifo row advances link clocks in phase B and the max-events row
+    // counts events against a cap past the run's end; both must allocate
+    // exactly what the synchronous flooding row does.
     const PortGraph grids[] = {make_grid(16, 16), make_grid(32, 32),
                                make_grid(64, 64)};
     const TreeWakeupOracle wakeup_oracle;
     const WakeupTreeAlgorithm wakeup;
     const FloodingAlgorithm flooding;
-    for (const bool use_wakeup : {true, false}) {
+    struct Row {
+      const char* label;
+      bool use_wakeup;
+      SchedulerKind scheduler;
+      std::uint64_t max_events;
+    };
+    const Row rows[] = {
+        {"wakeup", true, SchedulerKind::kSynchronous, 0},
+        {"flooding", false, SchedulerKind::kSynchronous, 0},
+        {"link-fifo", false, SchedulerKind::kAsyncLinkFifo, 0},
+        {"max-events", false, SchedulerKind::kSynchronous, 1'000'000},
+    };
+    std::size_t counts[4][3];
+    for (std::size_t r = 0; r < 4; ++r) {
+      const Row& row = rows[r];
       RunOptions opts;
-      opts.enforce_wakeup = use_wakeup;
-      std::size_t counts[3];
+      opts.enforce_wakeup = row.use_wakeup;
+      opts.scheduler = row.scheduler;
+      opts.max_events = row.max_events;
       std::uint64_t epochs[3];
       for (int i = 0; i < 3; ++i) {
         const std::vector<BitString> advice =
-            use_wakeup ? wakeup_oracle.advise(grids[i], 0)
-                       : std::vector<BitString>(grids[i].num_nodes());
-        counts[i] = count_steady_sharded_run(
+            row.use_wakeup ? wakeup_oracle.advise(grids[i], 0)
+                           : std::vector<BitString>(grids[i].num_nodes());
+        counts[r][i] = count_steady_sharded_run(
             grids[i], advice,
-            use_wakeup ? static_cast<const Algorithm&>(wakeup)
-                       : static_cast<const Algorithm&>(flooding),
+            row.use_wakeup ? static_cast<const Algorithm&>(wakeup)
+                           : static_cast<const Algorithm&>(flooding),
             opts, epochs[i]);
       }
-      const std::size_t hi = std::max({counts[0], counts[1], counts[2]});
-      const std::size_t lo = std::min({counts[0], counts[1], counts[2]});
-      const bool ok = hi - lo <= 8;
+      const std::size_t* c = counts[r];
+      const std::size_t hi = std::max({c[0], c[1], c[2]});
+      const std::size_t lo = std::min({c[0], c[1], c[2]});
+      const bool flat = hi - lo <= 8;
+      const bool as_flooding = r < 2 || std::equal(c, c + 3, counts[1]);
       std::printf(
-          "sharded-%-8s epochs %llu/%llu/%llu: %zu/%zu/%zu allocs   %s\n",
-          use_wakeup ? "wakeup" : "flooding",
-          static_cast<unsigned long long>(epochs[0]),
+          "sharded-%-10s epochs %llu/%llu/%llu: %zu/%zu/%zu allocs   %s\n",
+          row.label, static_cast<unsigned long long>(epochs[0]),
           static_cast<unsigned long long>(epochs[1]),
-          static_cast<unsigned long long>(epochs[2]), counts[0], counts[1],
-          counts[2], ok ? "ok" : "FAIL (epoch-dependent)");
-      if (!ok) ++failures;
+          static_cast<unsigned long long>(epochs[2]), c[0], c[1], c[2],
+          !flat          ? "FAIL (epoch-dependent)"
+          : !as_flooding ? "FAIL (differs from sharded-flooding)"
+                         : "ok");
+      if (!flat || !as_flooding) ++failures;
     }
   }
   return failures == 0 ? 0 : 1;
