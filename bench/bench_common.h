@@ -16,7 +16,7 @@
 //                       BENCH_<id>.json)
 //   --no-json           skip the JSON file entirely
 //   --no-advice-cache   disable the batch advice-memoization pre-pass
-//                       (the measurement baseline; see core/advice_cache.h)
+//                       (the measurement baseline; see core/batch_runner.h)
 //   --fault-rate P      drop each message with probability P (decorates
 //                       every spec's RunOptions before it runs)
 //   --fault-seed S      seed for the fault plan (default 0)
@@ -36,6 +36,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -153,6 +154,67 @@ inline std::vector<Workload> standard_workloads() {
                                [] { return make_caterpillar(128, 7); }));
   return out;
 }
+
+/// 64-bit FNV-1a over whole RunResults: the status, the metrics, the fault
+/// and adversary counters, the violation and every per-node vector. An
+/// identity check that compares digests sees a misordered run that leaves
+/// every count and aggregate equal.
+class RunsDigest {
+ public:
+  void add(const RunResult& r) {
+    add(static_cast<std::uint64_t>(r.status));
+    const Metrics& m = r.metrics;
+    for (const std::uint64_t v :
+         {m.messages_total, m.messages_source, m.messages_hello,
+          m.messages_control, m.bits_sent, m.deliveries,
+          static_cast<std::uint64_t>(m.completion_key), m.queue_depth_peak}) {
+      add(v);
+    }
+    const FaultCounters& f = r.faults;
+    for (const std::uint64_t v : {f.dropped, f.duplicated, f.delayed,
+                                  f.crashed_nodes, f.dead_deliveries,
+                                  f.advice_bits_flipped}) {
+      add(v);
+    }
+    const AdversaryCounters& a = r.adversary;
+    for (const std::uint64_t v : {a.lying_nodes, a.forged, a.equivocated,
+                                  a.replayed, a.structured_lies,
+                                  a.advice_lies}) {
+      add(v);
+    }
+    add(r.all_informed);
+    add(r.violation.size());
+    for (const char c : r.violation) add(static_cast<unsigned char>(c));
+    add_all(r.informed);
+    add_all(r.terminated);
+    add_all(r.outputs);
+    add_all(r.sends_by_node);
+    add_all(r.informed_at);
+  }
+
+  /// 16 lowercase hex digits.
+  std::string hex() const {
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return out;
+  }
+
+ private:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename Vec>
+  void add_all(const Vec& values) {
+    add(values.size());
+    for (const auto v : values) add(static_cast<std::uint64_t>(v));
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 /// One executed trial, as tracked across PRs in BENCH_*.json.
 struct TrialRecord {

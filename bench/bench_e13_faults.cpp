@@ -11,7 +11,9 @@
 //
 // Unlike E1..E12 this binary emits an aggregate record per cell, not a
 // record per trial, so it carries its own JSON writer instead of the
-// shared bench_common.h harness. Flags:
+// shared bench_common.h harness. Each record's runs_digest hashes its
+// trials' whole RunResults (bench_common.h RunsDigest), so an identity
+// check over records compares results, not just aggregates. Flags:
 //
 //   --jobs N           worker threads (default: hardware)
 //   --json FILE        output path (default BENCH_e13_faults.json)
@@ -101,6 +103,8 @@ struct CellResult {
   double messages_mean = 0.0;       ///< bare pass, all trials
   std::uint64_t wall_ns = 0;        ///< bare pass, summed engine wall time
   std::map<std::string, std::size_t> statuses;  ///< bare pass breakdown
+  /// Both passes' RunResults, bare then retry, in spec order.
+  std::string runs_digest;
 };
 
 const FaultMode kModes[] = {
@@ -276,6 +280,13 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[c];
     CellResult& r = results[c];
     std::uint64_t messages = 0;
+    bench::RunsDigest digest;
+    for (const auto* pass : {&bare_reports, &retry_reports}) {
+      for (std::size_t t = 0; t < cell.trials; ++t) {
+        digest.add((*pass)[cell.sched][cell.first + t].run);
+      }
+    }
+    r.runs_digest = digest.hex();
     for (std::size_t t = 0; t < cell.trials; ++t) {
       const TaskReport& b = bare_reports[cell.sched][cell.first + t];
       const TaskReport& w = retry_reports[cell.sched][cell.first + t];
@@ -382,6 +393,7 @@ int main(int argc, char** argv) {
           << ", \"retries\": " << r.retries
           << ", \"messages_mean\": " << r.messages_mean
           << ", \"overhead\": " << (base > 0 ? r.messages_mean / base : 0.0)
+          << ", \"runs_digest\": \"" << r.runs_digest << "\""
           << ", \"statuses\": {";
       bool first_status = true;
       for (const auto& [status, count] : r.statuses) {

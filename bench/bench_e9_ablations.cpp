@@ -34,12 +34,11 @@ int main(int argc, char** argv) {
              "fixed-width bits", "fixed/doubled"});
     for (std::size_t n : {128u, 512u, 2048u}) {
       const PortGraph g = make_complete_star(n);
-      const auto ports =
-          LightBroadcastOracle::assigned_ports(g, 0, TreeKind::kLight);
+      const auto advice = LightBroadcastOracle(TreeKind::kLight).advise(g, 0);
       std::uint64_t doubled = 0, gamma = 0, delta = 0, fixed = 0;
       const int width = ceil_log2(static_cast<std::uint64_t>(n));
-      for (const auto& list : ports) {
-        for (std::uint64_t w : list) {
+      for (const BitString& bits : advice) {
+        for (std::uint64_t w : decode_weight_list(bits)) {
           doubled += static_cast<std::uint64_t>(doubled_length(w));
           gamma += static_cast<std::uint64_t>(elias_gamma_length(w + 1));
           delta += static_cast<std::uint64_t>(elias_delta_length(w + 1));

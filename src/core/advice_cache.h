@@ -24,9 +24,8 @@
 // propagated to every waiter of that key and the entry stays poisoned
 // (repeat lookups rethrow, matching the determinism of the uncached path).
 //
-// core/batch_runner.h uses one AdviceCache per run() call as a pre-pass;
-// the class is public so harnesses with longer-lived reuse (e.g. a CLI
-// loop over schedulers) can hold one across batches.
+// A caller that reuses advice across batches (oracled) holds one and hands
+// its advice on through TrialSpec::advice.
 //
 // Budgeted mode: constructing with a non-zero byte budget turns on LRU
 // eviction. Completed entries are charged their resident size (BitString

@@ -5,10 +5,11 @@
 #include <chrono>
 #include <exception>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "sim/execution_context.h"
@@ -39,12 +40,24 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Per-spec advice resolved by the pre-pass (or carried by the spec).
-/// A null pointer means "advise inside the trial" (cache off).
+/// Per-spec advice resolved by the pre-pass (or carried by the spec), with
+/// its size priced once. A null pointer means "advise inside the trial"
+/// (cache off).
 struct PreparedAdvice {
+  PreparedAdvice() = default;
+  PreparedAdvice(AdvicePtr advice_in, std::uint64_t advise_ns_in,
+                 bool cached_in)
+      : advice(std::move(advice_in)),
+        advise_ns(advise_ns_in),
+        cached(cached_in),
+        oracle_bits(oracle_size_bits(*advice)),
+        max_advice_bits(oraclesize::max_advice_bits(*advice)) {}
+
   AdvicePtr advice;
   std::uint64_t advise_ns = 0;
   bool cached = false;
+  std::uint64_t oracle_bits = 0;
+  std::uint64_t max_advice_bits = 0;
 };
 
 /// Extracts a human-readable message from a captured exception.
@@ -212,14 +225,16 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
   if (advice) {
     report.advise_ns = prep.advise_ns;
     report.advice_cached = prep.cached;
+    report.oracle_bits = prep.oracle_bits;
+    report.max_advice_bits = prep.max_advice_bits;
   } else {
     const auto started = std::chrono::steady_clock::now();
     advice = std::make_shared<const std::vector<BitString>>(
         spec.oracle->advise(*spec.graph, spec.source));
     report.advise_ns = elapsed_ns(started);
+    report.oracle_bits = oracle_size_bits(*advice);
+    report.max_advice_bits = max_advice_bits(*advice);
   }
-  report.oracle_bits = oracle_size_bits(*advice);
-  report.max_advice_bits = max_advice_bits(*advice);
 
   RunOptions options = spec.options;
   if (spec.algorithm->is_wakeup()) options.enforce_wakeup = true;
@@ -321,43 +336,84 @@ std::vector<TaskReport> BatchRunner::run_impl(
   }
 
   if (advice_cache_) {
-    // Pre-pass: dedupe by (graph, oracle name, source) — insertion into a
-    // std::map keyed this way makes the owner (the lowest spec index of
-    // each group, the one that reports the advise cost) deterministic.
-    using Key = std::tuple<const PortGraph*, std::string, NodeId>;
-    std::map<Key, std::vector<std::size_t>> groups;
+    // Pre-pass: group by (graph, oracle name), then by source. Each group
+    // prepares its oracle for its graph once, then advises each distinct
+    // source once from that Advisor. Map order makes every owner (the
+    // lowest spec index of a source, which reports its advise cost; the
+    // lowest of a whole group, which adds the prepare cost) deterministic.
+    struct Group {
+      std::size_t owner = 0;
+      std::map<NodeId, std::vector<std::size_t>> sources;
+      std::unique_ptr<const Advisor> advisor;
+      std::exception_ptr error;
+      std::uint64_t prepare_ns = 0;
+    };
+    using Key = std::pair<const PortGraph*, std::string>;
+    std::map<Key, Group> groups;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].advice) continue;
-      groups[Key{specs[i].graph, specs[i].oracle->name(), specs[i].source}]
-          .push_back(i);
+      const auto [it, fresh] =
+          groups.try_emplace(Key{specs[i].graph, specs[i].oracle->name()});
+      if (fresh) it->second.owner = i;
+      it->second.sources[specs[i].source].push_back(i);
     }
-    std::vector<const std::vector<std::size_t>*> work;
-    work.reserve(groups.size());
-    for (const auto& [key, indices] : groups) work.push_back(&indices);
+    struct SourceWork {
+      const Group* group;
+      const std::vector<std::size_t>* indices;
+      std::uint64_t advise_ns = 0;
+    };
+    std::vector<Group*> prep_work;
+    std::vector<SourceWork> work;
+    for (auto& [key, group] : groups) {
+      prep_work.push_back(&group);
+      for (const auto& [source, indices] : group.sources) {
+        work.push_back(SourceWork{&group, &indices});
+      }
+    }
     // Largest graphs first: a giant advise landing on the pool last would
     // serialize the tail of the pre-pass behind one worker. Scheduling
     // order affects wall-clock only — owners, advice values, and cost
     // attribution are fixed per group — and the stable sort over the
     // deterministic map order keeps it reproducible.
+    auto edges_of = [&](const Group* group) {
+      return specs[group->owner].graph->num_edges();
+    };
+    std::stable_sort(prep_work.begin(), prep_work.end(),
+                     [&](const Group* a, const Group* b) {
+                       return edges_of(a) > edges_of(b);
+                     });
     std::stable_sort(work.begin(), work.end(),
-                     [&](const std::vector<std::size_t>* a,
-                         const std::vector<std::size_t>* b) {
-                       return specs[a->front()].graph->num_edges() >
-                              specs[b->front()].graph->num_edges();
+                     [&](const SourceWork& a, const SourceWork& b) {
+                       return edges_of(a.group) > edges_of(b.group);
                      });
 
-    AdviceCache cache;
-    run_pool<Stateless>(work.size(), jobs_, [&](std::size_t k, Stateless&) {
-      const std::vector<std::size_t>& indices = *work[k];
-      const std::size_t owner = indices.front();
-      const TrialSpec& spec = specs[owner];
+    run_pool<Stateless>(prep_work.size(), jobs_, [&](std::size_t k,
+                                                     Stateless&) {
+      Group& group = *prep_work[k];
+      const TrialSpec& spec = specs[group.owner];
       try {
-        const AdviceCache::Lookup looked =
-            cache.lookup(*spec.graph, *spec.oracle, spec.source);
-        prepared[owner] =
-            PreparedAdvice{looked.advice, looked.advise_ns, false};
+        const auto started = std::chrono::steady_clock::now();
+        group.advisor = spec.oracle->prepare(*spec.graph);
+        group.prepare_ns = elapsed_ns(started);
+      } catch (...) {
+        group.error = std::current_exception();
+      }
+    });
+    run_pool<Stateless>(work.size(), jobs_, [&](std::size_t k, Stateless&) {
+      SourceWork& item = work[k];
+      const std::vector<std::size_t>& indices = *item.indices;
+      try {
+        if (item.group->error) std::rethrow_exception(item.group->error);
+        const auto started = std::chrono::steady_clock::now();
+        auto advice = std::make_shared<const std::vector<BitString>>(
+            item.group->advisor->advise(specs[indices.front()].source));
+        item.advise_ns = elapsed_ns(started);
+        prepared[indices.front()] =
+            PreparedAdvice(std::move(advice), item.advise_ns, false);
         for (std::size_t j = 1; j < indices.size(); ++j) {
-          prepared[indices[j]] = PreparedAdvice{looked.advice, 0, true};
+          prepared[indices[j]] = prepared[indices.front()];
+          prepared[indices[j]].advise_ns = 0;
+          prepared[indices[j]].cached = true;
         }
       } catch (...) {
         // The uncached path would have thrown in every one of these
@@ -369,11 +425,15 @@ std::vector<TaskReport> BatchRunner::run_impl(
       }
     });
 
-    const AdviceCache::Stats cache_stats = cache.stats();
-    batch_stats.unique_advice = cache_stats.misses;
-    batch_stats.advise_ns = cache_stats.advise_ns;
-    for (const auto& [key, indices] : groups) {
-      batch_stats.cache_hits += indices.size() - 1;
+    for (const SourceWork& item : work) {
+      batch_stats.advise_ns += item.advise_ns;
+      batch_stats.cache_hits += item.indices->size() - 1;
+    }
+    batch_stats.unique_advice = work.size();
+    for (const auto& [key, group] : groups) {
+      batch_stats.advise_ns += group.prepare_ns;
+      PreparedAdvice& owner = prepared[group.owner];
+      if (owner.advice) owner.advise_ns += group.prepare_ns;
     }
   }
 
@@ -496,13 +556,12 @@ std::vector<TaskReport> BatchRunner::run_impl(
             disp[j] == SeedBatchExecutionContext::LaneDisposition::kShared;
         TaskReport report;
         if (lane_shared) {
-          const std::vector<BitString>& advice = *prepared[i].advice;
           report.oracle_name = specs[i].oracle->name();
           report.algorithm_name = specs[i].algorithm->name();
           report.advise_ns = prepared[i].advise_ns;
           report.advice_cached = prepared[i].cached;
-          report.oracle_bits = oracle_size_bits(advice);
-          report.max_advice_bits = max_advice_bits(advice);
+          report.oracle_bits = prepared[i].oracle_bits;
+          report.max_advice_bits = prepared[i].max_advice_bits;
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared

@@ -8,13 +8,16 @@
 // sweep of thousands of trials performs no per-trial setup allocation
 // beyond what the trials themselves demand.
 //
-// Advice memoization: before any trial runs, BatchRunner dedupes the batch
-// by (graph, oracle name, source) and computes each distinct advice vector
-// ONCE, in parallel, via core/advice_cache.h. Trials then share immutable
-// `shared_ptr<const vector<BitString>>` advice. Repeat-heavy sweeps thus
-// pay each advise() exactly once instead of once per trial. Pass
-// `advice_cache = false` to restore per-trial advise() (the measurement
-// baseline for bench_perf --no-advice-cache).
+// Advice memoization: before any trial runs, BatchRunner groups the batch
+// by (graph, oracle name), then by source. Each group runs the oracle's
+// per-graph stage ONCE (Oracle::prepare), one pool pass over the groups,
+// then advises each distinct source ONCE from that Advisor, one pool pass
+// over the sources. Trials then share immutable
+// `shared_ptr<const vector<BitString>>` advice, with its size priced once.
+// Repeat-heavy sweeps thus pay each advise exactly once instead of once
+// per trial, and many-source sweeps pay each graph's preparation once.
+// Pass `advice_cache = false` to restore per-trial advise() (the
+// measurement baseline for bench_perf --no-advice-cache).
 //
 // Units: the specs alone decide how each trial runs. Two or more
 // lockstep-eligible specs with equal seed_family_key and resolved shared
@@ -33,8 +36,9 @@
 // path (run_task / run_execution) produces, regardless of the worker
 // count and of whether the advice cache is on — only the timing fields
 // (wall_ns, advise_ns, run_ns) vary between runs. Advice-cache
-// attribution is deterministic too: the FIRST spec (lowest index) with a
-// given key reports the advise cost; later duplicates report
+// attribution is deterministic too: the FIRST spec (lowest index) of a
+// (graph, oracle, source) reports the advise cost, and the first of a
+// (graph, oracle) adds the prepare cost; later duplicates report
 // advice_cached = true. tests/test_batch_runner.cpp and
 // tests/test_advice_cache.cpp enforce all of this.
 #pragma once
@@ -110,7 +114,7 @@ struct BatchStats {
   std::size_t unique_advice = 0;  ///< distinct advice vectors computed
   /// Specs served precomputed advice (batch duplicates + TrialSpec::advice).
   std::size_t cache_hits = 0;
-  std::uint64_t advise_ns = 0;  ///< total time inside advise() calls
+  std::uint64_t advise_ns = 0;  ///< total time inside prepare and advise
   std::size_t failed = 0;   ///< trials that ended with TaskReport::failed()
   std::size_t retries = 0;  ///< extra attempts consumed across the batch
   /// Seed-family collapsing (sim/seed_batch_engine.h): families routed

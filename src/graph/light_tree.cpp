@@ -5,6 +5,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "util/mathx.h"
 
@@ -100,15 +101,14 @@ class WeightBuckets {
 
 }  // namespace
 
-LightTreeResult light_tree(const PortGraph& g, NodeId root) {
+LightForest light_forest(const PortGraph& g) {
   const std::size_t n = g.num_nodes();
   if (n == 0) throw std::invalid_argument("light_tree: empty graph");
 
   Dsu dsu(n);
   WeightBuckets buckets(g);
-  std::vector<Edge> forest;
-  forest.reserve(n - 1);
-  LightTreeResult result;
+  LightForest result;
+  result.edges.reserve(n - 1);
 
   // A pick is an edge's g.edges() key, (smaller endpoint << 32) | its port.
   // Keys are monotone in g.edges() order, so a tree's smallest key among
@@ -190,7 +190,7 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
       const Endpoint other = g.neighbors(u)[pu];
       const Edge e{u, pu, other.node, other.port};
       if (dsu.unite(e.u, e.v)) {
-        forest.push_back(e);
+        result.edges.push_back(e);
         ++phase.edges_added;
         phase.contribution += static_cast<std::uint64_t>(num_bits(e.weight()));
       } else {
@@ -203,8 +203,13 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
   for (const LightTreePhase& p : result.phases) {
     result.contribution += p.contribution;
   }
-  result.tree = SpanningTree::from_edges(g, root, forest);
   return result;
+}
+
+LightTreeResult light_tree(const PortGraph& g, NodeId root) {
+  LightForest forest = light_forest(g);
+  return LightTreeResult{SpanningTree::from_edges(g, root, forest.edges),
+                         std::move(forest.phases), forest.contribution};
 }
 
 }  // namespace oraclesize

@@ -30,6 +30,15 @@ struct LightTreePhase {
   std::uint64_t contribution = 0;  ///< C_k = sum of #2(w) over added edges
 };
 
+/// The construction's output before any root is chosen: its edge set does
+/// not depend on the root, only the orientation a root gives it does.
+struct LightForest {
+  /// The n-1 tree edges, normalized u < v, in the order the phases add them.
+  std::vector<Edge> edges;
+  std::vector<LightTreePhase> phases;
+  std::uint64_t contribution = 0;  ///< sum of #2(w(e)) over tree edges
+};
+
 struct LightTreeResult {
   SpanningTree tree;
   std::vector<LightTreePhase> phases;
@@ -45,6 +54,9 @@ struct LightTreeResult {
 /// reads: about O(n) per bucket on dense graphs instead of O(m), and never
 /// more than sorting all m edges and scanning them once per phase.
 /// Throws std::invalid_argument if g is empty or disconnected.
+LightForest light_forest(const PortGraph& g);
+
+/// light_forest(g) oriented from `root` (SpanningTree::from_edges).
 LightTreeResult light_tree(const PortGraph& g, NodeId root);
 
 }  // namespace oraclesize

@@ -286,7 +286,7 @@ std::vector<Edge> edges_by_weight(const PortGraph& g) {
   return sorted;
 }
 
-SpanningTree kruskal_mst(const PortGraph& g, NodeId root) {
+std::vector<Edge> kruskal_forest(const PortGraph& g) {
   const std::vector<Edge> all = edges_by_weight(g);
   Dsu dsu(g.num_nodes());
   std::vector<Edge> chosen;
@@ -294,7 +294,11 @@ SpanningTree kruskal_mst(const PortGraph& g, NodeId root) {
   for (const Edge& e : all) {
     if (dsu.unite(e.u, e.v)) chosen.push_back(e);
   }
-  return SpanningTree::from_edges(g, root, chosen);
+  return chosen;
+}
+
+SpanningTree kruskal_mst(const PortGraph& g, NodeId root) {
+  return SpanningTree::from_edges(g, root, kruskal_forest(g));
 }
 
 std::uint64_t tree_contribution(const PortGraph& g, const SpanningTree& t) {

@@ -88,8 +88,13 @@ SpanningTree dfs_tree(const PortGraph& g, NodeId root);
 /// the O(m log m) a comparison sort would pay.
 std::vector<Edge> edges_by_weight(const PortGraph& g);
 
-/// Minimum spanning tree under the paper's edge weight
-/// w(e) = min{port_u(e), port_v(e)} (Kruskal; ties broken by edge order).
+/// The edges of the minimum spanning forest under the paper's edge weight
+/// w(e) = min{port_u(e), port_v(e)} (Kruskal; ties broken by edge order),
+/// normalized u < v, in the order Kruskal adds them. Root-free: n-1 edges
+/// exactly when g is connected.
+std::vector<Edge> kruskal_forest(const PortGraph& g);
+
+/// kruskal_forest(g) oriented from `root` (from_edges).
 SpanningTree kruskal_mst(const PortGraph& g, NodeId root);
 
 /// Sum over tree edges of #2(w(e)) — the quantity Claim 3.1 bounds by 4n.

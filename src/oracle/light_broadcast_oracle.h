@@ -9,7 +9,15 @@
 // Decoded at the node, each weight is literally one of its own port numbers
 // that carries a tree edge — which is all scheme B (core/broadcast_b.h)
 // needs.
+//
+// The light tree's edge set is a function of the port labels alone, so
+// prepare(g) builds it once (light_forest) and each source only orients
+// it. The source decides one thing: the order of each node's list, which
+// is ascending neighbour id, except that the weight on the node's edge
+// towards the source goes at the node's own id.
 #pragma once
+
+#include <memory>
 
 #include "oracle/oracle.h"
 #include "oracle/tree_wakeup_oracle.h"  // TreeKind
@@ -24,13 +32,14 @@ class LightBroadcastOracle final : public Oracle {
   explicit LightBroadcastOracle(TreeKind tree = TreeKind::kLight)
       : tree_(tree) {}
 
+  /// prepare(g)->advise(source). n <= 1 gives n empty strings; a source
+  /// >= n of a larger graph throws std::out_of_range.
   std::vector<BitString> advise(const PortGraph& g,
                                 NodeId source) const override;
+  /// kLight and kKruskal build their root-free forest here. kBfs and kDfs
+  /// build a different tree for every source, so they prepare nothing.
+  std::unique_ptr<const Advisor> prepare(const PortGraph& g) const override;
   std::string name() const override;
-
-  /// The per-node *port lists* prior to encoding (exposed for tests).
-  static std::vector<std::vector<std::uint64_t>> assigned_ports(
-      const PortGraph& g, NodeId source, TreeKind tree);
 
  private:
   TreeKind tree_;

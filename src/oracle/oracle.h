@@ -7,9 +7,15 @@
 // of information about the network made available to its nodes. Minimum
 // oracle size for solving a task efficiently is the paper's difficulty
 // measure.
+//
+// Advice has a per-graph part and a per-source part. prepare(g) computes
+// the first once; the Advisor it returns answers advise(source) for any
+// number of sources. An oracle whose advice has no per-graph part keeps
+// the default, which advises each source from scratch.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +23,15 @@
 #include "graph/port_graph.h"
 
 namespace oraclesize {
+
+/// One oracle prepared for one graph. advise(source) equals the oracle's
+/// advise(g, source) bit for bit, and may be called from several threads
+/// at once. An Advisor must not outlive its graph or its oracle.
+class Advisor {
+ public:
+  virtual ~Advisor() = default;
+  virtual std::vector<BitString> advise(NodeId source) const = 0;
+};
 
 class Oracle {
  public:
@@ -28,6 +43,11 @@ class Oracle {
   /// one node's quadruple.
   virtual std::vector<BitString> advise(const PortGraph& g,
                                         NodeId source) const = 0;
+
+  /// The per-graph stage: everything advise(g, ·) computes that does not
+  /// depend on the source, done once. The default does nothing up front
+  /// and calls advise(g, source) per source.
+  virtual std::unique_ptr<const Advisor> prepare(const PortGraph& g) const;
 
   virtual std::string name() const = 0;
 };

@@ -1,7 +1,7 @@
-// The advice memoization layer (core/advice_cache.h) and its integration
-// into BatchRunner's pre-pass: cached advice must be bit-identical to a
-// fresh advise(), dedup accounting must be exact, and everything must hold
-// under concurrency.
+// The advice memoization layer (core/advice_cache.h) and BatchRunner's
+// advise pre-pass, which dedupes the same keys without it: cached advice
+// must be bit-identical to a fresh advise(), dedup accounting must be
+// exact, and everything must hold under concurrency.
 #include "core/advice_cache.h"
 
 #include <gtest/gtest.h>
@@ -271,7 +271,7 @@ TEST(AdviceCache, AdviseExceptionIsIsolatedPerTrial) {
     }
   }
   // With the cache on, the whole poisoned group shares ONE advise() call
-  // (the poisoned cache entry is replayed, not recomputed).
+  // (its failure is recorded for every spec, not recomputed).
   throwing.calls = 0;
   BatchRunner(4, true).run(specs);
   EXPECT_EQ(throwing.calls.load(), 1u);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <tuple>
+
 #include "core/broadcast_b.h"
 #include "core/flooding.h"
 #include "core/wakeup.h"
@@ -195,6 +201,221 @@ TEST(BatchRunner, EmptyBatchIsEmpty) {
 TEST(BatchRunner, ZeroJobsPicksHardwareConcurrency) {
   EXPECT_GE(BatchRunner(0).jobs(), 1u);
   EXPECT_EQ(BatchRunner(3).jobs(), 3u);
+}
+
+// ---- the advise pre-pass: one prepare per (graph, oracle) ------------------
+
+/// Wraps an oracle and counts its per-graph and per-source calls. Its
+/// prepare throws for `poisoned`, as a disconnected graph would.
+class PreparingOracle final : public Oracle {
+ public:
+  explicit PreparingOracle(const Oracle& inner,
+                           const PortGraph* poisoned = nullptr)
+      : inner_(inner), poisoned_(poisoned) {}
+
+  std::vector<BitString> advise(const PortGraph& g,
+                                NodeId source) const override {
+    return inner_.advise(g, source);
+  }
+  std::unique_ptr<const Advisor> prepare(const PortGraph& g) const override {
+    count(prepares_, &g, 0);
+    if (&g == poisoned_) throw std::runtime_error("prepare: poisoned graph");
+    return std::make_unique<Counting>(*this, g, inner_.prepare(g));
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::size_t prepares(const PortGraph& g) const { return read(prepares_, &g, 0); }
+  std::size_t advises(const PortGraph& g, NodeId s) const {
+    return read(advises_, &g, s);
+  }
+  void reset() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    prepares_.clear();
+    advises_.clear();
+  }
+
+ private:
+  using Calls = std::map<std::pair<const PortGraph*, NodeId>, std::size_t>;
+  class Counting final : public Advisor {
+   public:
+    Counting(const PreparingOracle& owner, const PortGraph& g,
+             std::unique_ptr<const Advisor> inner)
+        : owner_(owner), g_(g), inner_(std::move(inner)) {}
+    std::vector<BitString> advise(NodeId source) const override {
+      owner_.count(owner_.advises_, &g_, source);
+      return inner_->advise(source);
+    }
+
+   private:
+    const PreparingOracle& owner_;
+    const PortGraph& g_;
+    std::unique_ptr<const Advisor> inner_;
+  };
+
+  void count(Calls& calls, const PortGraph* g, NodeId s) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++calls[{g, s}];
+  }
+  std::size_t read(const Calls& calls, const PortGraph* g, NodeId s) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = calls.find({g, s});
+    return it == calls.end() ? 0 : it->second;
+  }
+
+  const Oracle& inner_;
+  const PortGraph* poisoned_;
+  mutable std::mutex mu_;
+  mutable Calls prepares_;
+  mutable Calls advises_;
+};
+
+constexpr NodeId kGroupSources[] = {0, 3, 7, 11, 5};
+
+/// Two graphs x two oracles x five sources, each source asked for twice,
+/// interleaved so that no group's specs are contiguous.
+struct GroupedBatch {
+  GroupedBatch()
+      : light(light_inner), tree(tree_inner) {
+    Rng rng(12);
+    graphs.push_back(shuffle_ports(make_complete_star(48), rng));
+    graphs.push_back(make_random_connected(40, 0.2, rng));
+    for (int round = 0; round < 2; ++round) {
+      for (const NodeId s : kGroupSources) {
+        for (const PortGraph& g : graphs) {
+          specs.push_back(TrialSpec{&g, s, &light, &broadcast, RunOptions{}});
+          specs.push_back(TrialSpec{&g, s, &tree, &wakeup, RunOptions{}});
+        }
+      }
+    }
+  }
+
+  std::vector<PortGraph> graphs;
+  const LightBroadcastOracle light_inner;
+  const TreeWakeupOracle tree_inner;
+  PreparingOracle light;
+  PreparingOracle tree;
+  const BroadcastBAlgorithm broadcast;
+  const WakeupTreeAlgorithm wakeup;
+  std::vector<TrialSpec> specs;
+};
+
+TEST(BatchRunner, PreparesOncePerGraphAndOracle) {
+  GroupedBatch batch;
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    batch.light.reset();
+    batch.tree.reset();
+    const auto reports = BatchRunner(jobs).run(batch.specs);
+    for (const PortGraph& g : batch.graphs) {
+      for (const PreparingOracle* o : {&batch.light, &batch.tree}) {
+        EXPECT_EQ(o->prepares(g), 1u) << o->name() << " jobs=" << jobs;
+        for (const NodeId s : kGroupSources) {
+          EXPECT_EQ(o->advises(g, s), 1u)
+              << o->name() << " source " << s << " jobs=" << jobs;
+        }
+      }
+    }
+    for (const TaskReport& r : reports) EXPECT_TRUE(r.ok());
+  }
+}
+
+TEST(BatchRunner, GroupedAdviceIdenticalAtEveryJobCount) {
+  GroupedBatch batch;
+  BatchStats serial_stats;
+  const auto serial = BatchRunner(1).run(batch.specs, &serial_stats);
+  EXPECT_EQ(serial_stats.unique_advice, 20u);
+  EXPECT_EQ(serial_stats.cache_hits, 20u);
+  for (std::size_t i = 0; i < batch.specs.size(); ++i) {
+    const TrialSpec& spec = batch.specs[i];
+    const auto fresh = spec.oracle->advise(*spec.graph, spec.source);
+    EXPECT_EQ(serial[i].oracle_bits, oracle_size_bits(fresh)) << i;
+    EXPECT_EQ(serial[i].max_advice_bits, max_advice_bits(fresh)) << i;
+  }
+  for (const std::size_t jobs : {2u, 4u}) {
+    BatchStats stats;
+    const auto reports = BatchRunner(jobs).run(batch.specs, &stats);
+    ASSERT_EQ(reports.size(), serial.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      EXPECT_EQ(reports[i].run, serial[i].run) << i << " jobs=" << jobs;
+      EXPECT_EQ(reports[i].oracle_bits, serial[i].oracle_bits) << i;
+      EXPECT_EQ(reports[i].max_advice_bits, serial[i].max_advice_bits) << i;
+      EXPECT_EQ(reports[i].advice_cached, serial[i].advice_cached) << i;
+    }
+    EXPECT_EQ(stats.unique_advice, serial_stats.unique_advice);
+    EXPECT_EQ(stats.cache_hits, serial_stats.cache_hits);
+    EXPECT_EQ(stats.failed, serial_stats.failed);
+    EXPECT_EQ(stats.seed_families, serial_stats.seed_families);
+    EXPECT_EQ(stats.batched_lanes, serial_stats.batched_lanes);
+    EXPECT_EQ(stats.lockstep_shared, serial_stats.lockstep_shared);
+    EXPECT_EQ(stats.metrics, serial_stats.metrics) << "jobs=" << jobs;
+  }
+}
+
+TEST(BatchRunner, PrepareCostGoesToTheGroupOwner) {
+  GroupedBatch batch;
+  for (const std::size_t jobs : {1u, 4u}) {
+    BatchStats stats;
+    const auto reports = BatchRunner(jobs).run(batch.specs, &stats);
+    // The lowest index of each (graph, oracle, source) reports a cost; the
+    // lowest of each (graph, oracle) adds its prepare cost to it.
+    std::map<std::tuple<const PortGraph*, const Oracle*, NodeId>, std::size_t>
+        owner;
+    std::uint64_t reported = 0;
+    for (std::size_t i = 0; i < batch.specs.size(); ++i) {
+      const TrialSpec& spec = batch.specs[i];
+      const bool first =
+          owner.emplace(std::make_tuple(spec.graph, spec.oracle, spec.source), i)
+              .second;
+      EXPECT_EQ(reports[i].advice_cached, !first) << i << " jobs=" << jobs;
+      if (!first) {
+        EXPECT_EQ(reports[i].advise_ns, 0u) << i;
+      }
+      reported += reports[i].advise_ns;
+    }
+    EXPECT_EQ(owner.size(), stats.unique_advice);
+    // Every nanosecond the pre-pass spent, prepare included, lands on
+    // exactly one report.
+    EXPECT_EQ(reported, stats.advise_ns) << "jobs=" << jobs;
+  }
+}
+
+TEST(BatchRunner, ThrowingPrepareFailsOnlyItsGroup) {
+  Rng rng(13);
+  const PortGraph good = make_random_connected(30, 0.2, rng);
+  const PortGraph bad = make_grid(5, 6);
+  const LightBroadcastOracle light_inner;
+  const NullOracle null_inner;
+  const PreparingOracle light(light_inner, &bad);
+  const PreparingOracle null(null_inner);
+  const BroadcastBAlgorithm broadcast;
+  const FloodingAlgorithm flooding;
+  std::vector<TrialSpec> specs;
+  for (const NodeId s : {NodeId{4}, NodeId{1}, NodeId{4}}) {
+    specs.push_back(TrialSpec{&good, s, &light, &broadcast, RunOptions{}});
+    specs.push_back(TrialSpec{&bad, s, &light, &broadcast, RunOptions{}});
+    specs.push_back(TrialSpec{&bad, s, &null, &flooding, RunOptions{}});
+  }
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    BatchStats stats;
+    const auto reports = BatchRunner(jobs).run(specs, &stats);
+    ASSERT_EQ(reports.size(), specs.size());
+    EXPECT_EQ(stats.failed, 3u) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const bool poisoned = specs[i].graph == &bad && specs[i].oracle == &light;
+      EXPECT_EQ(reports[i].failed(), poisoned) << i << " jobs=" << jobs;
+      if (poisoned) {
+        EXPECT_EQ(reports[i].run.status, RunStatus::kCrashed);
+        EXPECT_NE(reports[i].error.find("poisoned graph"), std::string::npos)
+            << reports[i].error;
+      } else {
+        EXPECT_TRUE(reports[i].ok()) << i << " jobs=" << jobs;
+      }
+    }
+  }
+  // One prepare per call for the poisoned group, two sources or not.
+  EXPECT_EQ(light.prepares(bad), 3u);
+  EXPECT_EQ(light.prepares(good), 3u);
+  EXPECT_EQ(null.prepares(bad), 3u);
+  EXPECT_THROW(BatchRunner(2).run_rethrow(specs), std::runtime_error);
 }
 
 }  // namespace

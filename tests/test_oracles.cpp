@@ -101,10 +101,9 @@ TEST(TreeWakeupOracle, SingletonNetwork) {
 TEST(LightBroadcastOracle, WeightsArePortsAtTheReceivingEndpoint) {
   Rng rng(33);
   const PortGraph g = make_random_connected(40, 0.2, rng);
-  const auto ports =
-      LightBroadcastOracle::assigned_ports(g, 0, TreeKind::kLight);
+  const auto advice = LightBroadcastOracle(TreeKind::kLight).advise(g, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (std::uint64_t w : ports[v]) {
+    for (std::uint64_t w : decode_weight_list(advice[v])) {
       // w is a real port of v...
       ASSERT_TRUE(g.has_port(v, static_cast<Port>(w)));
       // ...and it is the minimum of the two ports of that edge.
@@ -117,10 +116,24 @@ TEST(LightBroadcastOracle, WeightsArePortsAtTheReceivingEndpoint) {
 TEST(LightBroadcastOracle, EveryTreeEdgeAssignedExactlyOnce) {
   Rng rng(34);
   const PortGraph g = make_random_connected(35, 0.3, rng);
-  const auto ports =
-      LightBroadcastOracle::assigned_ports(g, 0, TreeKind::kLight);
+  const auto advice = LightBroadcastOracle(TreeKind::kLight).advise(g, 0);
+  // Each decoded weight names one edge (its holder's port); the n-1 of them
+  // must be distinct edges that together span g.
+  std::vector<NodeId> component(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) component[v] = v;
   std::size_t total = 0;
-  for (const auto& list : ports) total += list.size();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (std::uint64_t w : decode_weight_list(advice[v])) {
+      const NodeId u = g.neighbor(v, static_cast<Port>(w)).node;
+      const NodeId from = component[u];
+      const NodeId to = component[v];
+      ASSERT_NE(from, to) << "edge " << v << ":" << w << " closes a cycle";
+      for (NodeId& c : component) {
+        if (c == from) c = to;
+      }
+      ++total;
+    }
+  }
   EXPECT_EQ(total, g.num_nodes() - 1);
 }
 
@@ -152,11 +165,13 @@ TEST(LightBroadcastOracle, AdviceRoundTripsThroughCodec) {
   Rng rng(36);
   const PortGraph g = make_random_connected(30, 0.2, rng);
   const auto advice = LightBroadcastOracle().advise(g, 0);
-  const auto ports =
-      LightBroadcastOracle::assigned_ports(g, 0, TreeKind::kLight);
+  std::size_t weights = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(decode_weight_list(advice[v]), ports[v]);
+    const std::vector<std::uint64_t> decoded = decode_weight_list(advice[v]);
+    EXPECT_EQ(encode_weight_list(decoded), advice[v]) << "node " << v;
+    weights += decoded.size();
   }
+  EXPECT_EQ(weights, g.num_nodes() - 1);
 }
 
 TEST(LightBroadcastOracle, NonLightTreesCanBeMuchBigger) {
