@@ -15,8 +15,6 @@
 //   --json FILE         where to write the JSON records (default
 //                       BENCH_<id>.json)
 //   --no-json           skip the JSON file entirely
-//   --no-advice-cache   disable the batch advice-memoization pre-pass
-//                       (the measurement baseline; see core/batch_runner.h)
 //   --fault-rate P      drop each message with probability P (decorates
 //                       every spec's RunOptions before it runs)
 //   --fault-seed S      seed for the fault plan (default 0)
@@ -294,8 +292,6 @@ class Harness {
       } else if (a == "--no-json") {
         json_path_.clear();
         json_enabled_ = false;
-      } else if (a == "--no-advice-cache") {
-        advice_cache_ = false;
       } else if (a == "--fault-rate") {
         fault_rate_ = flag_probability(next(), a);
       } else if (a == "--fault-seed") {
@@ -313,9 +309,9 @@ class Harness {
       } else {
         std::cerr << "error: unknown option '" << a
                   << "' (supported: --jobs N, --json FILE, --no-json, "
-                     "--no-advice-cache, --fault-rate P, --fault-seed S, "
-                     "--deadline-ms T, --retries K, --record-metrics, "
-                     "--shards N, --shard-min-nodes N)\n";
+                     "--fault-rate P, --fault-seed S, --deadline-ms T, "
+                     "--retries K, --record-metrics, --shards N, "
+                     "--shard-min-nodes N)\n";
         std::exit(2);
       }
     }
@@ -331,7 +327,7 @@ class Harness {
       shard.shards = shards_;
       shard.min_nodes = shard_min_nodes_ == 0 ? 2 : shard_min_nodes_;
     }
-    runner_ = BatchRunner(jobs, advice_cache_, retry, shard);
+    runner_ = BatchRunner(jobs, /*advice_cache=*/true, retry, shard);
   }
 
   Harness(const Harness&) = delete;
@@ -341,8 +337,6 @@ class Harness {
 
   const BatchRunner& runner() const { return runner_; }
   std::size_t jobs() const { return runner_.jobs(); }
-  bool advice_cache() const { return advice_cache_; }
-  bool json_enabled() const { return json_enabled_; }
 
   /// Runs a batch of specs and returns reports in spec order. Pass `stats`
   /// to receive the batch's advice-cache accounting. When the harness-level
@@ -432,7 +426,6 @@ class Harness {
   std::chrono::steady_clock::time_point started_;
   std::string json_path_;
   bool json_enabled_ = true;
-  bool advice_cache_ = true;
   double fault_rate_ = 0.0;
   std::uint64_t fault_seed_ = 0;
   std::uint64_t deadline_ms_ = 0;

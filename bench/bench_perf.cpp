@@ -1,17 +1,12 @@
-// Wall-clock harness for BatchRunner's batched paths: the advice-cache
-// sweep, and the lockstep executor's seed families, whose identity bits and
-// dedup floors tools/perf_gate.py gates. These are throughput measurements,
-// not paper results: the paper's quantities are message counts and bit
-// counts (bench_e1..e16). The end-to-end and per-layer timings of the
-// engines, the sharded engine and the advice service are perfbench's
-// (perfbench/README.md), which also checks sharded == serial and service ==
-// direct on every run.
+// Wall-clock harness for the lockstep executor's seed families, whose
+// identity bits and dedup floors tools/perf_gate.py gates. These are
+// throughput measurements, not paper results: the paper's quantities are
+// message counts and bit counts (bench_e1..e16). The end-to-end and
+// per-layer timings of the engines, the sharded engine and the advice
+// service are perfbench's (perfbench/README.md), which also checks sharded
+// == serial and service == direct on every run.
 //
 // Modes (a bare call prints usage and exits 2):
-//   bench_perf --sweep [--repeat N] [bench harness options: --jobs N,
-//              --json F, --no-advice-cache, ...]
-//                                              batched E1-style sweep via
-//                                              BatchRunner, wall-clock timed
 //   bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N]
 //              [--json F | --no-json]          seed-batched lockstep executor
 //                                              vs R scalar runs on one
@@ -31,20 +26,16 @@
 //                                              a result-identity check per
 //                                              lane
 //                                              -> BENCH_perf_schedbatch.json
-//
-// With --repeat N >= 2 the sweep duplicates every (graph, oracle, source)
-// trial N times — the shape the advice cache is built for — runs the batch
-// once with the cache and once without, and writes the before/after wall
-// numbers per workload row into BENCH_perf_cache.json (see EXPERIMENTS.md
-// for the field definitions).
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -70,196 +61,62 @@ std::uint64_t since_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Per-(workload, task) aggregate across repeats of one batch pass.
-struct RowAgg {
-  std::uint64_t wall_ns = 0;    ///< sum of advise+run over the row's trials
-  std::uint64_t advise_ns = 0;  ///< sum of advise time actually paid
-  std::uint64_t run_ns = 0;     ///< sum of engine time (the steady state)
+/// The flags both modes take.
+struct BatchFlags {
+  // 64 lanes by default: the batched pass costs one lockstep run plus a few
+  // microseconds of fan-out, so on a busy host the measurement needs a large
+  // scalar side to keep scheduler noise out of the ratio. CI and the
+  // committed baselines use 64.
+  std::size_t lanes = 64;
+  std::size_t repeat = 3;
+  bool smoke = false;
+  std::string json_path;
 };
 
-/// Aggregates reports laid out rep-major: trial index = rep * 2L + 2*load
-/// + task, for 2L rows.
-std::vector<RowAgg> aggregate_rows(const std::vector<TaskReport>& reports,
-                                   std::size_t num_rows) {
-  std::vector<RowAgg> rows(num_rows);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    RowAgg& row = rows[i % num_rows];
-    row.wall_ns += reports[i].wall_ns;
-    row.advise_ns += reports[i].advise_ns;
-    row.run_ns += reports[i].run_ns;
-  }
-  return rows;
-}
-
-// The batch sweep: every standard workload under wakeup and broadcast,
-// executed through BatchRunner so --jobs parallelism (and its determinism)
-// can be measured end to end. Prints per-row wall times and total
-// wall-clock; records go to BENCH_perf.json by default. With --repeat >= 2
-// an extra pass with the opposite advice-cache setting produces the
-// before/after comparison in BENCH_perf_cache.json.
-int run_sweep(int argc, char** argv) {
-  // Peel --repeat; the harness handles the shared flags (including
-  // --no-advice-cache).
-  std::size_t repeat = 1;
-  std::vector<char*> rest;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--repeat") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "error: missing value after --repeat\n";
-        return 2;
-      }
-      repeat = bench::flag_number<std::size_t>(argv[++i], "--repeat");
-      if (repeat == 0) repeat = 1;
+/// Parses `mode`'s flags, writing to `json_path` unless --json or --no-json
+/// says otherwise. An unknown flag prints the mode's supported flags and
+/// exits 2.
+BatchFlags parse_batch_flags(int argc, char** argv, const char* mode,
+                             std::string json_path) {
+  BatchFlags flags;
+  flags.json_path = std::move(json_path);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
+      flags.lanes = std::max<std::size_t>(
+          2, bench::flag_number<std::size_t>(argv[++i], "--lanes"));
+    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
+      flags.repeat = std::max<std::size_t>(
+          1, bench::flag_number<std::size_t>(argv[++i], "--repeat"));
+    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+      flags.smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      flags.json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--no-json") == 0) {
+      flags.json_path.clear();
     } else {
-      rest.push_back(argv[i]);
+      std::cerr << "error: unknown option '" << argv[i] << "' (" << mode
+                << " supports: --lanes R, --smoke, --repeat N, "
+                   "--json FILE, --no-json)\n";
+      std::exit(2);
     }
   }
-  bench::Harness harness("perf", static_cast<int>(rest.size()), rest.data());
-  const std::vector<bench::Workload> loads = bench::standard_workloads();
-  const TreeWakeupOracle tree_oracle;
-  const WakeupTreeAlgorithm wakeup;
-  const LightBroadcastOracle light_oracle;
-  const BroadcastBAlgorithm broadcast;
-
-  // Rep-major layout: the first repetition owns the advise cost, later
-  // repetitions are the cache's dedup targets.
-  std::vector<TrialSpec> specs;
-  specs.reserve(repeat * 2 * loads.size());
-  for (std::size_t rep = 0; rep < repeat; ++rep) {
-    for (const bench::Workload& w : loads) {
-      RunOptions wake_opts;
-      wake_opts.enforce_wakeup = true;
-      specs.push_back({&w.graph, 0, &tree_oracle, &wakeup, wake_opts});
-      RunOptions bcast_opts;
-      bcast_opts.scheduler = SchedulerKind::kAsyncRandom;
-      bcast_opts.seed = 9;
-      specs.push_back({&w.graph, 0, &light_oracle, &broadcast, bcast_opts});
-    }
-  }
-  const std::size_t num_rows = 2 * loads.size();
-
-  BatchStats stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<TaskReport> reports = harness.run(specs, &stats);
-  const std::uint64_t batch_ns = since_ns(t0);
-
-  Table t({"family", "n", "task", "messages", "advise_ms", "run_ms",
-           "wall_ms", "ok"});
-  std::uint64_t cpu_ns = 0;
-  const std::vector<RowAgg> rows = aggregate_rows(reports, num_rows);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const bench::Workload& w = loads[(i % num_rows) / 2];
-    const bool is_wakeup = (i % 2) == 0;
-    harness.record(bench::make_record(
-        w.family + (is_wakeup ? "/wakeup" : "/broadcast"), w.n,
-        is_wakeup ? SchedulerKind::kSynchronous
-                  : SchedulerKind::kAsyncRandom,
-        reports[i], w.build_ns, bench::bytes_per_edge(w.graph)));
-    cpu_ns += reports[i].wall_ns;
-  }
-  for (std::size_t row = 0; row < num_rows; ++row) {
-    const bench::Workload& w = loads[row / 2];
-    const bool is_wakeup = (row % 2) == 0;
-    const TaskReport& first = reports[row];  // rep 0 of this row
-    t.row()
-        .cell(w.family)
-        .cell(w.n)
-        .cell(is_wakeup ? "wakeup" : "broadcast")
-        .cell(first.run.metrics.messages_total)
-        .cell(static_cast<double>(rows[row].advise_ns) / 1e6, 3)
-        .cell(static_cast<double>(rows[row].run_ns) / 1e6, 3)
-        .cell(static_cast<double>(rows[row].wall_ns) / 1e6, 3)
-        .cell(first.ok() ? "yes" : "NO");
-  }
-  t.print(std::cout, "perf sweep: standard workloads through BatchRunner" +
-                         (repeat > 1 ? " (x" + std::to_string(repeat) +
-                                           " repeats, aggregated)"
-                                     : std::string{}));
-  std::cout << "jobs=" << harness.jobs() << "  trials=" << reports.size()
-            << "  advice cache " << (harness.advice_cache() ? "on" : "off")
-            << " (unique=" << stats.unique_advice
-            << ", hits=" << stats.cache_hits << ")  batch wall = "
-            << static_cast<double>(batch_ns) / 1e6
-            << " ms  (sum of per-trial cpu = "
-            << static_cast<double>(cpu_ns) / 1e6 << " ms)\n";
-
-  if (repeat < 2) return 0;
-
-  // Comparison pass with the opposite cache setting; orient before/after so
-  // "off" is always the baseline no matter which mode the main pass ran.
-  BatchStats other_stats;
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::vector<TaskReport> other_reports =
-      BatchRunner(harness.jobs(), !harness.advice_cache())
-          .run(specs, &other_stats);
-  const std::uint64_t other_batch_ns = since_ns(t1);
-
-  const bool main_is_on = harness.advice_cache();
-  const std::vector<RowAgg> other_rows = aggregate_rows(other_reports,
-                                                        num_rows);
-  const std::vector<RowAgg>& on_rows = main_is_on ? rows : other_rows;
-  const std::vector<RowAgg>& off_rows = main_is_on ? other_rows : rows;
-  const BatchStats& on_stats = main_is_on ? stats : other_stats;
-  const BatchStats& off_stats = main_is_on ? other_stats : stats;
-  const std::uint64_t on_batch_ns = main_is_on ? batch_ns : other_batch_ns;
-  const std::uint64_t off_batch_ns = main_is_on ? other_batch_ns : batch_ns;
-
-  const double total_speedup =
-      off_batch_ns > 0 && on_batch_ns > 0
-          ? static_cast<double>(off_batch_ns) /
-                static_cast<double>(on_batch_ns)
-          : 0.0;
-  std::cout << "advice-cache comparison: off = "
-            << static_cast<double>(off_batch_ns) / 1e6 << " ms, on = "
-            << static_cast<double>(on_batch_ns) / 1e6 << " ms ("
-            << total_speedup << "x batch)\n";
-
-  if (!harness.json_enabled()) return 0;
-  std::ofstream out("BENCH_perf_cache.json");
-  if (!out) {
-    std::cerr << "warning: cannot write BENCH_perf_cache.json\n";
-    return 0;
-  }
-  auto ratio = [](std::uint64_t num, std::uint64_t den) {
-    return den == 0 ? 0.0
-                    : static_cast<double>(num) / static_cast<double>(den);
-  };
-  out << "{\n  \"bench\": \"perf_cache\",\n"
-      << "  \"jobs\": " << harness.jobs() << ",\n"
-      << "  \"repeat\": " << repeat << ",\n"
-      << "  \"cache_on\": {\"batch_wall_ns\": " << on_batch_ns
-      << ", \"unique_advice\": " << on_stats.unique_advice
-      << ", \"cache_hits\": " << on_stats.cache_hits
-      << ", \"advise_ns\": " << on_stats.advise_ns << "},\n"
-      << "  \"cache_off\": {\"batch_wall_ns\": " << off_batch_ns
-      << ", \"unique_advice\": " << off_stats.unique_advice
-      << ", \"cache_hits\": " << off_stats.cache_hits
-      << ", \"advise_ns\": " << off_stats.advise_ns << "},\n"
-      << "  \"rows\": [";
-  for (std::size_t row = 0; row < num_rows; ++row) {
-    const bench::Workload& w = loads[row / 2];
-    const bool is_wakeup = (row % 2) == 0;
-    // wall_off_ns pays advise every repeat; wall_on_ns pays it once.
-    // run_on_ns is the steady-state marginal cost per batch of repeats —
-    // speedup_steady = wall_off / run_on is the amortized-regime ratio the
-    // cache targets (advise_once_ns keeps the one-time cost visible).
-    out << (row == 0 ? "\n" : ",\n") << "    {\"family\": \"" << w.family
-        << "\", \"task\": \"" << (is_wakeup ? "wakeup" : "broadcast")
-        << "\", \"n\": " << w.n << ", \"repeat\": " << repeat
-        << ", \"wall_off_ns\": " << off_rows[row].wall_ns
-        << ", \"wall_on_ns\": " << on_rows[row].wall_ns
-        << ", \"advise_once_ns\": " << on_rows[row].advise_ns
-        << ", \"run_on_ns\": " << on_rows[row].run_ns
-        << ", \"speedup_total\": "
-        << ratio(off_rows[row].wall_ns, on_rows[row].wall_ns)
-        << ", \"speedup_steady\": "
-        << ratio(off_rows[row].wall_ns, on_rows[row].run_ns) << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::cerr << "[bench] wrote cache comparison (" << num_rows
-            << " rows) to BENCH_perf_cache.json\n";
-  return 0;
+  return flags;
 }
+
+/// A row's fault mode: its name and how it sets a plan at the row's rate.
+struct FaultMode {
+  const char* name;
+  void (*apply)(FaultPlanParams&, double rate);
+};
+
+const FaultMode kNoFault{"none", [](FaultPlanParams&, double) {}};
+const FaultMode kDrop{"drop", [](FaultPlanParams& f, double r) { f.drop = r; }};
+const FaultMode kDelay{"delay",
+                       [](FaultPlanParams& f, double r) { f.delay = r; }};
+const FaultMode kCrash{"crash",
+                       [](FaultPlanParams& f, double r) { f.crash = r; }};
+const FaultMode kAdviceFlip{
+    "advice-flip", [](FaultPlanParams& f, double r) { f.advice_flip = r; }};
 
 /// One row's measurement of a seed family (specs identical up to their two
 /// seeds, each carrying its advice and final options, wakeup enforcement
@@ -364,35 +221,8 @@ FamilyTiming time_family(const std::vector<TrialSpec>& specs,
 // ---------------------------------------------------------------------------
 
 int run_seed_batch(int argc, char** argv) {
-  // 64 lanes by default: the batched pass costs one lockstep run plus a few
-  // microseconds of fan-out, so on a busy host the measurement needs a large
-  // scalar side to keep scheduler noise out of the ratio. (The ISSUE target
-  // is "R >= 32"; 64 satisfies it and is what CI and the committed baseline
-  // use.)
-  std::size_t lanes = 64;
-  std::size_t repeat = 3;
-  bool smoke = false;
-  std::string json_path = "BENCH_perf_seedbatch.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::max<std::size_t>(
-          2, bench::flag_number<std::size_t>(argv[++i], "--lanes"));
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(
-          1, bench::flag_number<std::size_t>(argv[++i], "--repeat"));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (seed-batch supports: --lanes R, --smoke, --repeat N, "
-                   "--json FILE, --no-json)\n";
-      return 2;
-    }
-  }
+  const auto [lanes, repeat, smoke, json_path] =
+      parse_batch_flags(argc, argv, "seed-batch", "BENCH_perf_seedbatch.json");
 
   Rng rng(0xbeefcafeULL);
   std::vector<bench::Workload> loads;
@@ -434,20 +264,18 @@ int run_seed_batch(int argc, char** argv) {
       {"broadcast", &light_oracle, &broadcast, SchedulerKind::kAsyncFifo},
       {"flooding", &null_oracle, &flooding, SchedulerKind::kAsyncLifo},
   };
-  enum class FaultKind { kNone, kDrop, kDelay, kCrash, kAdviceFlip };
   struct Mode {
-    const char* name;
+    const FaultMode* fault;
     double rate;
-    FaultKind kind;
   };
   const Mode modes[] = {
-      {"none", 0.0, FaultKind::kNone},
-      {"drop", 1e-4, FaultKind::kDrop},
-      {"drop", 1e-3, FaultKind::kDrop},
-      {"drop", 1e-2, FaultKind::kDrop},
-      {"delay", 1e-3, FaultKind::kDelay},
-      {"crash", 1e-3, FaultKind::kCrash},
-      {"advice-flip", 1e-3, FaultKind::kAdviceFlip},
+      {&kNoFault, 0.0},
+      {&kDrop, 1e-4},
+      {&kDrop, 1e-3},
+      {&kDrop, 1e-2},
+      {&kDelay, 1e-3},
+      {&kCrash, 1e-3},
+      {&kAdviceFlip, 1e-3},
   };
 
   struct Row {
@@ -469,22 +297,7 @@ int run_seed_batch(int argc, char** argv) {
         RunOptions base;
         base.scheduler = s.scheduler;
         base.enforce_wakeup = s.algorithm->is_wakeup();
-        switch (m.kind) {
-          case FaultKind::kNone:
-            break;
-          case FaultKind::kDrop:
-            base.fault.drop = m.rate;
-            break;
-          case FaultKind::kDelay:
-            base.fault.delay = m.rate;
-            break;
-          case FaultKind::kCrash:
-            base.fault.crash = m.rate;
-            break;
-          case FaultKind::kAdviceFlip:
-            base.fault.advice_flip = m.rate;
-            break;
-        }
+        m.fault->apply(base.fault, m.rate);
         std::vector<TrialSpec> specs;
         specs.reserve(lanes);
         for (std::size_t l = 0; l < lanes; ++l) {
@@ -494,7 +307,7 @@ int run_seed_batch(int argc, char** argv) {
                              advice);
         }
 
-        const Row row{w.family, w.graph.num_nodes(), s.name, m.name,
+        const Row row{w.family, w.graph.num_nodes(), s.name, m.fault->name,
                       m.rate, time_family(specs, repeat)};
         all_identical = all_identical && row.t.identical;
         rows.push_back(row);
@@ -585,30 +398,9 @@ int run_seed_batch(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 int run_sched_batch(int argc, char** argv) {
-  std::size_t lanes = 64;
-  std::size_t repeat = 3;
-  bool smoke = false;
-  std::string json_path = "BENCH_perf_schedbatch.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::max<std::size_t>(
-          2, bench::flag_number<std::size_t>(argv[++i], "--lanes"));
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(
-          1, bench::flag_number<std::size_t>(argv[++i], "--repeat"));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (sched-batch supports: --lanes R, --smoke, --repeat N, "
-                   "--json FILE, --no-json)\n";
-      return 2;
-    }
-  }
+  const auto [lanes, repeat, smoke, json_path] =
+      parse_batch_flags(argc, argv, "sched-batch",
+                        "BENCH_perf_schedbatch.json");
 
   Rng rng(0xbeefcafeULL);
   const std::size_t path_n = smoke ? 64 : 512;
@@ -627,7 +419,6 @@ int run_sched_batch(int argc, char** argv) {
   const BroadcastBAlgorithm broadcast;
   const CensusAlgorithm census;
 
-  enum class FaultKind { kNone, kDrop, kCrash, kAdviceFlip };
   struct Cell {
     const bench::Workload* load;
     const char* scheme;
@@ -635,9 +426,8 @@ int run_sched_batch(int argc, char** argv) {
     const Algorithm* algorithm;
     SchedulerKind scheduler;
     const char* axis;  // "fault-seed" or "sched-seed"
-    const char* mode;
+    const FaultMode* mode;
     double rate;
-    FaultKind kind;
     bool floor;       // gate holds speedup to >= 8x
     bool full_share;  // gate demands shared == lanes
   };
@@ -646,31 +436,24 @@ int run_sched_batch(int argc, char** argv) {
        {SchedulerKind::kAsyncRandom, SchedulerKind::kAsyncLinkFifo}) {
     // fault.seed axis on a branching workload: the E13 regime.
     cells.push_back({&branching, "broadcast", &light_oracle, &broadcast,
-                     sched, "fault-seed", "none", 0.0, FaultKind::kNone, true,
-                     true});
+                     sched, "fault-seed", &kNoFault, 0.0, true, true});
     cells.push_back({&branching, "broadcast", &light_oracle, &broadcast,
-                     sched, "fault-seed", "drop", 1e-3, FaultKind::kDrop,
-                     false, false});
+                     sched, "fault-seed", &kDrop, 1e-3, false, false});
     cells.push_back({&branching, "broadcast", &light_oracle, &broadcast,
-                     sched, "fault-seed", "crash", 1e-3, FaultKind::kCrash,
-                     false, false});
+                     sched, "fault-seed", &kCrash, 1e-3, false, false});
     cells.push_back({&branching, "broadcast", &light_oracle, &broadcast,
-                     sched, "fault-seed", "advice-flip", 1e-3,
-                     FaultKind::kAdviceFlip, false, false});
+                     sched, "fault-seed", &kAdviceFlip, 1e-3, false, false});
     // options.seed axis on sequential workloads: full multi-class sharing.
     // Not floored: the per-pop cost scales with live classes, so the win
     // here is ~4x, not ~R.
     cells.push_back({&path, "wakeup", &tree_oracle, &wakeup, sched,
-                     "sched-seed", "none", 0.0, FaultKind::kNone, false,
-                     true});
+                     "sched-seed", &kNoFault, 0.0, false, true});
     cells.push_back({&path, "census", &tree_oracle, &census, sched,
-                     "sched-seed", "none", 0.0, FaultKind::kNone, false,
-                     true});
+                     "sched-seed", &kNoFault, 0.0, false, true});
     // options.seed axis on a branching workload: honest decay, identity
     // gate only.
     cells.push_back({&branching, "wakeup", &tree_oracle, &wakeup, sched,
-                     "sched-seed", "none", 0.0, FaultKind::kNone, false,
-                     false});
+                     "sched-seed", &kNoFault, 0.0, false, false});
   }
 
   struct Row {
@@ -691,19 +474,7 @@ int run_sched_batch(int argc, char** argv) {
     RunOptions base;
     base.scheduler = c.scheduler;
     base.enforce_wakeup = c.algorithm->is_wakeup();
-    switch (c.kind) {
-      case FaultKind::kNone:
-        break;
-      case FaultKind::kDrop:
-        base.fault.drop = c.rate;
-        break;
-      case FaultKind::kCrash:
-        base.fault.crash = c.rate;
-        break;
-      case FaultKind::kAdviceFlip:
-        base.fault.advice_flip = c.rate;
-        break;
-    }
+    c.mode->apply(base.fault, c.rate);
     const bool seed_axis = std::strcmp(c.axis, "sched-seed") == 0;
     std::vector<TrialSpec> specs;
     specs.reserve(lanes);
@@ -734,7 +505,7 @@ int run_sched_batch(int argc, char** argv) {
         .cell(r.cell->scheme)
         .cell(to_string(r.cell->scheduler))
         .cell(r.cell->axis)
-        .cell(r.cell->mode)
+        .cell(r.cell->mode->name)
         .cell(static_cast<double>(r.t.scalar_ns) / 1e6, 3)
         .cell(static_cast<double>(r.t.batched_ns) / 1e6, 3)
         .cell(r.t.speedup, 2)
@@ -763,8 +534,9 @@ int run_sched_batch(int argc, char** argv) {
         out << (i == 0 ? "\n" : ",\n") << "    {\"family\": \""
             << c.load->family << "\", \"n\": " << r.n << ", \"scheme\": \""
             << c.scheme << "\", \"scheduler\": \"" << to_string(c.scheduler)
-            << "\", \"axis\": \"" << c.axis << "\", \"mode\": \"" << c.mode
-            << "\", \"rate\": " << c.rate << ", \"lanes\": " << lanes
+            << "\", \"axis\": \"" << c.axis << "\", \"mode\": \""
+            << c.mode->name << "\", \"rate\": " << c.rate
+            << ", \"lanes\": " << lanes
             << ", \"scalar_ns\": " << r.t.scalar_ns
             << ", \"batched_ns\": " << r.t.batched_ns
             << ", \"speedup\": " << r.t.speedup
@@ -788,13 +560,10 @@ int run_sched_batch(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Peel off the mode flag; everything else goes to that mode's parser.
   std::vector<char*> rest;
-  bool sweep = false;
   bool seed_batch = false;
   bool sched_batch = false;
   for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
+    if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
       seed_batch = true;
     } else if (i > 0 && std::strcmp(argv[i], "--sched-batch") == 0) {
       sched_batch = true;
@@ -805,9 +574,7 @@ int main(int argc, char** argv) {
   const int rest_argc = static_cast<int>(rest.size());
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
-  if (sweep) return run_sweep(rest_argc, rest.data());
   std::cerr << "usage:\n"
-               "  bench_perf --sweep [--repeat N] [bench harness options]\n"
                "  bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N]\n"
                "             [--json FILE | --no-json]\n"
                "  bench_perf --sched-batch [--lanes R] [--smoke] [--repeat N]\n"

@@ -14,7 +14,7 @@
 // contents; callers must keep a graph alive (and unmodified) while any
 // cache referencing it is in use, the same lifetime rule TrialSpec already
 // imposes. Oracle identity is Oracle::name(), which every oracle in this
-// repo makes parameter-complete (tree kind, fraction, seed, radius, ...)
+// repo makes parameter-complete (tree kind, fraction, seed, ...)
 // precisely so equal names imply equal advice.
 //
 // Concurrency: any number of threads may call lookup() concurrently, with

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "sim/execution_context.h"
@@ -41,8 +42,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 }
 
 /// Per-spec advice resolved by the pre-pass (or carried by the spec), with
-/// its size priced once. A null pointer means "advise inside the trial"
-/// (cache off).
+/// its size priced once.
 struct PreparedAdvice {
   PreparedAdvice() = default;
   PreparedAdvice(AdvicePtr advice_in, std::uint64_t advise_ns_in,
@@ -210,6 +210,18 @@ struct TrialMetrics {
   Histogram& wakeup_latency;
 };
 
+/// A report named for `spec` that carries its advice's accounting.
+TaskReport advised_report(const TrialSpec& spec, const PreparedAdvice& prep) {
+  TaskReport report;
+  report.oracle_name = spec.oracle->name();
+  report.algorithm_name = spec.algorithm->name();
+  report.advise_ns = prep.advise_ns;
+  report.advice_cached = prep.cached;
+  report.oracle_bits = prep.oracle_bits;
+  report.max_advice_bits = prep.max_advice_bits;
+  return report;
+}
+
 /// Executes one trial on whichever engine the caller hands in: `sharded`
 /// non-null routes the run through the sharded intra-run engine (and copies
 /// its per-run stats into the report), otherwise `context` runs it
@@ -217,30 +229,12 @@ struct TrialMetrics {
 TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
                      ExecutionContext* context,
                      ShardedExecutionContext* sharded) {
-  TaskReport report;
-  report.oracle_name = spec.oracle->name();
-  report.algorithm_name = spec.algorithm->name();
-
-  AdvicePtr advice = prep.advice;
-  if (advice) {
-    report.advise_ns = prep.advise_ns;
-    report.advice_cached = prep.cached;
-    report.oracle_bits = prep.oracle_bits;
-    report.max_advice_bits = prep.max_advice_bits;
-  } else {
-    const auto started = std::chrono::steady_clock::now();
-    advice = std::make_shared<const std::vector<BitString>>(
-        spec.oracle->advise(*spec.graph, spec.source));
-    report.advise_ns = elapsed_ns(started);
-    report.oracle_bits = oracle_size_bits(*advice);
-    report.max_advice_bits = max_advice_bits(*advice);
-  }
-
+  TaskReport report = advised_report(spec, prep);
   RunOptions options = spec.options;
   if (spec.algorithm->is_wakeup()) options.enforce_wakeup = true;
   const auto started = std::chrono::steady_clock::now();
   if (sharded != nullptr) {
-    report.run = sharded->run(*spec.graph, spec.source, *advice,
+    report.run = sharded->run(*spec.graph, spec.source, *prep.advice,
                               *spec.algorithm, options);
     const ShardedRunStats& st = sharded->last_stats();
     // A fallback replay executed single-threaded; report it as such.
@@ -249,7 +243,7 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
     report.cross_shard_messages = st.cross_shard_messages;
     report.fallback = st.fallback;
   } else {
-    report.run = context->run(*spec.graph, spec.source, *advice,
+    report.run = context->run(*spec.graph, spec.source, *prep.advice,
                               *spec.algorithm, options);
   }
   report.run_ns = elapsed_ns(started);
@@ -335,12 +329,15 @@ std::vector<TaskReport> BatchRunner::run_impl(
     }
   }
 
-  if (advice_cache_) {
+  {
     // Pre-pass: group by (graph, oracle name), then by source. Each group
     // prepares its oracle for its graph once, then advises each distinct
     // source once from that Advisor. Map order makes every owner (the
     // lowest spec index of a source, which reports its advise cost; the
     // lowest of a whole group, which adds the prepare cost) deterministic.
+    // With the cache off the key gains the spec index, so every spec is a
+    // group of its own and no two specs share an advice object. The groups,
+    // and every Advisor with them, end with this block, before any trial.
     struct Group {
       std::size_t owner = 0;
       std::map<NodeId, std::vector<std::size_t>> sources;
@@ -348,12 +345,12 @@ std::vector<TaskReport> BatchRunner::run_impl(
       std::exception_ptr error;
       std::uint64_t prepare_ns = 0;
     };
-    using Key = std::pair<const PortGraph*, std::string>;
+    using Key = std::tuple<const PortGraph*, std::string, std::size_t>;
     std::map<Key, Group> groups;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].advice) continue;
-      const auto [it, fresh] =
-          groups.try_emplace(Key{specs[i].graph, specs[i].oracle->name()});
+      const auto [it, fresh] = groups.try_emplace(Key{
+          specs[i].graph, specs[i].oracle->name(), advice_cache_ ? 0 : i});
       if (fresh) it->second.owner = i;
       it->second.sources[specs[i].source].push_back(i);
     }
@@ -416,9 +413,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
           prepared[indices[j]].cached = true;
         }
       } catch (...) {
-        // The uncached path would have thrown in every one of these
-        // trials; record the failure for each so rethrow order (lowest
-        // spec index) is unchanged.
+        // Every trial of the source fails with it; recording the failure
+        // for each keeps the rethrow order (lowest spec index).
         for (std::size_t idx : indices) {
           errors[idx] = std::current_exception();
         }
@@ -446,25 +442,26 @@ std::vector<TaskReport> BatchRunner::run_impl(
 
   // Units. Trials big enough for intra-run sharding are split off first.
   // Of the rest, two or more lockstep-eligible specs with equal family keys
-  // and resolved advice (shared advice is what a lockstep pass amortizes,
-  // so with the cache off every trial stays single) form one family unit;
-  // every other spec is a single unit. Units are a pure function of the
-  // specs, so they — like every result — are jobs-invariant. Families come
-  // first (the batch's biggest chunks: one landing on the pool last would
+  // and one shared advice object (what a lockstep pass amortizes, so with
+  // the cache off every trial stays single) form one family unit; every
+  // other spec is a single unit. Units are a pure function of the specs,
+  // so they — like every result — are jobs-invariant. Families come first
+  // (the batch's biggest chunks: one landing on the pool last would
   // serialize the tail behind one worker), then singles in spec order.
   std::vector<std::size_t> sharded_work;
   std::vector<std::vector<std::size_t>> units;
   {
-    std::map<SeedFamilyKey, std::vector<std::size_t>> families;
+    using FamilyKey = std::pair<SeedFamilyKey, const void*>;
+    std::map<FamilyKey, std::vector<std::size_t>> families;
     std::vector<std::size_t> singles;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (shard_.enabled() &&
           specs[i].graph->num_nodes() >= shard_.min_nodes) {
         sharded_work.push_back(i);
-      } else if (prepared[i].advice && !errors[i] &&
-                 SeedBatchExecutionContext::lockstep_eligible(
-                     specs[i].options)) {
-        families[seed_family_key(specs[i])].push_back(i);
+      } else if (!errors[i] && SeedBatchExecutionContext::lockstep_eligible(
+                                   specs[i].options)) {
+        families[{seed_family_key(specs[i]), prepared[i].advice.get()}]
+            .push_back(i);
       } else {
         singles.push_back(i);
       }
@@ -556,12 +553,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
             disp[j] == SeedBatchExecutionContext::LaneDisposition::kShared;
         TaskReport report;
         if (lane_shared) {
-          report.oracle_name = specs[i].oracle->name();
-          report.algorithm_name = specs[i].algorithm->name();
-          report.advise_ns = prepared[i].advise_ns;
-          report.advice_cached = prepared[i].cached;
-          report.oracle_bits = prepared[i].oracle_bits;
-          report.max_advice_bits = prepared[i].max_advice_bits;
+          report = advised_report(specs[i], prepared[i]);
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared
@@ -631,12 +623,6 @@ std::vector<TaskReport> BatchRunner::run_impl(
     if (results[i].failed()) ++batch_stats.failed;
     batch_stats.retries += results[i].attempts - 1;
     batch_stats.lockstep_shared += shared_final[i];
-    if (!advice_cache_ && !specs[i].advice && !results[i].failed()) {
-      // Per-trial advise: fold the (last attempt's) cost into the batch
-      // accounting so cache on/off totals stay comparable.
-      batch_stats.advise_ns += results[i].advise_ns;
-      ++batch_stats.unique_advice;
-    }
   }
 
   if (stats != nullptr) {

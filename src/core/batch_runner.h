@@ -16,12 +16,14 @@
 // `shared_ptr<const vector<BitString>>` advice, with its size priced once.
 // Repeat-heavy sweeps thus pay each advise exactly once instead of once
 // per trial, and many-source sweeps pay each graph's preparation once.
-// Pass `advice_cache = false` to restore per-trial advise() (the
-// measurement baseline for bench_perf --no-advice-cache).
+// This pre-pass is the only way a trial gets advice it does not carry.
+// `advice_cache = false` shares none of the advice it computes: each spec
+// without TrialSpec::advice is a group of its own (one prepare and one
+// advise per spec), so such specs form no seed family.
 //
 // Units: the specs alone decide how each trial runs. Two or more
-// lockstep-eligible specs with equal seed_family_key and resolved shared
-// advice form one FAMILY unit; every other spec is a single unit, so a
+// lockstep-eligible specs with equal seed_family_key and one shared advice
+// object form one FAMILY unit; every other spec is a single unit, so a
 // one-spec batch (run_task, an oracled request) never forms a family. Each
 // round a family takes one lockstep pass (sim/seed_batch_engine.h) over its
 // pending lanes; every other lane (a lane the pass could not serve, or a
@@ -169,7 +171,11 @@ class BatchRunner {
  public:
   /// `jobs` = number of worker threads; 0 picks one per usable CPU
   /// (util/cpus.h).
-  /// `advice_cache` toggles the batch-wide advice memoization pre-pass.
+  /// `advice_cache = false` gives every spec its own advice (see the file
+  /// comment); results are bit-identical either way. No production caller
+  /// passes false. The parameter stays because perfbench/perfbench.cpp
+  /// passes it, and perfbench's sources are the benchmark's fixed
+  /// definition: dropping it is a benchmark revision.
   /// `retry` bounds re-execution of transient trial failures.
   /// `shard` routes oversized trials through the sharded intra-run engine.
   explicit BatchRunner(std::size_t jobs = 0, bool advice_cache = true,

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -641,6 +643,14 @@ FallbackReason ShardedExecutionContext::attempt(
         epoch_key = std::min(epoch_key, sh.events.top_key());
       }
       epoch_key = std::min(epoch_key, sh.mail_min);
+    }
+    // Messages in flight that no shard holds were lost inside the engine,
+    // e.g. by two sends of one epoch sharing a sequence number. Fail the
+    // run: a fallback would hide the bug behind a correct serial replay.
+    if (epoch_key == kNoKey) {
+      throw std::logic_error("ShardedExecutionContext: " +
+                             std::to_string(inflight) +
+                             " messages in flight but no shard holds one");
     }
   }
 

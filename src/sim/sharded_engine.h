@@ -114,7 +114,8 @@ class ShardedExecutionContext {
 
   /// Plays one execution; same signature, semantics and frozen-graph
   /// precondition as ExecutionContext::run, bit-identical results at any
-  /// shard count.
+  /// shard count. Throws std::logic_error if the engine loses messages in
+  /// flight (an engine bug, never a property of the run).
   RunResult run(const PortGraph& g, NodeId source,
                 const std::vector<BitString>& advice,
                 const Algorithm& algorithm, const RunOptions& options);

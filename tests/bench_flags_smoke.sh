@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Flag parsing of the bench binaries, run by ctest: a malformed number, a
 # negative count or a rate outside [0, 1] exits 2 with the parser's message
-# before any trial runs, and so does the removed --no-seed-batch.
+# before any trial runs, and so do the removed --no-seed-batch,
+# --no-advice-cache and bench_perf --sweep.
 # Arguments: paths of bench_e1_wakeup_upper, bench_e13_faults,
 # bench_e16_byzantine and bench_perf.
 set -euo pipefail
@@ -45,14 +46,20 @@ expect_exit2 "error: bad --lanes: 'x'" "$PERF" --seed-batch --lanes x \
 expect_exit2 "error: bad --repeat: '-1'" "$PERF" --sched-batch --repeat -1 \
   --no-such-flag --no-json
 
-for bin in "$E13" "$E16"; do
+# expect_unknown <flag> <binary>: the binary rejects the removed flag as an
+# unknown option and exits 2.
+expect_unknown() {
+  local err rc
   set +e
-  err="$("$bin" --no-seed-batch --no-json 2>&1 >/dev/null)"
+  err="$("$2" "$1" --no-json 2>&1 >/dev/null)"
   rc=$?
   set -e
-  [ "$rc" -eq 2 ] || fail "$bin --no-seed-batch should exit 2 (got $rc)"
-  grep -q "unknown option '--no-seed-batch'" <<< "$err" \
-    || fail "$bin --no-seed-batch: $err"
-done
+  [ "$rc" -eq 2 ] || fail "$2 $1 should exit 2 (got $rc)"
+  grep -q "unknown option '$1'" <<< "$err" || fail "$2 $1: $err"
+}
+
+for bin in "$E13" "$E16"; do expect_unknown --no-seed-batch "$bin"; done
+expect_unknown --no-advice-cache "$E1"
+expect_exit2 "usage:" "$PERF" --sweep --no-json
 
 echo "bench flags smoke: all checks passed"

@@ -282,17 +282,28 @@ TEST(AdviceCache, AdviseExceptionIsIsolatedPerTrial) {
 
 TEST(AdviceCache, CacheOffStillCountsAdviseTime) {
   const PortGraph g = make_grid(8, 8);
-  const TreeWakeupOracle oracle;
+  const TreeWakeupOracle inner;
+  const CountingOracle oracle(inner);
   const WakeupTreeAlgorithm algorithm;
+  // Three specs of one source and two of another: with the cache off, none
+  // of them shares advice with another.
   std::vector<TrialSpec> specs(
       3, TrialSpec{&g, 0, &oracle, &algorithm, RunOptions{}});
+  specs.insert(specs.end(), 2,
+               TrialSpec{&g, 5, &oracle, &algorithm, RunOptions{}});
 
   BatchStats stats;
   const auto reports = BatchRunner(1, /*advice_cache=*/false)
                            .run(specs, &stats);
-  EXPECT_EQ(stats.unique_advice, 3u);  // every trial advises afresh
+  EXPECT_EQ(oracle.calls.load(), specs.size());  // one advise per spec
+  EXPECT_EQ(stats.unique_advice, specs.size());
   EXPECT_EQ(stats.cache_hits, 0u);
-  for (const auto& r : reports) EXPECT_FALSE(r.advice_cached);
+  std::uint64_t advise_ns = 0;
+  for (const auto& r : reports) {
+    EXPECT_FALSE(r.advice_cached);
+    advise_ns += r.advise_ns;
+  }
+  EXPECT_EQ(advise_ns, stats.advise_ns);
 }
 
 }  // namespace

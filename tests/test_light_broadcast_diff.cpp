@@ -15,7 +15,6 @@
 #include "light_broadcast_reference.h"
 #include "oracle/composite_oracle.h"
 #include "oracle/light_broadcast_oracle.h"
-#include "oracle/neighborhood_oracle.h"
 #include "oracle/partial_tree_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
@@ -139,11 +138,10 @@ TEST(Oracle, PrepareMatchesAdviseForEveryOracle) {
   const NullOracle null;
   const FullMapOracle full_map;
   const SourceMapOracle source_map;
-  const NeighborhoodOracle ball(2);
   const PartialTreeOracle partial(0.5, 7);
   const CompositeOracle composite({&tree_bfs, &light});
-  std::vector<const Oracle*> oracles = {&null,    &full_map, &source_map,
-                                        &ball,    &partial,  &composite};
+  std::vector<const Oracle*> oracles = {&null,    &full_map,  &source_map,
+                                        &partial, &composite};
   std::vector<TreeWakeupOracle> trees;
   std::vector<LightBroadcastOracle> lights;
   for (const TreeKind kind : {TreeKind::kBfs, TreeKind::kDfs,

@@ -5,7 +5,6 @@
 #include "graph/complete_star.h"
 #include "graph/light_tree.h"
 #include "oracle/light_broadcast_oracle.h"
-#include "oracle/neighborhood_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "util/mathx.h"
@@ -185,7 +184,7 @@ TEST(LightBroadcastOracle, NonLightTreesCanBeMuchBigger) {
   EXPECT_LT(oracle_size_bits(light), oracle_size_bits(bfs));
 }
 
-// ---- map / neighborhood oracles --------------------------------------------
+// ---- map oracles -----------------------------------------------------------
 
 TEST(FullMapOracle, EveryNodeGetsTheSameMap) {
   const PortGraph g = make_cycle(6);
@@ -226,53 +225,6 @@ TEST(GraphMapEncoding, IsDecodable) {
     }
   }
   EXPECT_TRUE(r.exhausted());
-}
-
-TEST(NeighborhoodOracle, RadiusZeroGivesNothing) {
-  const PortGraph g = make_grid(3, 3);
-  const auto advice = NeighborhoodOracle(0).advise(g, 0);
-  EXPECT_EQ(oracle_size_bits(advice), 0u);
-}
-
-TEST(NeighborhoodOracle, RadiusOneSeesIncidentEdges) {
-  const PortGraph g = make_star(8);
-  const auto advice = NeighborhoodOracle(1).advise(g, 0);
-  // Center sees all 7 edges; each leaf sees exactly its own edge -> the
-  // center's string is strictly longest.
-  for (NodeId v = 1; v < 8; ++v) {
-    EXPECT_LT(advice[v].size(), advice[0].size());
-    EXPECT_FALSE(advice[v].empty());
-  }
-}
-
-TEST(NeighborhoodOracle, LargeRadiusEqualsWholeGraphEverywhere) {
-  Rng rng(38);
-  const PortGraph g = make_random_connected(15, 0.3, rng);
-  const auto advice = NeighborhoodOracle(100).advise(g, 0);
-  // Every node's ball is the whole edge set: same edge count in each
-  // string. Decode the count prefix of each.
-  std::uint64_t count0 = 0;
-  {
-    BitReader r(advice[0]);
-    count0 = read_doubled(r);
-  }
-  EXPECT_EQ(count0, g.num_edges());
-  for (NodeId v = 1; v < g.num_nodes(); ++v) {
-    BitReader r(advice[v]);
-    EXPECT_EQ(read_doubled(r), g.num_edges());
-  }
-}
-
-TEST(NeighborhoodOracle, SizeGrowsWithRadius) {
-  Rng rng(39);
-  const PortGraph g = make_random_connected(40, 0.1, rng);
-  std::uint64_t prev = 0;
-  for (std::uint32_t rho : {1u, 2u, 3u, 5u}) {
-    const std::uint64_t size =
-        oracle_size_bits(NeighborhoodOracle(rho).advise(g, 0));
-    EXPECT_GE(size, prev);
-    prev = size;
-  }
 }
 
 }  // namespace
