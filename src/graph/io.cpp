@@ -1,5 +1,7 @@
 #include "graph/io.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -15,7 +17,6 @@
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -455,16 +456,311 @@ class TextScan {
   LabelLines* labels_ = nullptr;
 };
 
-/// Phase 1 after the header on several threads. `body`, the lines after
-/// the header of a graph of `num_nodes` nodes, is cut into chunks. Up to
-/// one thread per usable CPU, the caller included, claims work off one
-/// counter: first each chunk's line count, then, once the caller has
-/// sized one record array by the counts, each chunk's TextScan into its
-/// own run of that array. A helper that starts late claims less. Returns
-/// nothing if a chunk has a bad line.
-std::optional<TextRecords> scan_chunks(std::string_view body,
-                                       std::size_t num_nodes,
-                                       const ParseLimits& limits) {
+/// The steps of a parse, in order. The chunked scan counts each chunk's
+/// lines, then scans the chunk; phase 2 takes the degrees by record slice,
+/// merges them by node range, scatters both endpoints of every record by
+/// record slice and checks the rows by node range. A text the one-thread
+/// scan read runs phase 2's steps alone on the caller.
+enum Step : std::size_t {
+  kCount,
+  kScan,
+  kDegrees,
+  kMerge,
+  kScatter,
+  kCheck,
+  kSteps
+};
+
+/// The threads of one chunked parse, started once for all of its steps:
+/// the caller and up to `threads` - 1 helpers. Each step has `items`
+/// items, which every thread claims off one counter in step order (claim
+/// s * items + i is item i of step s), so a helper that starts late claims
+/// less. The caller opens a step once the one before it is done and it has
+/// sized every array the step writes; a thread that claims an item of a
+/// step not yet open waits for it. `run(step, item, thread)` does one item
+/// and does not throw; thread 0 is the caller.
+///
+/// The helpers are POSIX threads. A std::thread frees its start state on
+/// the new thread, which ties the helper to a malloc arena of its own; on
+/// dense_text, whose texts make no other allocation on a helper, that left
+/// 4 MB more peak RSS (EXPERIMENTS.md "Graph text phase 2 on every core").
+template <class Run>
+class Crew {
+ public:
+  Crew(std::size_t items, std::size_t threads, const Run& run)
+      : items_(items), run_(run), helpers_(threads > 1 ? threads - 1 : 0) {
+    for (Helper& h : helpers_) {
+      h.crew = this;
+      h.thread = started_ + 1;
+      // A helper that cannot start leaves its share to the others.
+      if (pthread_create(&h.id, nullptr, &Crew::start, &h) != 0) break;
+      ++started_;
+    }
+    claim_ = next_++;
+  }
+  Crew(const Crew&) = delete;
+  Crew& operator=(const Crew&) = delete;
+
+  /// A helper waiting for a step that is never opened returns, and every
+  /// helper is joined.
+  ~Crew() {
+    open_ = kClosed;
+    open_.notify_all();
+    for (std::size_t i = 0; i < started_; ++i) {
+      pthread_join(helpers_[i].id, nullptr);
+    }
+  }
+
+  std::size_t threads() const { return started_ + 1; }
+
+  /// Opens step s, takes part in it and returns once all its items are
+  /// done.
+  void run(Step s) {
+    open_ = s + 1;
+    open_.notify_all();
+    work(s, claim_, 0);
+    const std::size_t end = (s + 1) * items_;
+    for (std::size_t k = done_; k < end; k = done_) done_.wait(k);
+  }
+
+ private:
+  static constexpr std::size_t kClosed = kNone;
+
+  /// Does the items of step s from `claim` on, and leaves `claim` at the
+  /// thread's first claim past the step.
+  void work(std::size_t s, std::size_t& claim, std::size_t thread) {
+    const std::size_t end = (s + 1) * items_;
+    for (; claim < end; claim = next_++) {
+      run_(static_cast<Step>(s), claim - s * items_, thread);
+      if (++done_ == end) done_.notify_all();
+    }
+  }
+
+  struct Helper {
+    Crew* crew = nullptr;
+    std::size_t thread = 0;
+    pthread_t id{};
+  };
+
+  static void* start(void* helper) {
+    const Helper& h = *static_cast<const Helper*>(helper);
+    h.crew->help(h.thread);
+    return nullptr;
+  }
+
+  void help(std::size_t thread) {
+    std::size_t claim = next_++;
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      if (claim >= (s + 1) * items_) continue;
+      for (std::size_t k = open_; k <= s; k = open_) open_.wait(k);
+      if (open_ == kClosed) return;
+      work(s, claim, thread);
+    }
+  }
+
+  const std::size_t items_;
+  const Run& run_;
+  std::atomic<std::size_t> next_{0};
+  std::atomic<std::size_t> done_{0};
+  std::atomic<std::size_t> open_{0};  // steps 0 .. open_ - 1 are open
+  std::size_t claim_ = 0;             // the caller's
+  std::vector<Helper> helpers_;       // sized once: each thread holds its own
+  std::size_t started_ = 0;
+};
+
+/// Each node's label, node + 1 unless a label line set it (the last one
+/// wins), and the first node whose label a smaller node also has.
+struct Labels {
+  std::vector<Label> labels;
+  std::size_t dup = kNone;  // labels repeat only after a label line
+};
+
+Labels resolve_labels(const TextRecords& r) {
+  const std::size_t n = r.num_nodes;
+  Labels out{std::vector<Label>(n)};
+  for (std::size_t v = 0; v < n; ++v) {
+    out.labels[v] = static_cast<Label>(v) + 1;
+  }
+  if (!r.labels.empty()) {
+    for (const auto& [v, label] : r.labels) out.labels[v] = label;
+    Keyed by_label(n);
+    for (std::size_t v = 0; v < n; ++v) by_label[v] = {out.labels[v], v};
+    out.dup = first_repeat(by_label);
+  }
+  return out;
+}
+
+/// The arrays a frozen PortGraph adopts.
+struct CsrArrays {
+  std::vector<std::uint64_t> offsets;
+  std::vector<Endpoint> endpoints;
+  std::vector<Label> labels;
+};
+
+/// Writes `e` into `slot` with relaxed atomic stores: records in two
+/// slices may name one slot, and two threads may write it at once.
+void put(Endpoint& slot, Endpoint e) {
+  std::atomic_ref(slot.node).store(e.node, std::memory_order_relaxed);
+  std::atomic_ref(slot.port).store(e.port, std::memory_order_relaxed);
+}
+
+/// Phase 2 on `threads` threads, over the records' runs (the record
+/// slices) and as many node ranges: each node's degree is its largest
+/// port + 1, the degrees are prefix-summed into CSR offsets, both endpoints
+/// of every record are scattered into the CSR, and every row is checked
+/// for a vacant slot and for a neighbor met twice. Each thread owns one
+/// array of 4 bytes per node: its degrees, then, once they are merged, its
+/// seen_by.
+class Csr {
+ public:
+  Csr(const TextRecords& r, std::size_t threads)
+      : r_(r),
+        n_(r.num_nodes),
+        threads_(threads),
+        arrays_(std::make_unique_for_overwrite<NodeId[]>(threads * n_)),
+        use_(std::make_unique<Use[]>(threads)),
+        offsets_(n_ + 1, 0) {}
+
+  /// Item i of phase-2 step s, on thread `thread`.
+  void run(Step s, std::size_t i, std::size_t thread) {
+    switch (s) {
+      case kDegrees:
+        degrees(i, thread);
+        break;
+      case kMerge:
+        merge(i);
+        break;
+      case kScatter:
+        scatter(i);
+        break;
+      case kCheck:
+        check(i, thread);
+        break;
+      default:
+        break;
+    }
+  }
+
+  /// Runs phase 2, each step through `run_step`; false if a whole-graph
+  /// check failed.
+  template <class RunStep>
+  bool build(const RunStep& run_step) {
+    run_step(kDegrees);
+    run_step(kMerge);
+    for (std::size_t v = 0; v < n_; ++v) offsets_[v + 1] += offsets_[v];
+    // Degrees that do not sum to 2m mean a hole or a port taken twice; past
+    // 2m they could be any size, so nothing is sized by them.
+    if (offsets_[n_] != 2 * r_.num_edges) return false;
+    endpoints_ = std::vector<Endpoint>(offsets_[n_]);
+    run_step(kScatter);
+    run_step(kCheck);
+    return !failed_;
+  }
+
+  CsrArrays take(std::vector<Label> labels) {
+    return {std::move(offsets_), std::move(endpoints_), std::move(labels)};
+  }
+
+ private:
+  enum Use : unsigned char { kUnused, kDegree, kSeenBy };
+
+  /// Thread `thread`'s array, cleared for `use` by the thread's first call
+  /// for it.
+  NodeId* array(std::size_t thread, Use use) {
+    NodeId* a = arrays_.get() + thread * n_;
+    if (use_[thread] != use) {
+      std::fill_n(a, n_, use == kDegree ? 0 : kNoNode);
+      use_[thread] = use;
+    }
+    return a;
+  }
+
+  /// Node range k: [lo, hi).
+  std::pair<std::size_t, std::size_t> nodes(std::size_t k) const {
+    const std::size_t ranges = r_.runs.size();
+    return {n_ * k / ranges, n_ * (k + 1) / ranges};
+  }
+
+  void degrees(std::size_t slice, std::size_t thread) {
+    NodeId* degree = array(thread, kDegree);
+    for (const EdgeRecord& e : r_.runs[slice]) {
+      degree[e.u] = std::max(degree[e.u], e.pu + 1);
+      degree[e.v] = std::max(degree[e.v], e.pv + 1);
+    }
+  }
+
+  void merge(std::size_t range) {
+    const auto [lo, hi] = nodes(range);
+    for (std::size_t t = 0; t < threads_; ++t) {
+      if (use_[t] != kDegree) continue;
+      const NodeId* degree = arrays_.get() + t * n_;
+      for (std::size_t v = lo; v < hi; ++v) {
+        offsets_[v + 1] = std::max<std::uint64_t>(offsets_[v + 1], degree[v]);
+      }
+    }
+  }
+
+  void scatter(std::size_t slice) {
+    for (const EdgeRecord& e : r_.runs[slice]) {
+      put(endpoints_[offsets_[e.u] + e.pu], {e.v, e.pv});
+      put(endpoints_[offsets_[e.v] + e.pv], {e.u, e.pu});
+    }
+  }
+
+  /// 2m endpoints went into 2m slots, so a slot written twice left another
+  /// one vacant: no vacant slot means no port taken twice. Both sides of
+  /// every edge were written together, so the port relation is symmetric.
+  void check(std::size_t range, std::size_t thread) {
+    NodeId* seen_by = array(thread, kSeenBy);
+    const auto [lo, hi] = nodes(range);
+    for (std::size_t v = lo; v < hi && !failed_; ++v) {
+      for (std::uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+        const NodeId w = endpoints_[i].node;
+        if (w == kNoNode || seen_by[w] == v) {
+          failed_ = true;
+          return;
+        }
+        seen_by[w] = static_cast<NodeId>(v);
+      }
+    }
+  }
+
+  const TextRecords& r_;
+  const std::size_t n_;
+  const std::size_t threads_;
+  std::unique_ptr<NodeId[]> arrays_;  // thread t's: [t * n_, (t + 1) * n_)
+  std::unique_ptr<Use[]> use_;
+  std::vector<std::uint64_t> offsets_;
+  std::vector<Endpoint> endpoints_;
+  std::atomic<bool> failed_{false};
+};
+
+/// Rejects records that passed every line but break a whole-graph check.
+[[gnu::cold]] [[noreturn]] void fail_structure(std::string_view text,
+                                               const TextRecords& r,
+                                               const Labels& labels) {
+  std::vector<EdgeRecord> edges;  // the runs, joined in line order
+  edges.reserve(r.num_edges);
+  for (const std::span<const EdgeRecord> run : r.runs) {
+    edges.insert(edges.end(), run.begin(), run.end());
+  }
+  const Keyed slots = check_slots(text, edges);
+  fail(0, "invalid graph: " + first_invalid(r.num_nodes, edges, labels.labels,
+                                            labels.dup, slots));
+}
+
+/// Both phases after the header on one set of threads. `body`, the lines
+/// after the header of a graph of `num_nodes` nodes, is cut into chunks,
+/// and each step has one item per chunk: the chunk, its run of records
+/// (a record slice) or a node range. Up to one thread per usable CPU, the
+/// caller included, runs them, fewer if their phase-2 arrays would not fit
+/// in parse_memory_bound. Returns nothing if a chunk has a bad line. A
+/// text that breaks a whole-graph check is rejected once the helpers are
+/// joined.
+std::optional<CsrArrays> parse_chunks(std::string_view text,
+                                      std::string_view body,
+                                      std::size_t num_nodes,
+                                      const ParseLimits& limits) {
   struct Chunk {
     std::string_view lines;
     std::size_t capacity = 0;  // at most one record per line
@@ -482,104 +778,83 @@ std::optional<TextRecords> scan_chunks(std::string_view body,
     body.remove_prefix(size);
   }
   const std::size_t count = chunks.size();
-  // Claim i < count counts chunk i's lines; claim count + i scans chunk i.
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> counted{0};
-  std::atomic<bool> sized{false};  // the caller has sized the record array
+  TextRecords r;
+  r.num_nodes = num_nodes;
   std::atomic<bool> rejected{false};
-  const auto count_lines = [&](std::size_t& claim) noexcept {
-    for (; claim < count; claim = next++) {
-      Chunk& c = chunks[claim];
+  std::optional<Csr> csr;  // sized once phase 1 is done
+  const auto run = [&](Step s, std::size_t i, std::size_t thread) noexcept {
+    Chunk& c = chunks[i];
+    if (s == kCount) {
       c.capacity = static_cast<std::size_t>(
                        std::count(c.lines.begin(), c.lines.end(), '\n')) +
                    1;
-      if (++counted == count) counted.notify_all();
-    }
-  };
-  const auto scan = [&](std::size_t claim) noexcept {
-    try {
-      for (; claim < 2 * count && !rejected; claim = next++) {
-        Chunk& c = chunks[claim - count];
+    } else if (s == kScan) {
+      if (rejected) return;
+      try {
         c.records = TextScan(c.lines, num_nodes, limits).scan(c.out, c.labels);
+      } catch (...) {
+        rejected = true;
       }
-    } catch (...) {
-      rejected = true;
+    } else {
+      csr->run(s, i, thread);
     }
   };
-  TextRecords r;
-  r.num_nodes = num_nodes;
+  Labels labels;
+  bool built = false;
   {
-    const std::size_t workers = std::min(count, usable_cpus());
-    std::vector<std::jthread> helpers;
-    helpers.reserve(workers);
-    try {
-      while (helpers.size() + 1 < workers) {
-        helpers.emplace_back([&] {
-          std::size_t claim = next++;
-          count_lines(claim);
-          sized.wait(false);
-          scan(claim);
-        });
-      }
-    } catch (const std::system_error&) {
-      // A helper that cannot start leaves its share to the others.
-    }
-    std::size_t claim = next++;
-    count_lines(claim);
-    for (std::size_t k = counted; k < count; k = counted) counted.wait(k);
+    Crew crew(count,
+              std::min({count, usable_cpus(),
+                        parse_max_threads(num_nodes, text.size())}),
+              run);
+    crew.run(kCount);
     try {
       std::size_t capacity = 0;
       for (const Chunk& c : chunks) capacity += c.capacity;
       r.store = std::make_unique_for_overwrite<EdgeRecord[]>(capacity);
-      EdgeRecord* out = r.store.get();
-      for (Chunk& c : chunks) {
-        c.out = {out, c.capacity};
-        out += c.capacity;
-      }
     } catch (const std::bad_alloc&) {
-      rejected = true;
+      return std::nullopt;
     }
-    sized = true;
-    sized.notify_all();
-    scan(claim);
+    EdgeRecord* out = r.store.get();
+    for (Chunk& c : chunks) {
+      c.out = {out, c.capacity};
+      out += c.capacity;
+    }
+    crew.run(kScan);
+    if (rejected) return std::nullopt;
+    for (const Chunk& c : chunks) {
+      r.runs.push_back(c.out.first(c.records));
+      r.num_edges += c.records;
+      r.labels.insert(r.labels.end(), c.labels.begin(), c.labels.end());
+    }
+    labels = resolve_labels(r);
+    csr.emplace(r, crew.threads());
+    built = csr->build([&](Step s) { crew.run(s); });
   }  // joins the helpers
-  if (rejected) return std::nullopt;
-  for (const Chunk& c : chunks) {
-    r.runs.push_back(c.out.first(c.records));
-    r.num_edges += c.records;
-    r.labels.insert(r.labels.end(), c.labels.begin(), c.labels.end());
-  }
-  return r;
+  if (!built || labels.dup != kNone) fail_structure(text, r, labels);
+  return csr->take(std::move(labels.labels));
 }
 
-/// Phase 1. A text of kChunkedScanBytes or more is read through its header
-/// by the serial scan and after it by the chunked scan. If a chunk has a
-/// bad line, the serial scan reads on from the header instead, so every
-/// rejection is the serial scan's.
-TextRecords scan_text(std::string_view text, const ParseLimits& limits) {
+/// The reader. A text of kChunkedScanBytes or more is read through its
+/// header by the one-thread scan and after it by parse_chunks. If a chunk
+/// has a bad line, the one-thread scan reads on from the header instead,
+/// so every rejection is the one-thread scan's; phase 2 then runs on the
+/// caller, as for a smaller text.
+CsrArrays parse(const std::string& text, const ParseLimits& limits) {
   TextScan serial(text, limits);
   if (text.size() >= kChunkedScanBytes) {
     if (const auto body = serial.through_header()) {
-      if (auto r = scan_chunks(*body, serial.num_nodes(), limits)) {
-        return std::move(*r);
+      if (auto csr = parse_chunks(text, *body, serial.num_nodes(), limits)) {
+        return std::move(*csr);
       }
     }
   }
-  return serial.run();
-}
-
-/// Rejects records that passed every line but break a whole-graph check.
-[[gnu::cold]] [[noreturn]] void fail_structure(
-    std::string_view text, const TextRecords& r,
-    const std::vector<Label>& labels, std::size_t dup_label) {
-  std::vector<EdgeRecord> edges;  // the runs, joined in line order
-  edges.reserve(r.num_edges);
-  for (const std::span<const EdgeRecord> run : r.runs) {
-    edges.insert(edges.end(), run.begin(), run.end());
-  }
-  const Keyed slots = check_slots(text, edges);
-  fail(0, "invalid graph: " +
-              first_invalid(r.num_nodes, edges, labels, dup_label, slots));
+  const TextRecords r = serial.run();
+  Labels labels = resolve_labels(r);
+  Csr csr(r, 1);
+  // One record slice and one node range.
+  const bool built = csr.build([&](Step s) { csr.run(s, 0, 0); });
+  if (!built || labels.dup != kNone) fail_structure(text, r, labels);
+  return csr.take(std::move(labels.labels));
 }
 
 }  // namespace
@@ -599,53 +874,9 @@ PortGraph read_port_graph(std::istream& is, const ParseLimits& limits) {
 }
 
 PortGraph from_text(const std::string& text, const ParseLimits& limits) {
-  const TextRecords r = scan_text(text, limits);
-  const std::size_t n = r.num_nodes;
-  std::vector<Label> labels(n);
-  for (std::size_t v = 0; v < n; ++v) labels[v] = static_cast<Label>(v) + 1;
-  std::size_t dup_label = kNone;  // labels repeat only after a label line
-  if (!r.labels.empty()) {
-    for (const auto& [v, label] : r.labels) labels[v] = label;
-    Keyed by_label(n);
-    for (std::size_t v = 0; v < n; ++v) by_label[v] = {labels[v], v};
-    dup_label = first_repeat(by_label);
-  }
-  const auto reject = [&] { fail_structure(text, r, labels, dup_label); };
-  // Phase 2: degree = largest port + 1, prefix-summed into offsets, then
-  // one scatter of both endpoints of every record.
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  for (const std::span<const EdgeRecord> run : r.runs) {
-    for (const EdgeRecord& e : run) {
-      offsets[e.u + 1] = std::max(offsets[e.u + 1], std::uint64_t{e.pu} + 1);
-      offsets[e.v + 1] = std::max(offsets[e.v + 1], std::uint64_t{e.pv} + 1);
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  // Degrees that do not sum to 2m mean a hole or a port taken twice; past
-  // 2m they could be any size, so nothing is sized by them.
-  if (offsets[n] != 2 * r.num_edges) reject();
-  std::vector<Endpoint> endpoints(offsets[n]);
-  for (const std::span<const EdgeRecord> run : r.runs) {
-    for (const EdgeRecord& e : run) {
-      Endpoint& at_u = endpoints[offsets[e.u] + e.pu];
-      Endpoint& at_v = endpoints[offsets[e.v] + e.pv];
-      if (at_u.node != kNoNode || at_v.node != kNoNode) reject();
-      at_u = Endpoint{e.v, e.pv};
-      at_v = Endpoint{e.u, e.pu};
-    }
-  }
-  // 2m slots, 2m endpoints, none twice: no hole. Both sides of every edge
-  // were written together, so the port relation is symmetric.
-  std::vector<NodeId> seen_by(n, kNoNode);
-  for (NodeId v = 0; v < n; ++v) {
-    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const NodeId w = endpoints[i].node;
-      if (seen_by[w] == v) reject();
-      seen_by[w] = v;
-    }
-  }
-  if (dup_label != kNone) reject();
-  return PortGraph(std::move(offsets), std::move(endpoints), std::move(labels));
+  CsrArrays csr = parse(text, limits);
+  return PortGraph(std::move(csr.offsets), std::move(csr.endpoints),
+                   std::move(csr.labels));
 }
 
 }  // namespace oraclesize

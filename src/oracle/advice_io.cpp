@@ -5,6 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "graph/io.h"
+#include "util/parse_number.h"
+
 namespace oraclesize {
 
 void write_advice(std::ostream& os, const std::vector<BitString>& advice) {
@@ -30,6 +33,19 @@ namespace {
   throw std::invalid_argument(os.str());
 }
 
+/// `token` as a number below `bound`, strictly (util/parse_number.h).
+std::size_t number(std::size_t line, const std::string& token,
+                   const char* what, std::size_t bound) {
+  std::size_t value = 0;
+  try {
+    value = parse_number<std::size_t>(token, what);
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
+  }
+  if (value >= bound) fail(line, std::string(what) + " out of range");
+  return value;
+}
+
 }  // namespace
 
 std::vector<BitString> read_advice(std::istream& is) {
@@ -47,22 +63,18 @@ std::vector<BitString> read_advice(std::istream& is) {
 
     if (first == "advice") {
       if (seen_header) fail(lineno, "duplicate header");
-      std::size_t n = 0;
-      if (!(ls >> n)) fail(lineno, "bad node count");
-      advice.assign(n, BitString{});
+      std::string count;
+      ls >> count;
+      // Checked before anything is sized by it, against the graph reader's
+      // cap: `advice 4000000000` fails here.
+      advice.assign(number(lineno, count, "node count",
+                           ParseLimits{}.max_nodes + 1),
+                    BitString{});
       seen_header = true;
       continue;
     }
     if (!seen_header) fail(lineno, "entry before header");
-    std::size_t v = 0;
-    try {
-      std::size_t pos = 0;
-      v = std::stoull(first, &pos);
-      if (pos != first.size()) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
-      fail(lineno, "bad node index '" + first + "'");
-    }
-    if (v >= advice.size()) fail(lineno, "node index out of range");
+    const std::size_t v = number(lineno, first, "node index", advice.size());
     std::string bits;
     if (!(ls >> bits)) fail(lineno, "missing bit string");
     if (!advice[v].empty()) fail(lineno, "duplicate entry for node");

@@ -24,6 +24,9 @@ void write_advice(std::ostream& os, const std::vector<BitString>& advice);
 std::string advice_to_text(const std::vector<BitString>& advice);
 
 /// Throws std::invalid_argument (with a line number) on malformed input.
+/// The node count and node indices are digits only (no sign, no base
+/// prefix, no overflow); the count is at most ParseLimits::max_nodes
+/// (graph/io.h) and is checked before anything is sized by it.
 std::vector<BitString> read_advice(std::istream& is);
 std::vector<BitString> advice_from_text(const std::string& text);
 

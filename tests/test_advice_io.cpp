@@ -53,6 +53,20 @@ TEST(AdviceIo, Rejections) {
                std::invalid_argument);
   EXPECT_THROW(advice_from_text("advice 2\n0 01 junk\n"),
                std::invalid_argument);
+  EXPECT_THROW(advice_from_text("advice 2\n+1 01\n"), std::invalid_argument);
+  // Header counts are digits only and at most ParseLimits::max_nodes,
+  // checked before the advice vector is sized: `advice 4000000000` would
+  // ask for 128 GB.
+  for (const char* text : {"advice -1\n", "advice 18446744073709551615\n",
+                           "advice +3\n", "advice 4000000000\n"}) {
+    try {
+      advice_from_text(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1: "), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AdviceIo, ErrorsCarryLineNumbers) {

@@ -366,6 +366,30 @@ TEST(GraphIo, CrossChunkTextsHaveTheSequentialOutcome) {
        },
        {},
        "vacant port"},
+      // Phase 2 runs by record slice and node range. In K*_512 port p of
+      // node i leads to node (i + p + 1) mod 512. Node 509's port 1 edge,
+      // in the last chunk, is re-pointed at its port 2, which the first
+      // chunk's edge to node 0 holds: port 1 goes vacant, port 510 stays
+      // the largest, so the degrees still sum to 2m and both records reach
+      // the scatter, from different slices.
+      {"port_taken_twice_within_the_degree_sum",
+       [&](Lines& l) {
+         *std::find(l.begin(), l.end(), "edge 509 1 511 509") =
+             "edge 509 2 511 509";
+       },
+       {{"edge 0 508 509 2", 0}, {"edge 509 2 511 509", last}},
+       "add_edge: port already occupied"},
+      // Nodes 510 and 511 sit in the last node range however the nodes
+      // are split; their second edge, on their free port 511, is in the
+      // first chunk.
+      {"parallel_edge_within_the_last_node_range",
+       [&](Lines& l) { insert(l, 5, "edge 510 511 511 511"); },
+       {{"edge 510 511 511 511", 0}, {"edge 510 0 511 510", last}},
+       "invalid graph: parallel edge between 510 and 511"},
+      {"label_repeated_in_a_later_chunk",
+       [&](Lines& l) { insert(l, late, "label 300 1"); },
+       {{"label 300 1", last}},
+       "invalid graph: duplicate label 1 at node 300"},
       {"header_after_comment_lines",
        [&](Lines& l) {
          insert(l, 0, "#");
